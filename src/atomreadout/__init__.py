@@ -10,14 +10,7 @@ from .config import (
     parse_config,
     serialize_config,
 )
-from .detection import (
-    CountTrace,
-    DetectorConfig,
-    merge_traces,
-    poisson_tail_at_least,
-    poisson_trace,
-    thin_events,
-)
+from .detection import DetectorConfig, poisson_tail_at_least
 from .experiments import (
     CycleConfig,
     CycleRecord,
@@ -63,15 +56,12 @@ from .physics import (
 from .readout import (
     ADAPTIVE_STOP,
     FIXED_WINDOW,
-    ProbeEvent,
     ReadoutOutcome,
     ReadoutPolicy,
     analytic_f1_error,
     analytic_f2_error,
     calibrate_depump,
-    classify_fixed,
     implied_effective_detuning,
-    run_adaptive,
 )
 from .runner import ARTIFACT_VERSION, RunOutput, run
 from .seeding import derive_substream

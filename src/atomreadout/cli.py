@@ -75,13 +75,14 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 
     if args.trials is not None:
         experiment = config.experiment
-        trials: dict[str, object] = {}
         if experiment == "histogram":
             trials = {"histogram.trials_f1": args.trials, "histogram.trials_f2": args.trials}
         elif experiment == "survival":
             trials = {"survival.atoms": args.trials}
         elif experiment == "rabi":
             trials = {"rabi.atoms": args.trials}
+        else:
+            raise ConfigError(f"the {experiment} experiment takes no trial count", key="--trials")
         config = config.with_updates(trials)
     return config
 

@@ -62,8 +62,6 @@ SCHEMA: dict[str, _Key] = {
     "species.linewidth": _Key("float", 6.0e6, "excited-state linewidth, Hz", lo=0, lo_open=True),
     "species.excited_splitting": _Key("float", 266.0e6, "F'=2 to F'=3 interval, Hz",
                                       lo=0, lo_open=True),
-    "species.hyperfine_splitting": _Key("float", 6.8e9, "ground hyperfine interval, Hz",
-                                        lo=0, lo_open=True),
     "species.recoil_temperature": _Key("float", 361.96e-9, "recoil temperature, K",
                                        lo=0, lo_open=True),
     "detector.efficiency": _Key("float", 0.02, "net collection+quantum efficiency",
@@ -73,7 +71,6 @@ SCHEMA: dict[str, _Key] = {
                                lo=0, lo_open=True),
     "probe.max_duration": _Key("float", 300e-6, "maximum probe window, s", lo=0, lo_open=True),
     "probe.background_mean": _Key("float", 0.3, "mean background counts per full window", lo=0),
-    "probe.nominal_detuning": _Key("float", 5.0e6, "set-point probe detuning, Hz"),
     "probe.effective_detuning": _Key("float", 8.594e6,
                                      "detuning including the differential light shift, Hz"),
     "readout.mode": _Key("choice", "adaptive", "stop rule", choices=("adaptive", "fixed")),
@@ -234,7 +231,6 @@ class RunConfig:
         return SpeciesConstants(
             linewidth_gamma=self.values["species.linewidth"],
             excited_splitting_delta23=self.values["species.excited_splitting"],
-            hyperfine_splitting=self.values["species.hyperfine_splitting"],
             recoil_temperature=self.values["species.recoil_temperature"],
         )
 
@@ -246,10 +242,8 @@ class RunConfig:
 
     def probe(self) -> ProbeConfig:
         return ProbeConfig(
-            nominal_detuning=self.values["probe.nominal_detuning"],
             effective_detuning=self.values["probe.effective_detuning"],
             scatter_rate=self.values["probe.scatter_rate"],
-            max_probe_duration=self.values["probe.max_duration"],
             background_mean_per_window=self.values["probe.background_mean"],
         )
 

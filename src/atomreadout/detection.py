@@ -1,16 +1,15 @@
-"""Photon detection channel: efficiency thinning, background processes, Poisson tails.
+"""Photon detection channel: detector parameters and Poisson count tails.
 
 Scattered photons become detector counts through Bernoulli thinning at the net
 collection+quantum efficiency; stray light and dark counts are homogeneous
-Poisson processes. Event times are continuous and no dead time is modeled.
+Poisson processes. Event times are continuous and no dead time is modeled. The
+probe kernel in ``experiments`` samples these processes directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -25,61 +24,6 @@ class DetectorConfig:
             raise ValueError("net_efficiency must lie in (0, 1]")
         if self.dark_rate < 0:
             raise ValueError("dark_rate must be nonnegative")
-
-
-@dataclass(frozen=True)
-class CountTrace:
-    """Time-ordered event times inside one probe window."""
-
-    event_times: tuple[float, ...]
-    window_length: float
-
-    def __post_init__(self) -> None:
-        if self.window_length <= 0:
-            raise ValueError("window_length must be positive")
-        prev = 0.0
-        for t in self.event_times:
-            if t < 0.0 or t > self.window_length:
-                raise ValueError("event times must lie within [0, window_length]")
-            if t < prev:
-                raise ValueError("event times must be nondecreasing")
-            prev = t
-
-    @property
-    def count(self) -> int:
-        return len(self.event_times)
-
-
-def poisson_trace(rate: float, window: float, rng: np.random.Generator) -> CountTrace:
-    """Sample a homogeneous Poisson process of the given rate over one window."""
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    if window <= 0:
-        raise ValueError("window must be positive")
-    n = int(rng.poisson(rate * window))
-    times = np.sort(rng.random(n) * window)
-    return CountTrace(tuple(times.tolist()), window)
-
-
-def thin_events(trace: CountTrace, efficiency: float, rng: np.random.Generator) -> CountTrace:
-    """Keep each event independently with probability ``efficiency``, order preserved."""
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    if efficiency == 1.0:
-        return trace
-    if efficiency == 0.0 or not trace.event_times:
-        return CountTrace((), trace.window_length)
-    times = np.asarray(trace.event_times)
-    kept = times[rng.random(times.size) < efficiency]
-    return CountTrace(tuple(kept.tolist()), trace.window_length)
-
-
-def merge_traces(a: CountTrace, b: CountTrace) -> CountTrace:
-    """Time-sorted union of two traces over the same window."""
-    if a.window_length != b.window_length:
-        raise ValueError("cannot merge traces with different window lengths")
-    merged = tuple(sorted(a.event_times + b.event_times))
-    return CountTrace(merged, a.window_length)
 
 
 def poisson_tail_at_least(k: int, mean: float) -> float:

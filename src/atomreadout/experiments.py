@@ -7,7 +7,8 @@ while the atom is bright, detected signal photons arrive at rate
 ``scatter_rate * (1-eta) * q`` (detection preempts the depump within a single
 event), and silent scatters fill in the rest. Background counts run at their
 own rate for the whole probe-on window. This is law-equivalent to drawing
-every scattering event and marking it, at a fraction of the cost.
+every scattering event and marking it, at a fraction of the cost; the tests
+check it against such an event-by-event oracle.
 
 Experiments address randomness through per-(experiment, row, cycle) substreams
 of the master seed, so any execution order (including process pools) gives
@@ -136,7 +137,7 @@ def _resolve_stop(
 def _simulate_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutOutcome:
     policy = cfg.policy
     window = policy.max_duration
-    bg_rate = cfg.probe.background_mean_per_window / cfg.probe.max_probe_duration
+    bg_rate = cfg.probe.background_mean_per_window / window
     eta = cfg.detector.net_efficiency
     hazard = cfg.depump_hazard
     rate = cfg.probe.scatter_rate

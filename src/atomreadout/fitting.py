@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 MAX_ITERATIONS = 200
 RELATIVE_PARAMETER_TOL = 1e-6
@@ -65,7 +65,7 @@ def binomial_interval(
         raise ValueError("successes must lie in [0, trials]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
-    z = float(ndtri(1.0 - (1.0 - confidence) / 2.0))
+    z = NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -7,9 +7,8 @@ point: how many detected photons a given error target needs, how strongly the
 off-resonant F'=2 channel (the "depump" route into F=1) is suppressed, and how
 much recoil heating a readout costs.
 
-Conventions: frequencies in Hz, times in seconds. Motional energies are carried
-in temperature units (kelvin); multiply by ``boltzmann_energy_scale`` only at an
-interface that genuinely needs joules.
+Conventions: frequencies in Hz, times in seconds, motional energies in
+temperature units (kelvin).
 """
 
 from __future__ import annotations
@@ -29,17 +28,13 @@ class SpeciesConstants:
 
     linewidth_gamma: float = 6.0e6              # Hz, excited-state natural linewidth
     excited_splitting_delta23: float = 266.0e6  # Hz, F'=2 to F'=3 interval
-    hyperfine_splitting: float = 6.8e9          # Hz, ground-state F=1 to F=2 interval
     recoil_temperature: float = 361.96e-9       # K, single-photon recoil scale
-    boltzmann_energy_scale: float = 1.380649e-23  # J/K
 
     def __post_init__(self) -> None:
         positive = (
             self.linewidth_gamma,
             self.excited_splitting_delta23,
-            self.hyperfine_splitting,
             self.recoil_temperature,
-            self.boltzmann_energy_scale,
         )
         if any(v <= 0 for v in positive):
             raise ValueError("species constants must be strictly positive")
@@ -57,23 +52,20 @@ class ProbeConfig:
     ``scatter_rate`` is the photon scattering rate of a bright (F=2) atom,
     before any collection or detector losses. ``background_mean_per_window``
     is the mean number of spurious detector counts accumulated over one full
-    ``max_probe_duration`` window (stray light plus dark counts); the harness
-    converts it to a rate. ``effective_detuning`` includes the differential
+    probe window (stray light plus dark counts); the window length is the
+    readout policy's ``max_duration``, and the probe kernel divides by it to
+    get the background rate. ``effective_detuning`` includes the differential
     light shift of the trap, so it is what the depump suppression actually
-    sees; the nominal value is what the synthesizer is set to.
+    sees.
     """
 
-    nominal_detuning: float = 5.0e6
     effective_detuning: float = 8.594e6
     scatter_rate: float = 3.5e6
-    max_probe_duration: float = 300e-6
     background_mean_per_window: float = 0.3
 
     def __post_init__(self) -> None:
         if self.scatter_rate <= 0:
             raise ValueError("scatter_rate must be positive")
-        if self.max_probe_duration <= 0:
-            raise ValueError("max_probe_duration must be positive")
         if self.background_mean_per_window < 0:
             raise ValueError("background_mean_per_window must be nonnegative")
 
@@ -149,11 +141,6 @@ def heating_for_scatters(scatters: float, constants: SpeciesConstants = RB87_D2)
     if scatters < 0:
         raise ValueError("scatters must be nonnegative")
     return scatters * heating_per_scatter(constants)
-
-
-def heating_per_scatter_joules(constants: SpeciesConstants = RB87_D2) -> float:
-    """Same kick expressed as energy in joules."""
-    return constants.boltzmann_energy_scale * heating_per_scatter(constants)
 
 
 def scatters_for_detected(mean_detected: float, efficiency: float) -> float:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .detection import poisson_tail_at_least
-from .physics import F1, F2, RB87_D2, SpeciesConstants, depump_suppression
+from .physics import RB87_D2, SpeciesConstants, depump_suppression
 
 FIXED_WINDOW = "fixed-window"
 ADAPTIVE_STOP = "adaptive-stop"
@@ -46,62 +45,12 @@ class ReadoutPolicy:
 
 
 @dataclass(frozen=True)
-class ProbeEvent:
-    """One event seen during a probe: a detector count and/or a scattering event."""
-
-    time: float
-    detected: bool = True
-    scatter: bool = False
-    depump: bool = False
-
-
-@dataclass(frozen=True)
 class ReadoutOutcome:
     classified: str
     detected_counts: int
     elapsed: float
     scatters: int
     depumped_during_probe: bool
-
-
-def detection_events(times: Iterable[float]) -> tuple[ProbeEvent, ...]:
-    """Wrap bare detection times (e.g. a background-only trace) as probe events."""
-    return tuple(ProbeEvent(time=float(t)) for t in times)
-
-
-def classify_fixed(counts: int, policy: ReadoutPolicy) -> str:
-    """Threshold classification of a full-window count."""
-    if policy.kind != FIXED_WINDOW:
-        raise ValueError("classify_fixed requires a fixed-window policy")
-    if counts < 0:
-        raise ValueError("counts must be nonnegative")
-    return F2 if counts >= policy.threshold_counts else F1
-
-
-def run_adaptive(events: Iterable[ProbeEvent], policy: ReadoutPolicy) -> ReadoutOutcome:
-    """Consume a time-ordered event source until the stop rule fires.
-
-    The source ends with iterator exhaustion or the first event beyond
-    ``max_duration`` (the end-of-window marker). Scattering events are
-    tallied up to the stop time for the heating account.
-    """
-    if policy.kind != ADAPTIVE_STOP:
-        raise ValueError("run_adaptive requires an adaptive-stop policy")
-    counts = 0
-    scatters = 0
-    depumped = False
-    for ev in events:
-        if ev.time > policy.max_duration:
-            break
-        if ev.scatter:
-            scatters += 1
-        if ev.depump:
-            depumped = True
-        if ev.detected:
-            counts += 1
-            if counts >= policy.threshold_counts:
-                return ReadoutOutcome(F2, counts, ev.time, scatters, depumped)
-    return ReadoutOutcome(F1, counts, policy.max_duration, scatters, depumped)
 
 
 def analytic_f1_error(policy: ReadoutPolicy, background_mean: float) -> float:

@@ -57,6 +57,25 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
+def _json_safe(value: object) -> object:
+    """Replace non-finite floats with None, so the output is strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+def _dump_json(payload: object) -> str:
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float; the rare case pays for the rewrite
+        text = json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False)
+    return text + "\n"
+
+
 def _write_table(path: Path, table: Table, fmt: str) -> None:
     header, rows = table
     if fmt == "csv":
@@ -64,8 +83,7 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
         lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
     else:
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        path.write_text(_dump_json([dict(zip(header, row)) for row in rows]))
 
 
 def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
@@ -297,5 +315,5 @@ def run(config: RunConfig) -> RunOutput:
         "wall_time_s": time.time() - start,
     }
     manifest_path = stem.with_name(stem.name + "_manifest.json")
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    manifest_path.write_text(_dump_json(manifest))
     return RunOutput(tuple(written), str(manifest_path), summary)

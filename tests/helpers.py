@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import numpy as np
 from scipy import stats
+
+from atomreadout.experiments import CycleConfig
+from atomreadout.physics import F1, F2
+from atomreadout.readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy
 
 
 def poisson_chisquare_pvalue(counts, mean: float, min_expected: float = 5.0) -> float:
@@ -57,6 +64,102 @@ def markov_f2_error(efficiency: float, hazard: float, n_d: int, tol: float = 1e-
         if bright.sum() < tol:
             break
     return float(failed + bright.sum())
+
+
+def two_sample_chisquare_pvalue(a, b, min_pooled: int = 10) -> float:
+    """Homogeneity p-value of two equal-size samples of hashable, sortable cells.
+
+    Cells are taken in sorted order and neighbours are pooled until the two
+    samples together hold ``min_pooled`` draws, so every expected count is at
+    least 5; a short remainder joins the last pooled cell.
+    """
+    if len(a) != len(b):
+        raise ValueError("samples must have the same size")
+    count_a, count_b = Counter(a), Counter(b)
+    pooled: list[list[int]] = []
+    acc = [0, 0]
+    for cell in sorted(count_a.keys() | count_b.keys()):
+        acc[0] += count_a[cell]
+        acc[1] += count_b[cell]
+        if sum(acc) >= min_pooled:
+            pooled.append(acc)
+            acc = [0, 0]
+    if sum(acc):
+        pooled[-1][0] += acc[0]
+        pooled[-1][1] += acc[1]
+    _, pvalue, _, _ = stats.chi2_contingency(np.asarray(pooled).T, correction=False)
+    return float(pvalue)
+
+
+# ---------------------------------------------------------------------------
+# event-level probe oracle
+#
+# The production kernel (experiments._simulate_probe) samples the probe through
+# the Poisson marking decomposition. This oracle instead draws every scattering
+# event, marks each one detected, depumped or silent, merges in the background
+# counts, and applies the stop rule to the merged stream.
+# ---------------------------------------------------------------------------
+
+
+def poisson_times(rate: float, window: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted arrival times of a homogeneous Poisson process over [0, window]."""
+    n = int(rng.poisson(rate * window))
+    return np.sort(rng.random(n) * window)
+
+
+def thin(
+    times: np.ndarray, keep: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split events into those kept independently with probability ``keep`` and the rest."""
+    kept = rng.random(times.size) < keep
+    return times[kept], times[~kept]
+
+
+def merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Time-ordered union of two event-time arrays."""
+    return np.sort(np.concatenate((a, b)))
+
+
+def stop_rule(
+    scatter_times: np.ndarray,
+    detection_times: np.ndarray,
+    depump_time: float,
+    policy: ReadoutPolicy,
+) -> ReadoutOutcome:
+    """Classify a probe from its bright-phase scatters and all its detections.
+
+    ``scatter_times`` holds every scattering event while the atom was bright,
+    the depumping event included; ``depump_time`` is inf for an atom that
+    stayed bright. The adaptive rule stops at the ``threshold_counts``-th
+    detection; the fixed window always runs to ``max_duration``.
+    """
+    threshold = policy.threshold_counts
+    counts = int(detection_times.size)
+    elapsed = policy.max_duration
+    if policy.kind == ADAPTIVE_STOP and counts >= threshold:
+        counts = threshold
+        elapsed = float(detection_times[threshold - 1])
+    scatters = int(np.count_nonzero(scatter_times <= elapsed))
+    classified = F2 if counts >= threshold else F1
+    return ReadoutOutcome(classified, counts, elapsed, scatters, depump_time <= elapsed)
+
+
+def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutOutcome:
+    """One probe of a prepared atom, drawn event by event (an oracle for the kernel)."""
+    window = cfg.policy.max_duration
+    background = poisson_times(cfg.probe.background_mean_per_window / window, window, rng)
+    scatters = np.empty(0)
+    signal = np.empty(0)
+    depump_time = math.inf
+    if in_f2:
+        scatters = poisson_times(cfg.probe.scatter_rate, window, rng)
+        signal, undetected = thin(scatters, cfg.detector.net_efficiency, rng)
+        depumps, _ = thin(undetected, cfg.depump_hazard, rng)
+        if depumps.size:
+            depump_time = float(depumps[0])
+            scatters = scatters[scatters <= depump_time]
+            signal = signal[signal < depump_time]
+    return stop_rule(scatters, merge(signal, background), depump_time, cfg.policy)
 
 
 def binomial_3se(p: float, n: int) -> float:

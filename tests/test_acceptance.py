@@ -6,19 +6,16 @@ so the whole suite is deterministic.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from atomreadout.config import DEFAULT_SEED, default_config
-from atomreadout.detection import (
-    merge_traces,
-    poisson_tail_at_least,
-    poisson_trace,
-    thin_events,
-)
+from atomreadout.detection import poisson_tail_at_least
 from atomreadout.experiments import (
     CELL_LOST,
+    _simulate_probe,
     default_rabi_config,
     experiment_histogram,
     experiment_rabi,
@@ -30,7 +27,7 @@ from atomreadout.physics import (
     heating_for_scatters,
     misdetection_probability,
 )
-from atomreadout.readout import analytic_f2_error
+from atomreadout.readout import FIXED_WINDOW, analytic_f2_error
 from atomreadout.runner import run
 from helpers import binomial_3se, markov_f2_error, poisson_chisquare_pvalue
 
@@ -209,20 +206,22 @@ def test_criterion_7_determinism(tmp_path):
     report(7, "byte determinism", identical, "; ".join(details))
 
 
-def test_criterion_8_distributional_oracles():
+def test_criterion_8_distributional_oracles(ref_cfg):
+    # the production probe kernel, fixed window, no depumping: a dark atom counts
+    # background only, a bright atom counts 21 signal plus 0.3 background
+    cfg = replace(
+        ref_cfg, depump_hazard=0.0, policy=replace(ref_cfg.policy, kind=FIXED_WINDOW)
+    )
+    background = cfg.probe.background_mean_per_window
+    signal = cfg.probe.scatter_rate * cfg.detector.net_efficiency * cfg.policy.max_duration
     rng = np.random.default_rng(2024)
     samples = 100_000
 
-    thinned = [
-        thin_events(poisson_trace(8.0, 1.0, rng), 0.25, rng).count for _ in range(samples)
-    ]
-    p_thin = poisson_chisquare_pvalue(thinned, 2.0)
+    dark = [_simulate_probe(False, cfg, rng).detected_counts for _ in range(samples)]
+    p_dark = poisson_chisquare_pvalue(dark, background)
 
-    merged = [
-        merge_traces(poisson_trace(0.8, 1.0, rng), poisson_trace(1.0, 1.0, rng)).count
-        for _ in range(samples)
-    ]
-    p_merge = poisson_chisquare_pvalue(merged, 1.8)
+    bright = [_simulate_probe(True, cfg, rng).detected_counts for _ in range(samples)]
+    p_bright = poisson_chisquare_pvalue(bright, signal + background)
 
     from scipy import stats
 
@@ -235,11 +234,12 @@ def test_criterion_8_distributional_oracles():
             ):
                 tail_ok = False
 
-    ok = p_thin > 0.001 and p_merge > 0.001 and tail_ok
+    ok = p_dark > 0.001 and p_bright > 0.001 and tail_ok
     report(
         8,
         "distributional oracles",
         ok,
-        f"thinning chi-square p={p_thin:.3f}, superposition chi-square p={p_merge:.3f}, "
+        f"kernel dark counts vs Poisson({background:g}) chi-square p={p_dark:.3f}, "
+        f"bright counts vs Poisson({signal + background:g}) p={p_bright:.3f}, "
         f"tail matches reference: {tail_ok} (n={samples} each)",
     )

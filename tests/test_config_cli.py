@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,10 +38,12 @@ class TestParsing:
         assert config["readout.nd"] == 3
 
     def test_unknown_key_names_line_and_key(self):
-        with pytest.raises(ConfigError) as err:
-            parse_config("probe.scatter_rate = 1e6\nbogus.key = 1\n")
-        assert err.value.line == 2
-        assert err.value.key == "bogus.key"
+        # the last two keys were once accepted but changed no output
+        for key in ("bogus.key", "probe.nominal_detuning", "species.hyperfine_splitting"):
+            with pytest.raises(ConfigError) as err:
+                parse_config(f"probe.scatter_rate = 1e6\n{key} = 1\n")
+            assert err.value.line == 2
+            assert err.value.key == key
 
     def test_range_error_names_key(self):
         with pytest.raises(ConfigError) as err:
@@ -141,6 +144,16 @@ class TestCliOverrides:
         args = self.parse_args(["--experiment", "survival", "--trials", "12"])
         assert load_config(args)["survival.atoms"] == 12
 
+    def test_trials_rejected_for_budget(self, tmp_path, capsys):
+        args = self.parse_args(["--experiment", "budget", "--trials", "5"])
+        with pytest.raises(ConfigError) as err:
+            load_config(args)
+        assert err.value.key == "--trials"
+        code = main(["--experiment", "budget", "--trials", "5", "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestRunnerOutput:
     def test_budget_is_seed_independent(self, tmp_path):
@@ -200,6 +213,29 @@ class TestRunnerOutput:
         names = {row["quantity"] for row in rows}
         assert "depump_suppression_on_resonance" in names
 
+    def test_json_output_is_strict(self, tmp_path):
+        # two atoms with 5% loss leave Rabi points unmeasured, with no fraction to report
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        config = default_config().with_updates(
+            {
+                "experiment": "rabi",
+                "rabi.atoms": 2,
+                "loss.background_per_cycle": 0.05,
+                "output.format": "json",
+                "output.path": str(tmp_path / "rabi"),
+            }
+        )
+        out = run(config)
+        parsed = {
+            path: json.loads(Path(path).read_text(), parse_constant=reject)
+            for path in (*out.result_files, out.manifest_file)
+        }
+        curve = parsed[str(tmp_path / "rabi_curve.json")]
+        assert any(row["f2_fraction"] is None for row in curve)
+        assert all(row["n_measured"] > 0 for row in curve if row["f2_fraction"] is not None)
+
     def test_csv_schema(self, tmp_path):
         config = default_config().with_updates(
             {
@@ -232,6 +268,19 @@ class TestCliProcess:
         )
         assert result.returncode == 0
         assert (tmp_path / "b.csv").exists()
+
+    def test_runs_without_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import atomreadout\n"
+            "from atomreadout.cli import main\n"
+            f"out = {str(tmp_path / 'h')!r}\n"
+            "assert main(['--experiment', 'histogram', '--trials', '20', '--out', out]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "h_summary.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

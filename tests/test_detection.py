@@ -1,38 +1,30 @@
+"""Detector model, Poisson tails, and the event-level channel of the probe oracle.
+
+``poisson_times``, ``thin`` and ``merge`` live in ``tests/helpers.py``: they are
+the building blocks of the event-level oracle that the probe kernel is checked
+against, so their statistics are checked here.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from atomreadout.detection import (
-    CountTrace,
-    DetectorConfig,
-    merge_traces,
-    poisson_tail_at_least,
-    poisson_trace,
-    thin_events,
-)
-from helpers import poisson_chisquare_pvalue
+from atomreadout.detection import DetectorConfig, poisson_tail_at_least
+from helpers import merge, poisson_chisquare_pvalue, poisson_times, thin
 
 
-def sorted_trace(times, window=1.0):
-    return CountTrace(tuple(sorted(times)), window)
+def sorted_times(times):
+    return np.asarray(sorted(times), dtype=float)
 
 
-trace_strategy = st.builds(
-    sorted_trace,
+times_strategy = st.builds(
+    sorted_times,
     st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
 )
 
 
-class TestCountTrace:
-    def test_times_outside_window_rejected(self):
-        with pytest.raises(ValueError):
-            CountTrace((0.5, 1.5), 1.0)
-
-    def test_unsorted_times_rejected(self):
-        with pytest.raises(ValueError):
-            CountTrace((0.5, 0.2), 1.0)
-
+class TestDetectorConfig:
     def test_detector_config_validation(self):
         with pytest.raises(ValueError):
             DetectorConfig(net_efficiency=0.0)
@@ -41,31 +33,32 @@ class TestCountTrace:
 
 
 class TestThinning:
-    @given(trace_strategy)
-    def test_efficiency_one_is_identity(self, trace):
-        rng = np.random.default_rng(0)
-        assert thin_events(trace, 1.0, rng) == trace
+    @given(times_strategy)
+    def test_efficiency_one_is_identity(self, times):
+        kept, dropped = thin(times, 1.0, np.random.default_rng(0))
+        assert np.array_equal(kept, times)
+        assert dropped.size == 0
 
-    @given(trace_strategy)
-    def test_efficiency_zero_empties(self, trace):
-        rng = np.random.default_rng(0)
-        assert thin_events(trace, 0.0, rng).count == 0
+    @given(times_strategy)
+    def test_efficiency_zero_empties(self, times):
+        kept, dropped = thin(times, 0.0, np.random.default_rng(0))
+        assert kept.size == 0
+        assert np.array_equal(dropped, times)
 
-    @given(trace_strategy, st.floats(min_value=0.0, max_value=1.0))
-    def test_subset_and_ordered(self, trace, eff):
-        rng = np.random.default_rng(3)
-        out = thin_events(trace, eff, rng)
-        assert set(out.event_times) <= set(trace.event_times)
-        assert list(out.event_times) == sorted(out.event_times)
+    @given(times_strategy, st.floats(min_value=0.0, max_value=1.0))
+    def test_subset_and_ordered(self, times, eff):
+        kept, dropped = thin(times, eff, np.random.default_rng(3))
+        assert set(kept.tolist()) <= set(times.tolist())
+        assert list(kept) == sorted(kept)
+        assert np.array_equal(merge(kept, dropped), times)
 
     def test_binomial_mean_and_variance(self):
         # 1050 events at 2% efficiency: mean 21 kept, variance 20.58
         rng = np.random.default_rng(11)
-        base = poisson_trace(3.5e6, 300e-6, np.random.default_rng(5))
-        base = CountTrace(base.event_times[:1050], base.window_length)
-        assert base.count == 1050
+        base = poisson_times(3.5e6, 300e-6, np.random.default_rng(5))[:1050]
+        assert base.size == 1050
         trials = 100_000
-        kept = np.array([thin_events(base, 0.02, rng).count for t in range(trials)])
+        kept = np.array([thin(base, 0.02, rng)[0].size for t in range(trials)])
         mean, var = 1050 * 0.02, 1050 * 0.02 * 0.98
         assert abs(kept.mean() - mean) < 3.0 * np.sqrt(var / trials)
         assert abs(kept.var() - var) < 0.35  # ~3 sd of the sample variance
@@ -74,65 +67,53 @@ class TestThinning:
         # criterion-level distributional check on >= 1e5 samples
         rng = np.random.default_rng(17)
         counts = [
-            thin_events(poisson_trace(8.0, 1.0, rng), 0.25, rng).count
-            for _ in range(100_000)
+            thin(poisson_times(8.0, 1.0, rng), 0.25, rng)[0].size for _ in range(100_000)
         ]
         assert poisson_chisquare_pvalue(counts, 2.0) > 0.001
 
 
 class TestPoissonTrace:
     def test_zero_rate_is_empty(self):
-        assert poisson_trace(0.0, 1.0, np.random.default_rng(0)).count == 0
+        assert poisson_times(0.0, 1.0, np.random.default_rng(0)).size == 0
 
     def test_dark_rate_mean(self):
         rng = np.random.default_rng(23)
         trials = 100_000
-        counts = np.array([poisson_trace(100.0, 1e-3, rng).count for _ in range(trials)])
+        counts = np.array([poisson_times(100.0, 1e-3, rng).size for _ in range(trials)])
         assert abs(counts.mean() - 0.1) < 3.0 * np.sqrt(0.1 / trials)
 
     def test_dark_state_background_mean(self):
         # 1000/s over 300 us reproduces the 0.3-count dark-state background
         rng = np.random.default_rng(29)
         trials = 100_000
-        counts = np.array(
-            [poisson_trace(1000.0, 300e-6, rng).count for _ in range(trials)]
-        )
+        counts = np.array([poisson_times(1000.0, 300e-6, rng).size for _ in range(trials)])
         assert abs(counts.mean() - 0.3) < 3.0 * np.sqrt(0.3 / trials)
 
 
 class TestMerge:
-    @given(trace_strategy)
-    def test_merge_with_empty(self, trace):
-        empty = CountTrace((), trace.window_length)
-        assert merge_traces(trace, empty) == trace
-        assert merge_traces(empty, empty).count == 0
+    @given(times_strategy)
+    def test_merge_with_empty(self, times):
+        empty = np.empty(0)
+        assert np.array_equal(merge(times, empty), times)
+        assert merge(empty, empty).size == 0
 
-    @given(trace_strategy, trace_strategy)
+    @given(times_strategy, times_strategy)
     def test_commutative(self, a, b):
-        assert merge_traces(a, b) == merge_traces(b, a)
+        assert np.array_equal(merge(a, b), merge(b, a))
 
-    @given(trace_strategy, trace_strategy, trace_strategy)
+    @given(times_strategy, times_strategy, times_strategy)
     @settings(max_examples=50)
     def test_associative(self, a, b, c):
-        left = merge_traces(merge_traces(a, b), c)
-        right = merge_traces(a, merge_traces(b, c))
-        assert left == right
-
-    def test_mismatched_windows_rejected(self):
-        with pytest.raises(ValueError):
-            merge_traces(CountTrace((), 1.0), CountTrace((), 2.0))
+        assert np.array_equal(merge(merge(a, b), c), merge(a, merge(b, c)))
 
     def test_counts_add(self):
-        a = CountTrace((0.1, 0.4), 1.0)
-        b = CountTrace((0.2,), 1.0)
-        assert merge_traces(a, b).event_times == (0.1, 0.2, 0.4)
+        merged = merge(np.array([0.1, 0.4]), np.array([0.2]))
+        assert merged.tolist() == [0.1, 0.2, 0.4]
 
     def test_superposition_is_poisson_chisquare(self):
         rng = np.random.default_rng(31)
         counts = [
-            merge_traces(
-                poisson_trace(0.8, 1.0, rng), poisson_trace(1.0, 1.0, rng)
-            ).count
+            merge(poisson_times(0.8, 1.0, rng), poisson_times(1.0, 1.0, rng)).size
             for _ in range(100_000)
         ]
         assert poisson_chisquare_pvalue(counts, 1.8) > 0.001

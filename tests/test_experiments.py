@@ -9,6 +9,7 @@ from atomreadout.experiments import (
     CELL_LOST,
     RabiConfig,
     SurvivalMatrix,
+    _simulate_probe,
     default_rabi_config,
     experiment_histogram,
     experiment_rabi,
@@ -21,10 +22,10 @@ from atomreadout.experiments import (
     uniform_pulse_grid,
 )
 from atomreadout.physics import F1, F2, AtomState
-from atomreadout.readout import analytic_f2_error
+from atomreadout.readout import ADAPTIVE_STOP, FIXED_WINDOW, analytic_f2_error
 from atomreadout.seeding import derive_substream
 from atomreadout.trap import LossModel
-from helpers import binomial_3se
+from helpers import binomial_3se, event_probe, two_sample_chisquare_pvalue
 
 ANALYTIC_F1_ERROR = 3.693631311376678e-2
 
@@ -171,6 +172,37 @@ class TestDetectionCycle:
         assert record.cycle_duration == pytest.approx(
             cfg.prep_duration + record.probe_elapsed + cfg.cooling.pulse_duration
         )
+
+
+class TestKernelAgainstEventOracle:
+    """The sampling kernel against the event-by-event oracle in tests/helpers.py.
+
+    The kernel draws detections, the first depump and silent scatters as
+    independent Poisson streams (the marking decomposition); the oracle draws
+    every scattering event and marks it. Both must give the same law of
+    (classification, counts) and the same mean scatters and elapsed time.
+    """
+
+    @pytest.mark.parametrize("kind", [ADAPTIVE_STOP, FIXED_WINDOW])
+    @pytest.mark.parametrize("state", [F1, F2])
+    def test_matches_event_oracle(self, ref_cfg, kind, state):
+        cfg = replace(ref_cfg, policy=replace(ref_cfg.policy, kind=kind))
+        trials = 20_000
+        kernel_rng = np.random.default_rng(91)
+        oracle_rng = np.random.default_rng(92)
+        kernel = [_simulate_probe(state == F2, cfg, kernel_rng) for _ in range(trials)]
+        oracle = [event_probe(state == F2, cfg, oracle_rng) for _ in range(trials)]
+
+        pvalue = two_sample_chisquare_pvalue(
+            [(o.classified, o.detected_counts) for o in kernel],
+            [(o.classified, o.detected_counts) for o in oracle],
+        )
+        assert pvalue > 0.001
+        for field in ("scatters", "elapsed"):
+            a = np.array([getattr(o, field) for o in kernel], dtype=float)
+            b = np.array([getattr(o, field) for o in oracle], dtype=float)
+            se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
+            assert abs(a.mean() - b.mean()) <= 3.0 * se, field
 
 
 class TestHistogramExperiment:

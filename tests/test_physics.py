@@ -12,7 +12,6 @@ from atomreadout.physics import (
     depump_suppression,
     heating_for_scatters,
     heating_per_scatter,
-    heating_per_scatter_joules,
     misdetection_probability,
     required_mean_photons,
     scatters_for_detected,
@@ -123,12 +122,6 @@ class TestHeating:
     @given(st.integers(min_value=0, max_value=10**6))
     def test_linear_in_scatters(self, n):
         assert heating_for_scatters(n) == n * heating_per_scatter()
-
-    def test_joules_conversion(self):
-        kelvin = heating_per_scatter()
-        assert heating_per_scatter_joules() == pytest.approx(
-            kelvin * 1.380649e-23, rel=1e-12
-        )
 
     def test_scatters_to_trap_depth(self):
         assert math.ceil(2e-3 / heating_per_scatter()) == 2763

@@ -1,23 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomreadout.detection import poisson_trace
+from atomreadout.experiments import _resolve_stop, _simulate_probe
 from atomreadout.physics import F1, F2, depump_hazard_per_scatter, depump_suppression
 from atomreadout.readout import (
     ADAPTIVE_STOP,
     FIXED_WINDOW,
-    ProbeEvent,
     ReadoutPolicy,
     analytic_f1_error,
     analytic_f2_error,
     calibrate_depump,
-    classify_fixed,
-    detection_events,
     implied_effective_detuning,
-    run_adaptive,
 )
-from helpers import markov_f2_error
+from helpers import markov_f2_error, stop_rule
 
 ADAPTIVE = ReadoutPolicy(ADAPTIVE_STOP, 2, 300e-6)
 FIXED = ReadoutPolicy(FIXED_WINDOW, 2, 300e-6)
@@ -40,81 +38,81 @@ class TestPolicy:
             ReadoutPolicy("mystery", 2, 1e-3)
 
 
+def counts_at(*times):
+    return np.asarray(times, dtype=float)
+
+
 class TestClassifyFixed:
     def test_zero_counts_is_dark(self):
-        assert classify_fixed(0, FIXED) == F1
+        assert _resolve_stop(counts_at(), FIXED) == (F1, 0, FIXED.max_duration)
 
     def test_boundary_inclusive(self):
-        assert classify_fixed(2, FIXED) == F2
+        assert _resolve_stop(counts_at(10e-6, 250e-6), FIXED)[0] == F2
 
     def test_typical_bright_signal(self):
-        assert classify_fixed(21, FIXED) == F2
-
-    def test_wrong_policy_kind_rejected(self):
-        with pytest.raises(ValueError):
-            classify_fixed(2, ADAPTIVE)
+        classified, counts, elapsed = _resolve_stop(np.linspace(1e-6, 290e-6, 21), FIXED)
+        assert (classified, counts, elapsed) == (F2, 21, FIXED.max_duration)
 
 
 class TestRunAdaptive:
     def test_empty_source(self):
-        outcome = run_adaptive((), ADAPTIVE)
-        assert outcome.classified == F1
-        assert outcome.detected_counts == 0
-        assert outcome.elapsed == ADAPTIVE.max_duration
+        classified, counts, elapsed = _resolve_stop(counts_at(), ADAPTIVE)
+        assert classified == F1
+        assert counts == 0
+        assert elapsed == ADAPTIVE.max_duration
 
     def test_stops_at_second_count(self):
-        outcome = run_adaptive(detection_events([10e-6, 40e-6, 200e-6]), ADAPTIVE)
-        assert outcome.classified == F2
-        assert outcome.detected_counts == 2
-        assert outcome.elapsed == pytest.approx(40e-6)
-
-    def test_wrong_policy_kind_rejected(self):
-        with pytest.raises(ValueError):
-            run_adaptive((), FIXED)
-
-    def test_consumes_lazily_from_generator(self):
-        seen = []
-
-        def source():
-            for t in (1e-6, 2e-6, 3e-6, 4e-6):
-                seen.append(t)
-                yield ProbeEvent(time=t)
-
-        run_adaptive(source(), ADAPTIVE)
-        assert seen == [1e-6, 2e-6]
+        classified, counts, elapsed = _resolve_stop(counts_at(10e-6, 40e-6, 200e-6), ADAPTIVE)
+        assert classified == F2
+        assert counts == 2
+        assert elapsed == pytest.approx(40e-6)
 
     def test_scatter_and_depump_tally(self):
-        events = (
-            ProbeEvent(5e-6, detected=False, scatter=True),
-            ProbeEvent(8e-6, detected=False, scatter=True, depump=True),
-            ProbeEvent(20e-6, detected=True),
+        # event oracle: a silent scatter, the depumping scatter, then a background count
+        outcome = stop_rule(
+            counts_at(5e-6, 8e-6), counts_at(20e-6), 8e-6, ReadoutPolicy(ADAPTIVE_STOP, 1, 300e-6)
         )
-        outcome = run_adaptive(events, ReadoutPolicy(ADAPTIVE_STOP, 1, 300e-6))
         assert outcome.scatters == 2
         assert outcome.depumped_during_probe
         assert outcome.classified == F2
+        assert outcome.elapsed == 20e-6
 
-    def test_mean_stop_time_is_second_arrival(self):
+    def test_mean_stop_time_is_second_arrival(self, ref_cfg):
         # signal mean 21 per 300 us -> detection rate 70 kHz, Erlang-2 mean 28.6 us
+        cfg = replace(
+            ref_cfg, depump_hazard=0.0, probe=replace(ref_cfg.probe, background_mean_per_window=0.0)
+        )
+        assert cfg.probe.scatter_rate * cfg.detector.net_efficiency == pytest.approx(70_000.0)
         rng = np.random.default_rng(7)
         trials = 100_000
         elapsed = np.empty(trials)
         for i in range(trials):
-            trace = poisson_trace(70_000.0, 300e-6, rng)
-            elapsed[i] = run_adaptive(detection_events(trace.event_times), ADAPTIVE).elapsed
+            elapsed[i] = _simulate_probe(True, cfg, rng).elapsed
         assert abs(elapsed.mean() - 2.0 / 70_000.0) / (2.0 / 70_000.0) < 0.05
 
-    def test_agrees_with_fixed_window_when_threshold_reached(self):
-        # the adaptive rule can stop early but never change the decision
+    def test_agrees_with_fixed_window_when_threshold_reached(self, ref_cfg):
+        # the adaptive rule can stop early but never change the decision: both
+        # policies see the same seeded draws, so the same detections
         rng = np.random.default_rng(13)
+        eta = ref_cfg.detector.net_efficiency
         for _ in range(10_000):
-            trace = poisson_trace(rng.uniform(1e3, 3e4), 300e-6, rng)
-            adaptive = run_adaptive(detection_events(trace.event_times), ADAPTIVE)
-            fixed = classify_fixed(trace.count, FIXED)
-            if trace.count >= FIXED.threshold_counts:
-                assert adaptive.classified == fixed == F2
+            probe = replace(ref_cfg.probe, scatter_rate=rng.uniform(1e3, 3e4) / eta)
+            seed = int(rng.integers(2**63))
+            adaptive = _simulate_probe(
+                True, replace(ref_cfg, probe=probe, policy=ADAPTIVE), np.random.default_rng(seed)
+            )
+            fixed = _simulate_probe(
+                True, replace(ref_cfg, probe=probe, policy=FIXED), np.random.default_rng(seed)
+            )
+            assert adaptive.classified == fixed.classified
+            if fixed.detected_counts >= FIXED.threshold_counts:
+                assert adaptive.classified == F2
+                assert adaptive.detected_counts == ADAPTIVE.threshold_counts
+                assert adaptive.elapsed <= fixed.elapsed
             else:
-                assert adaptive.classified == fixed == F1
+                assert adaptive.classified == F1
+                assert adaptive.detected_counts == fixed.detected_counts
+                assert adaptive.elapsed == fixed.elapsed
 
 
 class TestAnalyticF1Error:
