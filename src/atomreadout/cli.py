@@ -11,8 +11,6 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
-    DEFAULT_PROFILE,
-    PROFILES,
     RunConfig,
     config_reference,
     parse_config,
@@ -37,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="trial count override (both histogram states / atoms)")
     parser.add_argument("--out", metavar="PATH", help="output file stem")
     parser.add_argument("--format", choices=("csv", "json"), help="result table format")
-    parser.add_argument("--profile", default=DEFAULT_PROFILE, choices=sorted(PROFILES),
-                        help="built-in defaults profile")
     parser.add_argument("--nd", type=int, help="counts required to call the atom bright")
     parser.add_argument("--workers", type=int, help="process-pool workers")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -50,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     text = Path(args.config).read_text() if args.config else ""
-    config = parse_config(text, profile=args.profile)
+    config = parse_config(text)
 
     overrides: dict[str, object] = {}
     for item in args.set:

@@ -2,13 +2,13 @@
 
 Config files are ``section.key = value`` lines with ``#`` comments. Parsing is
 strict: unknown keys, malformed lines, and out-of-range values are errors that
-name the offending line and key. An empty file yields the built-in
-``paper-2010`` profile, the calibrated reference operating point every module
-defaults to.
+name the offending line and key. An empty file yields the default operating
+point, the calibrated reference every module defaults to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .detection import DetectorConfig
@@ -17,7 +17,6 @@ from .physics import ProbeConfig, SpeciesConstants
 from .readout import ADAPTIVE_STOP, FIXED_WINDOW, ReadoutPolicy, calibrate_depump
 from .trap import CoolingConfig, LossModel, TrapConfig
 
-DEFAULT_PROFILE = "paper-2010"
 DEFAULT_SEED = 1
 
 # Hazard calibrated so the analytic bright-state error is exactly 5.5% at the
@@ -91,9 +90,7 @@ SCHEMA: dict[str, _Key] = {
     "loss.heating_threshold_fraction": _Key("float", 1.0,
                                             "fraction of depth at which the atom is lost",
                                             lo=0, hi=1, lo_open=True),
-    "cooling.pulse_duration": _Key("float", 5e-3, "cooling pulse length, s", lo=0),
     "cooling.reset": _Key("bool", True, "cooling restores the baseline energy"),
-    "prep.duration": _Key("float", 10e-3, "state-preparation pulse length, s", lo=0),
     "histogram.trials_f1": _Key("int", 1684, "F1-prepared trials", lo=1),
     "histogram.trials_f2": _Key("int", 2127, "F2-prepared trials", lo=1),
     "survival.atoms": _Key("int", 102, "atoms in the survival run", lo=1),
@@ -107,8 +104,6 @@ SCHEMA: dict[str, _Key] = {
 }
 
 ALIASES = {"nd": "readout.nd"}
-
-PROFILES: dict[str, dict[str, object]] = {DEFAULT_PROFILE: {}}
 
 
 def _check_range(key: str, spec: _Key, value: float, line: int | None) -> None:
@@ -134,6 +129,8 @@ def validate_value(key: str, value: object, line: int | None = None) -> object:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"expected a number, got {value!r}", line, key)
         value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {value!r}", line, key)
         _check_range(key, spec, value, line)
         return value
     if spec.kind == "int":
@@ -270,10 +267,7 @@ class RunConfig:
         )
 
     def cooling(self) -> CoolingConfig:
-        return CoolingConfig(
-            pulse_duration=self.values["cooling.pulse_duration"],
-            reset=self.values["cooling.reset"],
-        )
+        return CoolingConfig(reset=self.values["cooling.reset"])
 
     def cycle_config(self) -> CycleConfig:
         return CycleConfig(
@@ -285,7 +279,6 @@ class RunConfig:
             loss=self.loss_model(),
             cooling=self.cooling(),
             depump_hazard=self.values["readout.depump_hazard"],
-            prep_duration=self.values["prep.duration"],
         )
 
     def histogram_loss_models(self) -> tuple[LossModel, LossModel]:
@@ -304,18 +297,14 @@ class RunConfig:
         )
 
 
-def default_config(profile: str = DEFAULT_PROFILE) -> RunConfig:
-    """The named profile's full value set (currently only ``paper-2010``)."""
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}; known: {sorted(PROFILES)}")
-    values = {key: spec.default for key, spec in SCHEMA.items()}
-    values.update(PROFILES[profile])
-    return RunConfig(values)
+def default_config() -> RunConfig:
+    """Every key at its default: the calibrated reference operating point."""
+    return RunConfig({key: spec.default for key, spec in SCHEMA.items()})
 
 
-def parse_config(text: str, profile: str = DEFAULT_PROFILE) -> RunConfig:
-    """Parse file contents on top of the profile defaults; strict about everything."""
-    values = dict(default_config(profile).values)
+def parse_config(text: str) -> RunConfig:
+    """Parse file contents on top of the defaults; strict about everything."""
+    values = dict(default_config().values)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

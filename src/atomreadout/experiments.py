@@ -1,6 +1,6 @@
 """Detection cycles and the four headline experiments.
 
-One cycle is prepare -> probe -> classify -> cool -> presence check. The probe
+One cycle is prepare -> probe -> classify -> heat -> loss check -> cool. The probe
 Monte Carlo uses the Poisson marking decomposition of the scattering stream:
 while the atom is bright, detected signal photons arrive at rate
 ``scatter_rate * eta``, the first depumping event at rate
@@ -10,9 +10,11 @@ own rate for the whole probe-on window. This is law-equivalent to drawing
 every scattering event and marking it, at a fraction of the cost; the tests
 check it against such an event-by-event oracle.
 
-Experiments address randomness through per-(experiment, row, cycle) substreams
-of the master seed, so any execution order (including process pools) gives
-identical results.
+Every experiment runs the same row loop: a row is one atom stepped through its
+cycles until they run out or the atom is lost, and a histogram trial is a row
+of one cycle. Rows draw from per-(experiment, row, cycle) substreams of the
+master seed, so any execution order (including process pools) gives identical
+results.
 """
 
 from __future__ import annotations
@@ -59,17 +61,14 @@ class CycleConfig:
     loss: LossModel
     cooling: CoolingConfig
     depump_hazard: float
-    prep_duration: float = 10e-3
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.depump_hazard < 1.0:
             raise ValueError("depump_hazard must lie in [0, 1)")
-        if self.prep_duration < 0:
-            raise ValueError("prep_duration must be nonnegative")
 
 
 def reference_cycle_config() -> CycleConfig:
-    """The calibrated reference profile.
+    """The calibrated reference operating point.
 
     2% net efficiency, 3.5e6/s bright scattering (21 detected counts per full
     300 us window), 0.3 background counts per window, stop at 2 counts, 2 mK
@@ -100,7 +99,6 @@ class CycleRecord:
     scatters: int
     atom_present_after: bool
     depumped_during_probe: bool
-    cycle_duration: float
 
 
 def prepare_state(target: str, rng: np.random.Generator) -> AtomState:
@@ -174,9 +172,13 @@ def _simulate_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> 
 def run_detection_cycle(
     atom: AtomState, cfg: CycleConfig, rng: np.random.Generator, trial_index: int = 0
 ) -> tuple[AtomState, CycleRecord]:
-    """Probe, classify, heat, cool, and loss-check one already-prepared atom."""
+    """Probe, classify, heat, loss-check and cool one already-prepared atom.
+
+    The loss check sees the heat of this probe before cooling removes it, so a
+    hot enough probe ejects the atom; only an atom still present is cooled.
+    """
     if not atom.present:
-        record = CycleRecord(trial_index, atom.hyperfine, 0, F1, 0.0, 0, False, False, 0.0)
+        record = CycleRecord(trial_index, atom.hyperfine, 0, F1, 0.0, 0, False, False)
         return atom, record
 
     outcome = _simulate_probe(atom.hyperfine == F2, cfg, rng)
@@ -185,9 +187,9 @@ def run_detection_cycle(
         # mF after a depump is not tracked; it is resampled at the next preparation
         after = replace(after, hyperfine=F1, zeeman_mF=0)
     after = apply_heating(after, outcome.scatters, cfg.species)
-    after = cool(after, cfg.cooling, cfg.trap)
     after = check_loss(after, cfg.trap, cfg.loss, rng)
-    duration = cfg.prep_duration + outcome.elapsed + cfg.cooling.pulse_duration
+    if after.present:
+        after = cool(after, cfg.cooling, cfg.trap)
     record = CycleRecord(
         trial_index,
         atom.hyperfine,
@@ -197,9 +199,64 @@ def run_detection_cycle(
         outcome.scatters,
         after.present,
         outcome.depumped_during_probe,
-        duration,
     )
     return after, record
+
+
+def _run_rows(
+    lo: int,
+    hi: int,
+    master_seed: int,
+    key: tuple[int, ...],
+    cfg: CycleConfig,
+    state: str,
+    pulse_lengths: tuple[float, ...],
+    rabi: RabiConfig | None,
+    cells: tuple | None,
+) -> list:
+    """Step the atoms of rows ``lo..hi-1`` through one cycle per pulse length.
+
+    Each row is one atom that starts at the trap's baseline energy. Before each
+    cycle it is re-prepared in ``state`` and, when ``rabi`` is given, driven
+    for that cycle's pulse length. A row ends when its cycles run out or its
+    atom is lost. ``cells`` gives the (lost, F1-detected, F2-detected) values
+    written per cycle, and a lost atom's value fills the rest of its row; cycle
+    ``c`` of row ``r`` draws from substream ``(*key, r, c)``. With
+    ``cells=None`` each row is a single-shot trial that draws from
+    ``(*key, r)`` and yields its ``CycleRecord``. All rows go into one flat list.
+    """
+    baseline = AtomState(hyperfine=state, zeeman_mF=0, motional_energy=cfg.trap.baseline_energy)
+    out: list = []
+    for row in range(lo, hi):
+        atom = baseline
+        for cycle, duration in enumerate(pulse_lengths):
+            path = (*key, row) if cells is None else (*key, row, cycle)
+            rng = derive_substream(master_seed, path)
+            atom = reprepare(atom, state, rng)
+            if rabi is not None:
+                atom = microwave_pulse(atom, duration, rabi, rng)
+            atom, record = run_detection_cycle(atom, cfg, rng, row)
+            if cells is None:
+                out.append(record)
+            elif not record.atom_present_after:
+                out.extend([cells[0]] * (len(pulse_lengths) - cycle))
+                break
+            else:
+                out.append(cells[2] if record.classified == F2 else cells[1])
+    return out
+
+
+def _map_rows(n_rows: int, workers: int, *args) -> list:
+    """``_run_rows`` over rows ``0..n_rows-1``, in-process or over 4 x workers row ranges."""
+    if workers <= 1:
+        return _run_rows(0, n_rows, *args)
+    size = math.ceil(n_rows / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_run_rows, lo, min(lo + size, n_rows), *args)
+            for lo in range(0, n_rows, size)
+        ]
+        return [cell for future in futures for cell in future.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -224,33 +281,6 @@ class HistogramResult:
     f1: StateSummary
     f2: StateSummary
     records: tuple[CycleRecord, ...]
-
-
-def _histogram_chunk(
-    master_seed: int, state: str, start: int, stop: int, cfg: CycleConfig
-) -> list[CycleRecord]:
-    records = []
-    for trial in range(start, stop):
-        rng = derive_substream(master_seed, (EXP_HISTOGRAM, _STATE_CODE[state], trial))
-        atom = prepare_state(state, rng)
-        atom = replace(atom, motional_energy=cfg.trap.baseline_energy)
-        _, record = run_detection_cycle(atom, cfg, rng, trial)
-        records.append(record)
-    return records
-
-
-def _pmap_chunks(fn, chunk_args: list[tuple], workers: int) -> list:
-    if workers <= 1:
-        return [fn(*args) for args in chunk_args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in chunk_args]
-        return [f.result() for f in futures]
-
-
-def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    pieces = max(1, workers * 4) if workers > 1 else 1
-    size = max(1, math.ceil(n / pieces))
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _summarize_state(state: str, records: list[CycleRecord]) -> StateSummary:
@@ -288,11 +318,10 @@ def experiment_histogram(
         (F2, trials_f2, loss_f2),
     ):
         state_cfg = cfg if loss_override is None else replace(cfg, loss=loss_override)
-        chunks = [
-            (master_seed, state, lo, hi, state_cfg) for lo, hi in _chunk_ranges(trials, workers)
-        ]
-        parts = _pmap_chunks(_histogram_chunk, chunks, workers)
-        results[state] = [record for part in parts for record in part]
+        key = (EXP_HISTOGRAM, _STATE_CODE[state])
+        results[state] = _map_rows(
+            trials, workers, master_seed, key, state_cfg, state, (0.0,), None, None
+        )
     return HistogramResult(
         f1=_summarize_state(F1, results[F1]),
         f2=_summarize_state(F2, results[F2]),
@@ -338,25 +367,6 @@ class SurvivalResult:
     lifetime_fit: FitResult | None      # None when nothing decayed (no loss to fit)
 
 
-def _survival_row(
-    master_seed: int, atom_index: int, n_cycles: int, cfg: CycleConfig
-) -> list[str]:
-    atom = AtomState(
-        hyperfine=F2, zeeman_mF=0, motional_energy=cfg.trap.baseline_energy, present=True
-    )
-    cells: list[str] = []
-    for cycle in range(n_cycles):
-        rng = derive_substream(master_seed, (EXP_SURVIVAL, atom_index, cycle))
-        atom = reprepare(atom, F2, rng)
-        atom, record = run_detection_cycle(atom, cfg, rng, cycle)
-        if not record.atom_present_after:
-            cells.append(CELL_LOST)
-            break
-        cells.append(CELL_F2 if record.classified == F2 else CELL_F1)
-    cells.extend([CELL_LOST] * (n_cycles - len(cells)))
-    return cells
-
-
 def experiment_survival(
     n_atoms: int,
     n_cycles: int,
@@ -367,13 +377,16 @@ def experiment_survival(
     """Repeated-measurement survival run; rows sorted longest-lived first."""
     if n_atoms <= 0 or n_cycles <= 0:
         raise ValueError("n_atoms and n_cycles must be positive")
-    chunk_args = [(master_seed, a, n_cycles, cfg) for a in range(n_atoms)]
-    rows = _pmap_chunks(_survival_row, chunk_args, workers)
+    labels = (CELL_LOST, CELL_F1, CELL_F2)
+    cells = _map_rows(
+        n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, (0.0,) * n_cycles, None, labels
+    )
+    rows = [tuple(cells[a * n_cycles:(a + 1) * n_cycles]) for a in range(n_atoms)]
     order = sorted(
         range(n_atoms),
         key=lambda a: (-(rows[a].index(CELL_LOST) if CELL_LOST in rows[a] else n_cycles), a),
     )
-    matrix = SurvivalMatrix(tuple(tuple(rows[a]) for a in order))
+    matrix = SurvivalMatrix(tuple(rows[a] for a in order))
     lengths = np.asarray(matrix.survival_lengths())
     fraction = tuple(float(np.mean(lengths >= k)) for k in range(n_cycles + 1))
     ks = np.arange(n_cycles + 1, dtype=float)
@@ -452,27 +465,6 @@ class RabiResult:
     curve_fit: FitResult
 
 
-def _rabi_row(
-    master_seed: int, atom_index: int, rabi: RabiConfig, cfg: CycleConfig
-) -> list[int | None]:
-    atom = AtomState(
-        hyperfine=F1, zeeman_mF=0, motional_energy=cfg.trap.baseline_energy, present=True
-    )
-    out: list[int | None] = []
-    for i, duration in enumerate(rabi.pulse_lengths):
-        rng = derive_substream(master_seed, (EXP_RABI, atom_index, i))
-        atom = reprepare(atom, F1, rng)
-        atom = microwave_pulse(atom, duration, rabi, rng)
-        atom, record = run_detection_cycle(atom, cfg, rng, i)
-        if not record.atom_present_after:
-            # the presence check failed, so this cycle's point is not kept
-            out.append(None)
-            break
-        out.append(1 if record.classified == F2 else 0)
-    out.extend([None] * (len(rabi.pulse_lengths) - len(out)))
-    return out
-
-
 def experiment_rabi(
     n_atoms: int,
     rabi: RabiConfig,
@@ -490,9 +482,12 @@ def experiment_rabi(
         raise ValueError("n_atoms must be positive")
     if len(rabi.pulse_lengths) < 2:
         raise ValueError("need at least 2 pulse lengths")
-    chunk_args = [(master_seed, a, rabi, cfg) for a in range(n_atoms)]
-    rows = _pmap_chunks(_rabi_row, chunk_args, workers)
     n_points = len(rabi.pulse_lengths)
+    # a cycle whose presence check fails keeps no point
+    cells = _map_rows(
+        n_atoms, workers, master_seed, (EXP_RABI,), cfg, F1, rabi.pulse_lengths, rabi, (None, 0, 1)
+    )
+    rows = [tuple(cells[a * n_points:(a + 1) * n_points]) for a in range(n_atoms)]
     n_measured = []
     fraction = []
     for i in range(n_points):
@@ -505,7 +500,7 @@ def experiment_rabi(
     fit = fit_damped_sinusoid(times[mask], fracs[mask])
     return RabiResult(
         tuple(rabi.pulse_lengths),
-        tuple(tuple(row) for row in rows),
+        tuple(rows),
         tuple(n_measured),
         tuple(fraction),
         fit,

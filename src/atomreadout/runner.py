@@ -68,11 +68,12 @@ def _json_safe(value: object) -> object:
     return value
 
 
-def _dump_json(payload: object) -> str:
+def _dump_json(payload: object, indent: int | None) -> str:
+    # indent=None keeps json.dumps on its C encoder, which large tables need
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError:  # a non-finite float; the rare case pays for the rewrite
-        text = json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(_json_safe(payload), sort_keys=True, indent=indent, allow_nan=False)
     return text + "\n"
 
 
@@ -83,7 +84,7 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
         lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
         path.write_text("\n".join(lines) + "\n")
     else:
-        path.write_text(_dump_json([dict(zip(header, row)) for row in rows]))
+        path.write_text(_dump_json([dict(zip(header, row)) for row in rows], None))
 
 
 def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
@@ -315,5 +316,5 @@ def run(config: RunConfig) -> RunOutput:
         "wall_time_s": time.time() - start,
     }
     manifest_path = stem.with_name(stem.name + "_manifest.json")
-    manifest_path.write_text(_dump_json(manifest))
+    manifest_path.write_text(_dump_json(manifest, 2))
     return RunOutput(tuple(written), str(manifest_path), summary)

@@ -41,12 +41,7 @@ class LossModel:
 
 @dataclass(frozen=True)
 class CoolingConfig:
-    pulse_duration: float = 5e-3
     reset: bool = True   # cooling restores the baseline energy
-
-    def __post_init__(self) -> None:
-        if self.pulse_duration < 0:
-            raise ValueError("pulse_duration must be nonnegative")
 
 
 def apply_heating(

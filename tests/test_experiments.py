@@ -169,9 +169,25 @@ class TestDetectionCycle:
         after, record = run_detection_cycle(atom, cfg, rng)
         # cooling reset leaves the atom at the baseline regardless of scatters
         assert after.motional_energy == cfg.trap.baseline_energy
-        assert record.cycle_duration == pytest.approx(
-            cfg.prep_duration + record.probe_elapsed + cfg.cooling.pulse_duration
+
+    def test_hot_probe_loses_the_atom(self, ref_cfg):
+        # a full 300 us bright window scatters ~1,050 photons (~760 uK) in a
+        # 50 uK trap; the loss check sees that heat before cooling resets it
+        from atomreadout.readout import ReadoutPolicy
+        from atomreadout.trap import CoolingConfig, TrapConfig
+
+        cfg = quiet(ref_cfg, hazard=0.0, loss=0.0)
+        cfg = replace(
+            cfg,
+            policy=ReadoutPolicy(FIXED_WINDOW, 2, 300e-6),
+            trap=TrapConfig(depth=50e-6),
+            cooling=CoolingConfig(reset=True),
         )
+        rng = derive_substream(83, (0,))
+        after, record = run_detection_cycle(prepare_state(F2, rng), cfg, rng)
+        assert record.scatters > 1000
+        assert not record.atom_present_after
+        assert not after.present
 
 
 class TestKernelAgainstEventOracle:

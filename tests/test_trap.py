@@ -35,10 +35,6 @@ class TestConfigs:
         with pytest.raises(ValueError):
             LossModel(heating_threshold_fraction=0.0)
 
-    def test_negative_cooling_rejected(self):
-        with pytest.raises(ValueError):
-            CoolingConfig(pulse_duration=-1.0)
-
 
 class TestHeating:
     def test_250_scatter_budget(self):
