@@ -8,7 +8,7 @@ from .config import (
     RunConfig,
     default_config,
     parse_config,
-    serialize_config,
+    reference_cycle_config,
 )
 from .detection import DetectorConfig, poisson_tail_at_least
 from .experiments import (
@@ -19,12 +19,10 @@ from .experiments import (
     RabiResult,
     SurvivalMatrix,
     SurvivalResult,
-    default_rabi_config,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
     microwave_pulse,
-    reference_cycle_config,
     prepare_state,
     run_detection_cycle,
     transfer_probability,
@@ -70,7 +68,6 @@ from .trap import (
     LossModel,
     TrapConfig,
     apply_heating,
-    calibrate_background_loss,
     check_loss,
     cool,
 )

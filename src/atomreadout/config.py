@@ -1,9 +1,9 @@
-"""Run configuration: strict line-oriented parsing, defaults, serialization.
+"""Run configuration: the key table, strict line-oriented parsing, domain builders.
 
 Config files are ``section.key = value`` lines with ``#`` comments. Parsing is
 strict: unknown keys, malformed lines, and out-of-range values are errors that
-name the offending line and key. An empty file yields the default operating
-point, the calibrated reference every module defaults to.
+name the offending line and key. The defaults in ``SCHEMA`` are the calibrated
+reference operating point, written nowhere else; an empty file yields it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .detection import DetectorConfig
 from .experiments import CycleConfig, RabiConfig, uniform_pulse_grid
-from .physics import ProbeConfig, SpeciesConstants
+from .physics import RB87_D2, ProbeConfig, SpeciesConstants
 from .readout import ADAPTIVE_STOP, FIXED_WINDOW, ReadoutPolicy, calibrate_depump
 from .trap import CoolingConfig, LossModel, TrapConfig
 
@@ -58,11 +58,12 @@ SCHEMA: dict[str, _Key] = {
     "workers": _Key("int", 1, "process-pool workers (1 = serial)", lo=1),
     "output.path": _Key("str", "", "output file stem (default results/<experiment>)"),
     "output.format": _Key("choice", "csv", "result table format", choices=("csv", "json")),
-    "species.linewidth": _Key("float", 6.0e6, "excited-state linewidth, Hz", lo=0, lo_open=True),
-    "species.excited_splitting": _Key("float", 266.0e6, "F'=2 to F'=3 interval, Hz",
-                                      lo=0, lo_open=True),
-    "species.recoil_temperature": _Key("float", 361.96e-9, "recoil temperature, K",
-                                       lo=0, lo_open=True),
+    "species.linewidth": _Key("float", RB87_D2.linewidth_gamma, "excited-state linewidth, Hz",
+                              lo=0, lo_open=True),
+    "species.excited_splitting": _Key("float", RB87_D2.excited_splitting_delta23,
+                                      "F'=2 to F'=3 interval, Hz", lo=0, lo_open=True),
+    "species.recoil_temperature": _Key("float", RB87_D2.recoil_temperature,
+                                       "recoil temperature, K", lo=0, lo_open=True),
     "detector.efficiency": _Key("float", 0.02, "net collection+quantum efficiency",
                                 lo=0, hi=1, lo_open=True),
     "detector.dark_rate": _Key("float", 100.0, "dark counts per second", lo=0),
@@ -96,14 +97,12 @@ SCHEMA: dict[str, _Key] = {
     "survival.atoms": _Key("int", 102, "atoms in the survival run", lo=1),
     "survival.cycles": _Key("int", 100, "cycles per atom", lo=1),
     "rabi.atoms": _Key("int", 312, "atoms in the ensemble", lo=1),
-    "rabi.points": _Key("int", 50, "pulse lengths per atom", lo=2),
+    "rabi.points": _Key("int", 50, "pulse lengths per atom", lo=8),
     "rabi.span": _Key("float", 3.0e-3, "longest pulse length, s", lo=0, lo_open=True),
     "rabi.frequency": _Key("float", 2950.0, "drive Rabi frequency, Hz", lo=0, lo_open=True),
     "rabi.decoherence_time": _Key("float", 2.2e-3, "oscillation damping time, s",
                                   lo=0, lo_open=True),
 }
-
-ALIASES = {"nd": "readout.nd"}
 
 
 def _check_range(key: str, spec: _Key, value: float, line: int | None) -> None:
@@ -121,7 +120,6 @@ def _check_range(key: str, spec: _Key, value: float, line: int | None) -> None:
 
 def validate_value(key: str, value: object, line: int | None = None) -> object:
     """Type- and range-check one already-typed value against the schema."""
-    key = ALIASES.get(key, key)
     spec = SCHEMA.get(key)
     if spec is None:
         raise ConfigError("unknown key", line, key)
@@ -153,8 +151,7 @@ def validate_value(key: str, value: object, line: int | None = None) -> object:
 
 def parse_value(key: str, text: str, line: int | None = None) -> object:
     """Parse one value from its config-file text form."""
-    canonical = ALIASES.get(key, key)
-    spec = SCHEMA.get(canonical)
+    spec = SCHEMA.get(key)
     if spec is None:
         raise ConfigError("unknown key", line, key)
     if spec.kind == "float":
@@ -173,7 +170,7 @@ def parse_value(key: str, text: str, line: int | None = None) -> object:
         typed = text.lower() == "true"
     else:
         typed = text
-    return validate_value(canonical, typed, line)
+    return validate_value(key, typed, line)
 
 
 def _cross_validate(values: dict[str, object]) -> None:
@@ -192,7 +189,7 @@ class RunConfig:
     values: dict[str, object] = field(default_factory=dict)
 
     def __getitem__(self, key: str) -> object:
-        return self.values[ALIASES.get(key, key)]
+        return self.values[key]
 
     @property
     def experiment(self) -> str:
@@ -217,8 +214,7 @@ class RunConfig:
     def with_updates(self, updates: dict[str, object]) -> "RunConfig":
         merged = dict(self.values)
         for key, value in updates.items():
-            canonical = ALIASES.get(key, key)
-            merged[canonical] = validate_value(canonical, value)
+            merged[key] = validate_value(key, value)
         _cross_validate(merged)
         return RunConfig(merged)
 
@@ -302,6 +298,11 @@ def default_config() -> RunConfig:
     return RunConfig({key: spec.default for key, spec in SCHEMA.items()})
 
 
+def reference_cycle_config() -> CycleConfig:
+    """The detection cycle built from every ``SCHEMA`` default: the reference operating point."""
+    return default_config().cycle_config()
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse file contents on top of the defaults; strict about everything."""
     values = dict(default_config().values)
@@ -313,25 +314,9 @@ def parse_config(text: str) -> RunConfig:
         if not sep:
             raise ConfigError("expected 'key = value'", lineno)
         key = key.strip()
-        canonical = ALIASES.get(key, key)
-        values[canonical] = parse_value(key, val.strip(), lineno)
+        values[key] = parse_value(key, val.strip(), lineno)
     _cross_validate(values)
     return RunConfig(values)
-
-
-def serialize_config(config: RunConfig) -> str:
-    """Render a config as parseable text; parse(serialize(c)) == c."""
-    lines = []
-    for key in SCHEMA:
-        value = config.values[key]
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
-            text = str(value)
-        lines.append(f"{key} = {text}")
-    return "\n".join(lines) + "\n"
 
 
 def config_reference() -> str:

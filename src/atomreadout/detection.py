@@ -16,8 +16,8 @@ from dataclasses import dataclass
 class DetectorConfig:
     """Net photon detection efficiency and detector dark-count rate."""
 
-    net_efficiency: float = 0.02
-    dark_rate: float = 100.0   # counts/s, always-on detector noise
+    net_efficiency: float
+    dark_rate: float   # counts/s, always-on detector noise
 
     def __post_init__(self) -> None:
         if not 0.0 < self.net_efficiency <= 1.0:

@@ -20,6 +20,7 @@ results.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -34,8 +35,8 @@ from .fitting import (
     fit_damped_sinusoid,
     fit_exponential,
 )
-from .physics import F1, F2, AtomState, ProbeConfig, RB87_D2, SpeciesConstants
-from .readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy, calibrate_depump
+from .physics import F1, F2, AtomState, ProbeConfig, SpeciesConstants
+from .readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy
 from .seeding import derive_substream
 from .trap import CoolingConfig, LossModel, TrapConfig, apply_heating, check_loss, cool
 
@@ -65,28 +66,6 @@ class CycleConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.depump_hazard < 1.0:
             raise ValueError("depump_hazard must lie in [0, 1)")
-
-
-def reference_cycle_config() -> CycleConfig:
-    """The calibrated reference operating point.
-
-    2% net efficiency, 3.5e6/s bright scattering (21 detected counts per full
-    300 us window), 0.3 background counts per window, stop at 2 counts, 2 mK
-    trap, 1.2% background loss per cycle. The depump hazard is calibrated so
-    the analytic bright-state error is exactly 5.5%.
-    """
-    detector = DetectorConfig()
-    policy = ReadoutPolicy()
-    return CycleConfig(
-        species=RB87_D2,
-        probe=ProbeConfig(),
-        detector=detector,
-        policy=policy,
-        trap=TrapConfig(),
-        loss=LossModel(),
-        cooling=CoolingConfig(),
-        depump_hazard=calibrate_depump(0.055, detector.net_efficiency, policy.threshold_counts),
-    )
 
 
 @dataclass(frozen=True)
@@ -247,7 +226,11 @@ def _run_rows(
 
 
 def _map_rows(n_rows: int, workers: int, *args) -> list:
-    """``_run_rows`` over rows ``0..n_rows-1``, in-process or over 4 x workers row ranges."""
+    """``_run_rows`` over rows ``0..n_rows-1``, in-process or over 4 x workers row ranges.
+
+    ``workers`` is capped at the CPU count; the rows do not depend on it.
+    """
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return _run_rows(0, n_rows, *args)
     size = math.ceil(n_rows / (4 * workers))
@@ -408,10 +391,9 @@ def experiment_survival(
 class RabiConfig:
     """Microwave drive on the mF=0 -> mF=0 transition; other sublevels are inert."""
 
-    rabi_frequency: float = 2950.0
-    decoherence_time: float = 2.2e-3
-    pulse_lengths: tuple[float, ...] = ()
-    driven_sublevel: int = 0
+    rabi_frequency: float
+    decoherence_time: float
+    pulse_lengths: tuple[float, ...]
 
     def __post_init__(self) -> None:
         if self.rabi_frequency <= 0:
@@ -422,19 +404,15 @@ class RabiConfig:
             raise ValueError("pulse lengths must be nonnegative")
 
 
-def uniform_pulse_grid(points: int = 50, span: float = 3.0e-3) -> tuple[float, ...]:
+def uniform_pulse_grid(points: int, span: float) -> tuple[float, ...]:
     """Evenly spaced pulse lengths from zero to ``span`` inclusive."""
     if points < 2 or span <= 0:
         raise ValueError("need at least 2 points and a positive span")
     return tuple(float(t) for t in np.linspace(0.0, span, points))
 
 
-def default_rabi_config(points: int = 50, span: float = 3.0e-3) -> RabiConfig:
-    return RabiConfig(pulse_lengths=uniform_pulse_grid(points, span))
-
-
 def transfer_probability(duration: float, rabi: RabiConfig) -> float:
-    """Driven-sublevel excitation probability after a pulse of the given length."""
+    """Clock-transition excitation probability after a pulse of the given length."""
     if duration < 0:
         raise ValueError("duration must be nonnegative")
     osc = math.cos(2.0 * math.pi * rabi.rabi_frequency * duration)
@@ -444,12 +422,12 @@ def transfer_probability(duration: float, rabi: RabiConfig) -> float:
 def microwave_pulse(
     atom: AtomState, duration: float, rabi: RabiConfig, rng: np.random.Generator
 ) -> AtomState:
-    """Apply one microwave pulse; only the driven Zeeman sublevel responds."""
+    """Apply one microwave pulse; only an atom in mF=0 responds."""
     if not atom.present:
         raise ValueError("cannot drive an absent atom")
     if atom.hyperfine != F1:
         raise ValueError("the drive starts from F1")
-    if atom.zeeman_mF != rabi.driven_sublevel:
+    if atom.zeeman_mF != 0:
         return atom
     if rng.random() < transfer_probability(duration, rabi):
         return replace(atom, hyperfine=F2)
@@ -462,7 +440,7 @@ class RabiResult:
     outcomes: tuple[tuple[int | None, ...], ...]   # 1 = classified F2; None = not measured
     n_measured: tuple[int, ...]
     f2_fraction: tuple[float, ...]
-    curve_fit: FitResult
+    curve_fit: FitResult | None   # None when too few points were measured to fit
 
 
 def experiment_rabi(
@@ -476,7 +454,8 @@ def experiment_rabi(
 
     An atom lost partway leaves the rest of its row unmeasured and the next
     row starts with a fresh atom. The ensemble curve averages whatever rows
-    reached each point, and is fitted with the damped-sinusoid model.
+    reached each point, and is fitted with the damped-sinusoid model; with
+    too few measured points (heavy loss) ``curve_fit`` is None.
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
@@ -497,7 +476,10 @@ def experiment_rabi(
     times = np.asarray(rabi.pulse_lengths)
     fracs = np.asarray(fraction)
     mask = np.asarray(n_measured) > 0
-    fit = fit_damped_sinusoid(times[mask], fracs[mask])
+    try:
+        fit = fit_damped_sinusoid(times[mask], fracs[mask])
+    except ValueError:
+        fit = None
     return RabiResult(
         tuple(rabi.pulse_lengths),
         tuple(rows),

@@ -172,10 +172,8 @@ def _levenberg_marquardt(
     return p, cost, converged, iterations, history, grad_measure, cov_diag
 
 
-def fit_exponential(
-    x: Sequence[float], y: Sequence[float], with_amplitude: bool = False
-) -> FitResult:
-    """Fit y = exp(-x/L) (optionally A*exp(-x/L)) and report the lifetime L.
+def fit_exponential(x: Sequence[float], y: Sequence[float]) -> FitResult:
+    """Fit y = exp(-x/L) and report the lifetime L.
 
     The derived per-step loss 1 - exp(-1/L) is included in the parameters,
     with its variance propagated from the lifetime estimate.
@@ -197,47 +195,25 @@ def fit_exponential(
     slope = float(xc @ (logy - logy.mean()) / denom) if denom > 0 else 0.0
     span = float(xs.max() - xs.min())
     lifetime0 = -1.0 / slope if slope < -1e-300 else 10.0 * max(span, 1.0)
-    amp0 = float(math.exp(logy.mean() - slope * (-xs.mean()))) if with_amplitude else 1.0
+    p0 = np.array([lifetime0])
 
-    if with_amplitude:
-        p0 = np.array([amp0, lifetime0])
+    def residual(p: np.ndarray) -> np.ndarray:
+        return ys - np.exp(-xs / p[0])
 
-        def residual(p: np.ndarray) -> np.ndarray:
-            return ys - p[0] * np.exp(-xs / p[1])
+    def jacobian(p: np.ndarray) -> np.ndarray:
+        e = np.exp(-xs / p[0])
+        return np.column_stack((-e * xs / p[0] ** 2,))
 
-        def jacobian(p: np.ndarray) -> np.ndarray:
-            e = np.exp(-xs / p[1])
-            return np.column_stack((-e, -p[0] * e * xs / p[1] ** 2))
-
-        def accept(p: np.ndarray) -> bool:
-            return p[0] > 0 and p[1] > 0
-
-        names = ("amplitude", "lifetime")
-    else:
-        p0 = np.array([lifetime0])
-
-        def residual(p: np.ndarray) -> np.ndarray:
-            return ys - np.exp(-xs / p[0])
-
-        def jacobian(p: np.ndarray) -> np.ndarray:
-            e = np.exp(-xs / p[0])
-            return np.column_stack((-e * xs / p[0] ** 2,))
-
-        def accept(p: np.ndarray) -> bool:
-            return p[0] > 0
-
-        names = ("lifetime",)
+    def accept(p: np.ndarray) -> bool:
+        return p[0] > 0
 
     p, cost, converged, iterations, history, grad_norm, cov = _levenberg_marquardt(
         residual, jacobian, p0, accept
     )
-    params = dict(zip(names, (float(v) for v in p)))
-    cov_diag = dict(zip(names, (float(v) for v in cov)))
-    lifetime = params["lifetime"]
-    loss = 1.0 - math.exp(-1.0 / lifetime)
-    params["loss_per_cycle"] = loss
+    lifetime, lifetime_var = float(p[0]), float(cov[0])
     dloss_dL = -math.exp(-1.0 / lifetime) / lifetime**2
-    cov_diag["loss_per_cycle"] = dloss_dL**2 * cov_diag["lifetime"]
+    params = {"lifetime": lifetime, "loss_per_cycle": 1.0 - math.exp(-1.0 / lifetime)}
+    cov_diag = {"lifetime": lifetime_var, "loss_per_cycle": dloss_dL**2 * lifetime_var}
     return FitResult(
         params, math.sqrt(cost), converged, iterations, cov_diag, tuple(history), grad_norm
     )

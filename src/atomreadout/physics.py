@@ -24,11 +24,11 @@ ZEEMAN_RANGE = {F1: (-1, 1), F2: (-2, 2)}
 
 @dataclass(frozen=True)
 class SpeciesConstants:
-    """Transition constants of the probed species. Defaults are the Rb-87 D2 profile."""
+    """Transition constants of the probed species; ``RB87_D2`` holds the Rb-87 values."""
 
-    linewidth_gamma: float = 6.0e6              # Hz, excited-state natural linewidth
-    excited_splitting_delta23: float = 266.0e6  # Hz, F'=2 to F'=3 interval
-    recoil_temperature: float = 361.96e-9       # K, single-photon recoil scale
+    linewidth_gamma: float              # Hz, excited-state natural linewidth
+    excited_splitting_delta23: float    # Hz, F'=2 to F'=3 interval
+    recoil_temperature: float           # K, single-photon recoil scale
 
     def __post_init__(self) -> None:
         positive = (
@@ -42,7 +42,7 @@ class SpeciesConstants:
             raise ValueError("excited-state splitting must exceed the linewidth")
 
 
-RB87_D2 = SpeciesConstants()
+RB87_D2 = SpeciesConstants(6.0e6, 266.0e6, 361.96e-9)
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,9 @@ class ProbeConfig:
     sees.
     """
 
-    effective_detuning: float = 8.594e6
-    scatter_rate: float = 3.5e6
-    background_mean_per_window: float = 0.3
+    effective_detuning: float
+    scatter_rate: float
+    background_mean_per_window: float
 
     def __post_init__(self) -> None:
         if self.scatter_rate <= 0:

@@ -31,9 +31,9 @@ ADAPTIVE_STOP = "adaptive-stop"
 class ReadoutPolicy:
     """Classification rule: threshold counts within (or before) a time limit."""
 
-    kind: str = ADAPTIVE_STOP
-    threshold_counts: int = 2
-    max_duration: float = 300e-6
+    kind: str
+    threshold_counts: int
+    max_duration: float
 
     def __post_init__(self) -> None:
         if self.kind not in (FIXED_WINDOW, ADAPTIVE_STOP):
@@ -101,7 +101,7 @@ def calibrate_depump(target_f2_error: float, efficiency: float, n_d: int) -> flo
 
 def implied_effective_detuning(
     hazard: float,
-    branching_to_F1: float = 0.5,
+    branching_to_F1: float,
     constants: SpeciesConstants = RB87_D2,
 ) -> float:
     """Probe detuning whose depump suppression would produce the given hazard.

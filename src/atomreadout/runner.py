@@ -264,15 +264,20 @@ def _build_rabi(config: RunConfig) -> tuple[dict[str, Table], dict]:
     )
     fit = result.curve_fit
     policy = config.policy()
-    summary = {
+    summary: dict[str, object] = {
         "atoms": len(result.outcomes),
         "points": len(result.pulse_lengths),
-        "fit_frequency_hz": fit.parameters["frequency"],
-        "fit_decoherence_time_s": fit.parameters["decoherence_time"],
-        "fit_amplitude": fit.parameters["amplitude"],
-        "fit_offset": fit.parameters["offset"],
-        "fit_converged": fit.converged,
-        "fit_residual_norm": fit.residual_norm,
+    }
+    if fit is None:
+        summary["curve_fit_degenerate"] = True
+    else:
+        summary["fit_frequency_hz"] = fit.parameters["frequency"]
+        summary["fit_decoherence_time_s"] = fit.parameters["decoherence_time"]
+        summary["fit_amplitude"] = fit.parameters["amplitude"]
+        summary["fit_offset"] = fit.parameters["offset"]
+        summary["fit_converged"] = fit.converged
+        summary["fit_residual_norm"] = fit.residual_norm
+    summary |= {
         "zero_point_fraction": result.f2_fraction[0],
         "zero_point_n": result.n_measured[0],
         "analytic_f1_floor": analytic_f1_error(

@@ -17,8 +17,8 @@ from .physics import AtomState, RB87_D2, SpeciesConstants, heating_for_scatters
 
 @dataclass(frozen=True)
 class TrapConfig:
-    depth: float = 2e-3             # K
-    baseline_energy: float = 0.0    # K, motional energy right after cooling
+    depth: float              # K
+    baseline_energy: float    # K, motional energy right after cooling
 
     def __post_init__(self) -> None:
         if self.baseline_energy < 0:
@@ -29,8 +29,8 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class LossModel:
-    background_loss_per_cycle: float = 0.012
-    heating_threshold_fraction: float = 1.0
+    background_loss_per_cycle: float
+    heating_threshold_fraction: float
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.background_loss_per_cycle < 1.0:
@@ -41,7 +41,7 @@ class LossModel:
 
 @dataclass(frozen=True)
 class CoolingConfig:
-    reset: bool = True   # cooling restores the baseline energy
+    reset: bool   # cooling restores the baseline energy
 
 
 def apply_heating(
@@ -81,15 +81,3 @@ def cool(atom: AtomState, cooling: CoolingConfig, trap: TrapConfig) -> AtomState
         return atom
     return replace(atom, motional_energy=trap.baseline_energy)
 
-
-def calibrate_background_loss(
-    target_per_cycle: float, heating_contribution: float
-) -> float:
-    """Background Bernoulli probability such that the combined per-cycle loss hits the target."""
-    if not 0.0 <= target_per_cycle < 1.0:
-        raise ValueError("target_per_cycle must lie in [0, 1)")
-    if not 0.0 <= heating_contribution <= target_per_cycle:
-        raise ValueError("heating_contribution must lie in [0, target_per_cycle]")
-    if heating_contribution == 1.0:
-        raise ValueError("heating alone already loses every atom")
-    return 1.0 - (1.0 - target_per_cycle) / (1.0 - heating_contribution)

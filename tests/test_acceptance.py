@@ -16,7 +16,6 @@ from atomreadout.detection import poisson_tail_at_least
 from atomreadout.experiments import (
     CELL_LOST,
     _simulate_probe,
-    default_rabi_config,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
@@ -57,7 +56,7 @@ def survival_result(ref_cfg):
 
 @pytest.fixture(scope="module")
 def rabi_result(ref_cfg):
-    return experiment_rabi(312, default_rabi_config(), ref_cfg, DEFAULT_SEED)
+    return experiment_rabi(312, default_config().rabi_config(), ref_cfg, DEFAULT_SEED)
 
 
 def test_criterion_1_feasibility_formulas():

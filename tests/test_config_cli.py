@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -14,7 +15,8 @@ from atomreadout.config import (
     config_reference,
     default_config,
     parse_config,
-    serialize_config,
+    reference_cycle_config,
+    validate_value,
 )
 from atomreadout.runner import run
 
@@ -79,6 +81,7 @@ class TestParsing:
         # the other keys were once accepted but changed no output
         for key in (
             "bogus.key",
+            "nd",
             "probe.nominal_detuning",
             "species.hyperfine_splitting",
             "prep.duration",
@@ -97,6 +100,7 @@ class TestParsing:
             ("probe.effective_detuning", "inf"),
             ("probe.effective_detuning", "-inf"),
             ("trap.depth", "inf"),
+            ("rabi.points", "5"),  # the damped-sinusoid fit needs 8
         ):
             with pytest.raises(ConfigError) as err:
                 parse_config(f"{key} = {text}\n")
@@ -117,20 +121,13 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("cooling.reset = maybe\n")
 
-    def test_nd_alias(self):
-        assert parse_config("nd = 3\n")["readout.nd"] == 3
-
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError):
             parse_config("trap.baseline_energy = 5e-3\n")  # above the 2 mK depth
 
-    def test_round_trip_identity(self):
-        config = parse_config("readout.nd = 3\nrabi.span = 7.0e-4\ncooling.reset = false\n")
-        assert parse_config(serialize_config(config)) == config
-
-    def test_round_trip_identity_for_defaults(self):
-        config = default_config()
-        assert parse_config(serialize_config(config)) == config
+    def test_every_default_is_valid(self):
+        for key, spec in SCHEMA.items():
+            assert validate_value(key, spec.default) == spec.default, key
 
     def test_reference_lists_every_key(self):
         text = config_reference()
@@ -140,9 +137,35 @@ class TestParsing:
 
 class TestDomainBuilders:
     def test_cycle_config_matches_reference_profile(self):
-        from atomreadout.experiments import reference_cycle_config
+        # every field of the reference cycle, and the key whose default feeds it
+        feeds = {
+            "species": {"linewidth_gamma": "species.linewidth",
+                        "excited_splitting_delta23": "species.excited_splitting",
+                        "recoil_temperature": "species.recoil_temperature"},
+            "probe": {"effective_detuning": "probe.effective_detuning",
+                      "scatter_rate": "probe.scatter_rate",
+                      "background_mean_per_window": "probe.background_mean"},
+            "detector": {"net_efficiency": "detector.efficiency",
+                         "dark_rate": "detector.dark_rate"},
+            "policy": {"threshold_counts": "readout.nd", "max_duration": "probe.max_duration"},
+            "trap": {"depth": "trap.depth", "baseline_energy": "trap.baseline_energy"},
+            "loss": {"background_loss_per_cycle": "loss.background_per_cycle",
+                     "heating_threshold_fraction": "loss.heating_threshold_fraction"},
+            "cooling": {"reset": "cooling.reset"},
+        }
+        from atomreadout.physics import RB87_D2
+        from atomreadout.readout import ADAPTIVE_STOP
 
-        assert default_config().cycle_config() == reference_cycle_config()
+        cfg = reference_cycle_config()
+        assert cfg.species == RB87_D2
+        assert cfg.depump_hazard == SCHEMA["readout.depump_hazard"].default
+        assert SCHEMA["readout.mode"].default == "adaptive" and cfg.policy.kind == ADAPTIVE_STOP
+        for part, fields in feeds.items():
+            obj = getattr(cfg, part)
+            names = {f.name for f in dataclasses.fields(obj)} - {"kind"}
+            assert names == set(fields), part
+            for name, key in fields.items():
+                assert getattr(obj, name) == SCHEMA[key].default, key
 
     def test_fixed_mode_policy(self):
         from atomreadout.readout import FIXED_WINDOW
@@ -151,9 +174,9 @@ class TestDomainBuilders:
         assert config.policy().kind == FIXED_WINDOW
 
     def test_rabi_grid_from_keys(self):
-        config = parse_config("rabi.points = 5\nrabi.span = 1e-3\n")
+        config = parse_config("rabi.points = 8\nrabi.span = 1e-3\n")
         grid = config.rabi_config().pulse_lengths
-        assert len(grid) == 5 and grid[-1] == pytest.approx(1e-3)
+        assert len(grid) == 8 and grid[-1] == pytest.approx(1e-3)
 
     def test_histogram_loss_models(self):
         config = parse_config("loss.f1_per_cycle = 0.009\nloss.f2_per_cycle = 0.0105\n")
@@ -168,7 +191,7 @@ class TestCliOverrides:
 
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("nd = 2\n")
+        path.write_text("readout.nd = 2\n")
         args = self.parse_args(["--config", str(path), "--nd", "3"])
         assert load_config(args)["readout.nd"] == 3
 
@@ -284,6 +307,26 @@ class TestRunnerOutput:
         curve = parsed[str(tmp_path / "rabi_curve.json")]
         assert any(row["f2_fraction"] is None for row in curve)
         assert all(row["n_measured"] > 0 for row in curve if row["f2_fraction"] is not None)
+
+    def test_rabi_without_enough_points_degrades(self, tmp_path):
+        # at 90% loss per cycle two atoms measure fewer than the 8 points a fit needs
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        stem = tmp_path / "rabi"
+        code = main(["--experiment", "rabi", "--trials", "2", "--format", "json",
+                     "--set", "loss.background_per_cycle=0.9", "--out", str(stem)])
+        assert code == 0
+        parsed = {
+            path.name: json.loads(path.read_text(), parse_constant=reject)
+            for path in tmp_path.iterdir()
+        }
+        assert set(parsed) == {"rabi.json", "rabi_curve.json", "rabi_summary.json",
+                               "rabi_manifest.json"}
+        summary = {row["quantity"]: row["value"] for row in parsed["rabi_summary.json"]}
+        assert summary["curve_fit_degenerate"] is True
+        assert not any(name.startswith("fit_") for name in summary)
+        assert parsed["rabi_manifest.json"]["summary"]["curve_fit_degenerate"] is True
 
     @pytest.mark.parametrize("case", sorted(PINNED_TABLES))
     def test_stream_layout_is_pinned(self, case, tmp_path):

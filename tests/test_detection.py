@@ -27,9 +27,9 @@ times_strategy = st.builds(
 class TestDetectorConfig:
     def test_detector_config_validation(self):
         with pytest.raises(ValueError):
-            DetectorConfig(net_efficiency=0.0)
+            DetectorConfig(net_efficiency=0.0, dark_rate=100.0)
         with pytest.raises(ValueError):
-            DetectorConfig(dark_rate=-1.0)
+            DetectorConfig(net_efficiency=0.02, dark_rate=-1.0)
 
 
 class TestThinning:

@@ -1,16 +1,19 @@
 import math
+import os
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from atomreadout import experiments
+from atomreadout.config import default_config
 from atomreadout.experiments import (
     CELL_F2,
     CELL_LOST,
     RabiConfig,
     SurvivalMatrix,
     _simulate_probe,
-    default_rabi_config,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
@@ -24,10 +27,15 @@ from atomreadout.experiments import (
 from atomreadout.physics import F1, F2, AtomState
 from atomreadout.readout import ADAPTIVE_STOP, FIXED_WINDOW, analytic_f2_error
 from atomreadout.seeding import derive_substream
-from atomreadout.trap import LossModel
 from helpers import binomial_3se, event_probe, two_sample_chisquare_pvalue
 
 ANALYTIC_F1_ERROR = 3.693631311376678e-2
+REF_RABI = default_config().rabi_config()
+
+
+def rabi_scan(points, span):
+    """The reference drive over a different pulse grid."""
+    return replace(REF_RABI, pulse_lengths=uniform_pulse_grid(points, span))
 
 
 def quiet(cfg, hazard=None, background=None, loss=None):
@@ -38,7 +46,7 @@ def quiet(cfg, hazard=None, background=None, loss=None):
     if background is not None:
         out = replace(out, probe=replace(out.probe, background_mean_per_window=background))
     if loss is not None:
-        out = replace(out, loss=LossModel(background_loss_per_cycle=loss))
+        out = replace(out, loss=replace(out.loss, background_loss_per_cycle=loss))
     return out
 
 
@@ -173,15 +181,12 @@ class TestDetectionCycle:
     def test_hot_probe_loses_the_atom(self, ref_cfg):
         # a full 300 us bright window scatters ~1,050 photons (~760 uK) in a
         # 50 uK trap; the loss check sees that heat before cooling resets it
-        from atomreadout.readout import ReadoutPolicy
-        from atomreadout.trap import CoolingConfig, TrapConfig
-
         cfg = quiet(ref_cfg, hazard=0.0, loss=0.0)
         cfg = replace(
             cfg,
-            policy=ReadoutPolicy(FIXED_WINDOW, 2, 300e-6),
-            trap=TrapConfig(depth=50e-6),
-            cooling=CoolingConfig(reset=True),
+            policy=replace(cfg.policy, kind=FIXED_WINDOW, threshold_counts=2, max_duration=300e-6),
+            trap=replace(cfg.trap, depth=50e-6, baseline_energy=0.0),
+            cooling=replace(cfg.cooling, reset=True),
         )
         rng = derive_substream(83, (0,))
         after, record = run_detection_cycle(prepare_state(F2, rng), cfg, rng)
@@ -252,8 +257,8 @@ class TestHistogramExperiment:
             4000,
             ref_cfg,
             master_seed=7,
-            loss_f1=LossModel(background_loss_per_cycle=0.009),
-            loss_f2=LossModel(background_loss_per_cycle=0.0105),
+            loss_f1=replace(ref_cfg.loss, background_loss_per_cycle=0.009),
+            loss_f2=replace(ref_cfg.loss, background_loss_per_cycle=0.0105),
         )
         assert abs(result.f1.loss_rate - 0.009) < binomial_3se(0.009, 4000)
         assert abs(result.f2.loss_rate - 0.0105) < binomial_3se(0.0105, 4000)
@@ -299,6 +304,33 @@ class TestSurvivalExperiment:
         parallel = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=2)
         assert serial == parallel
 
+    def test_workers_capped_at_cpu_count(self, ref_cfg, monkeypatch):
+        # an inline pool records its size and runs each task here: no process starts
+        sizes, tasks = [], []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                tasks.append(args[:2])
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        capped = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=10**6)
+        assert sizes == [3]
+        assert len(tasks) == 12  # 4 row ranges per worker
+        assert capped == experiment_survival(24, 40, ref_cfg, master_seed=13, workers=1)
+
     def test_cells_label_classification(self, ref_cfg):
         cfg = quiet(ref_cfg, loss=0.0, background=0.0, hazard=0.0)
         result = experiment_survival(10, 20, cfg, master_seed=14)
@@ -308,12 +340,12 @@ class TestSurvivalExperiment:
 
 class TestMicrowavePulse:
     def test_zero_duration_is_identity(self):
-        rabi = default_rabi_config()
+        rabi = REF_RABI
         atom = AtomState(hyperfine=F1, zeeman_mF=0)
         assert microwave_pulse(atom, 0.0, rabi, np.random.default_rng(0)) == atom
 
     def test_spectator_sublevels_inert(self):
-        rabi = default_rabi_config()
+        rabi = REF_RABI
         rng = np.random.default_rng(0)
         for mf in (-1, 1):
             atom = AtomState(hyperfine=F1, zeeman_mF=mf)
@@ -321,7 +353,7 @@ class TestMicrowavePulse:
                 assert microwave_pulse(atom, 1.7e-4, rabi, rng) == atom
 
     def test_pi_pulse_transfer_probability(self):
-        rabi = default_rabi_config()
+        rabi = REF_RABI
         t_pi = 1.0 / (2.0 * rabi.rabi_frequency)
         expected = 0.5 * (1.0 + math.exp(-t_pi / rabi.decoherence_time))
         assert transfer_probability(t_pi, rabi) == pytest.approx(expected, rel=1e-12)
@@ -336,18 +368,18 @@ class TestMicrowavePulse:
         assert abs(flips / trials - expected) < binomial_3se(expected, trials)
 
     def test_long_pulse_dephases_to_half(self):
-        rabi = default_rabi_config()
+        rabi = REF_RABI
         assert transfer_probability(1.0, rabi) == pytest.approx(0.5, abs=1e-6)
 
     def test_wrong_starting_level_rejected(self):
-        rabi = default_rabi_config()
+        rabi = REF_RABI
         with pytest.raises(ValueError):
             microwave_pulse(AtomState(hyperfine=F2, zeeman_mF=0), 1e-4, rabi, np.random.default_rng(0))
 
 
 class TestRabiExperiment:
     def test_zero_duration_point_is_false_positive_floor(self, ref_cfg):
-        result = experiment_rabi(150, default_rabi_config(), ref_cfg, master_seed=15)
+        result = experiment_rabi(150, REF_RABI, ref_cfg, master_seed=15)
         n0 = result.n_measured[0]
         assert abs(result.f2_fraction[0] - ANALYTIC_F1_ERROR) < binomial_3se(
             ANALYTIC_F1_ERROR, n0
@@ -355,7 +387,7 @@ class TestRabiExperiment:
 
     def test_lost_atoms_leave_rows_unmeasured(self, ref_cfg):
         cfg = quiet(ref_cfg, loss=0.2)
-        result = experiment_rabi(40, default_rabi_config(points=20), cfg, master_seed=16)
+        result = experiment_rabi(40, rabi_scan(20, 3.0e-3), cfg, master_seed=16)
         for row in result.outcomes:
             if None in row:
                 first = row.index(None)
@@ -368,10 +400,10 @@ class TestRabiExperiment:
         with pytest.raises(ValueError):
             uniform_pulse_grid(1, 1e-3)
         with pytest.raises(ValueError):
-            RabiConfig(rabi_frequency=-1.0)
+            RabiConfig(rabi_frequency=-1.0, decoherence_time=2.2e-3, pulse_lengths=())
 
     def test_determinism_and_worker_independence(self, ref_cfg):
-        rabi = default_rabi_config(points=15, span=1e-3)
+        rabi = rabi_scan(15, 1e-3)
         a = experiment_rabi(30, rabi, ref_cfg, master_seed=17, workers=1)
         b = experiment_rabi(30, rabi, ref_cfg, master_seed=17, workers=2)
         assert a == b

@@ -103,12 +103,6 @@ class TestFitExponential:
         )
         assert fit.parameters["loss_per_cycle"] == pytest.approx(0.0115606, rel=1e-4)
 
-    def test_amplitude_variant_round_trip(self):
-        x = np.arange(0, 80, dtype=float)
-        fit = fit_exponential(x, 0.9 * np.exp(-x / 50.0), with_amplitude=True)
-        assert fit.parameters["amplitude"] == pytest.approx(0.9, rel=1e-6)
-        assert fit.parameters["lifetime"] == pytest.approx(50.0, rel=1e-6)
-
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError):
             fit_exponential([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])

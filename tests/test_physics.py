@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -151,15 +152,16 @@ class TestDomainTypes:
 
     def test_negative_linewidth_rejected(self):
         with pytest.raises(ValueError):
-            SpeciesConstants(linewidth_gamma=-1.0)
+            replace(RB87_D2, linewidth_gamma=-1.0)
 
     def test_splitting_below_linewidth_rejected(self):
         with pytest.raises(ValueError):
-            SpeciesConstants(linewidth_gamma=6e6, excited_splitting_delta23=5e6)
+            SpeciesConstants(linewidth_gamma=6e6, excited_splitting_delta23=5e6,
+                             recoil_temperature=361.96e-9)
 
     def test_probe_config_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            ProbeConfig(scatter_rate=0.0)
+            ProbeConfig(effective_detuning=8.594e6, scatter_rate=0.0, background_mean_per_window=0.3)
 
     def test_atom_state_zeeman_range(self):
         AtomState(hyperfine="F2", zeeman_mF=2)

@@ -1,21 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from atomreadout import reference_cycle_config
 from atomreadout.physics import F2, AtomState, heating_per_scatter
-from atomreadout.trap import (
-    CoolingConfig,
-    LossModel,
-    TrapConfig,
-    apply_heating,
-    calibrate_background_loss,
-    check_loss,
-    cool,
-)
+from atomreadout.trap import apply_heating, check_loss, cool
 
-TRAP = TrapConfig()
-NO_LOSS = LossModel(background_loss_per_cycle=0.0)
+REF = reference_cycle_config()
+TRAP = REF.trap
+NO_LOSS = replace(REF.loss, background_loss_per_cycle=0.0)
 
 
 def hot_atom(energy):
@@ -25,15 +20,15 @@ def hot_atom(energy):
 class TestConfigs:
     def test_depth_must_exceed_baseline(self):
         with pytest.raises(ValueError):
-            TrapConfig(depth=1e-6, baseline_energy=1e-6)
+            replace(TRAP, depth=1e-6, baseline_energy=1e-6)
 
     def test_loss_probability_range(self):
         with pytest.raises(ValueError):
-            LossModel(background_loss_per_cycle=1.0)
+            replace(REF.loss, background_loss_per_cycle=1.0)
 
     def test_threshold_fraction_range(self):
         with pytest.raises(ValueError):
-            LossModel(heating_threshold_fraction=0.0)
+            replace(REF.loss, heating_threshold_fraction=0.0)
 
 
 class TestHeating:
@@ -63,18 +58,18 @@ class TestLossCheck:
 
     def test_threshold_crossing_lost(self):
         rng = np.random.default_rng(0)
-        atom = check_loss(hot_atom(2.1e-3), TrapConfig(depth=2e-3), NO_LOSS, rng)
+        atom = check_loss(hot_atom(2.1e-3), replace(TRAP, depth=2e-3), NO_LOSS, rng)
         assert not atom.present
 
     def test_partial_threshold_fraction(self):
         rng = np.random.default_rng(0)
-        loss = LossModel(background_loss_per_cycle=0.0, heating_threshold_fraction=0.5)
+        loss = replace(NO_LOSS, heating_threshold_fraction=0.5)
         assert not check_loss(hot_atom(1.1e-3), TRAP, loss, rng).present
         assert check_loss(hot_atom(0.9e-3), TRAP, loss, rng).present
 
     def test_background_bernoulli_rate(self):
         rng = np.random.default_rng(41)
-        loss = LossModel(background_loss_per_cycle=0.012)
+        loss = replace(REF.loss, background_loss_per_cycle=0.012)
         trials = 100_000
         survived = sum(
             check_loss(hot_atom(0.0), TRAP, loss, rng).present for _ in range(trials)
@@ -90,16 +85,16 @@ class TestLossCheck:
 
 class TestCooling:
     def test_reset_restores_baseline(self):
-        atom = cool(hot_atom(181e-6), CoolingConfig(reset=True), TRAP)
+        atom = cool(hot_atom(181e-6), replace(REF.cooling, reset=True), TRAP)
         assert atom.motional_energy == TRAP.baseline_energy
 
     def test_no_reset_keeps_energy(self):
-        atom = cool(hot_atom(181e-6), CoolingConfig(reset=False), TRAP)
+        atom = cool(hot_atom(181e-6), replace(REF.cooling, reset=False), TRAP)
         assert atom.motional_energy == pytest.approx(181e-6)
 
     def test_heat_cool_cycle_never_accumulates(self):
         atom = hot_atom(0.0)
-        cooling = CoolingConfig(reset=True)
+        cooling = replace(REF.cooling, reset=True)
         for _ in range(100):
             assert atom.motional_energy == TRAP.baseline_energy
             atom = apply_heating(atom, 100)
@@ -123,24 +118,3 @@ class TestCooling:
                 break
         assert lost_at == predicted == 28
 
-
-class TestCalibrateBackgroundLoss:
-    def test_no_heating_contribution(self):
-        assert calibrate_background_loss(0.012, 0.0) == pytest.approx(0.012, rel=1e-12)
-
-    def test_with_heating_contribution(self):
-        assert calibrate_background_loss(0.012, 0.002) == pytest.approx(
-            0.01002004008016033, rel=1e-12
-        )
-
-    def test_single_shot_reference_points(self):
-        assert calibrate_background_loss(0.009, 0.0) == pytest.approx(0.009, rel=1e-12)
-        assert calibrate_background_loss(0.0105, 0.0) == pytest.approx(0.0105, rel=1e-12)
-
-    def test_composition_identity(self):
-        p = calibrate_background_loss(0.012, 0.002)
-        assert 1.0 - (1.0 - p) * (1.0 - 0.002) == pytest.approx(0.012, rel=1e-12)
-
-    def test_heating_above_target_rejected(self):
-        with pytest.raises(ValueError):
-            calibrate_background_loss(0.01, 0.02)
