@@ -10,7 +10,7 @@ from .config import (
     parse_config,
     reference_cycle_config,
 )
-from .detection import DetectorConfig, poisson_tail_at_least
+from .detection import poisson_tail_at_least
 from .experiments import (
     CycleConfig,
     CycleRecord,
@@ -63,13 +63,6 @@ from .readout import (
 )
 from .runner import ARTIFACT_VERSION, RunOutput, run
 from .seeding import derive_substream
-from .trap import (
-    CoolingConfig,
-    LossModel,
-    TrapConfig,
-    apply_heating,
-    check_loss,
-    cool,
-)
+from .trap import TrapConfig, apply_heating, check_loss, cool
 
 __version__ = ARTIFACT_VERSION

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .detection import DetectorConfig
 from .experiments import CycleConfig, RabiConfig, uniform_pulse_grid
 from .physics import RB87_D2, ProbeConfig, SpeciesConstants
 from .readout import ADAPTIVE_STOP, FIXED_WINDOW, ReadoutPolicy, calibrate_depump
-from .trap import CoolingConfig, LossModel, TrapConfig
+from .trap import TrapConfig
 
 DEFAULT_SEED = 1
 
@@ -66,13 +65,11 @@ SCHEMA: dict[str, _Key] = {
                                        "recoil temperature, K", lo=0, lo_open=True),
     "detector.efficiency": _Key("float", 0.02, "net collection+quantum efficiency",
                                 lo=0, hi=1, lo_open=True),
-    "detector.dark_rate": _Key("float", 100.0, "dark counts per second", lo=0),
     "probe.scatter_rate": _Key("float", 3.5e6, "bright-atom scattering rate, 1/s",
                                lo=0, lo_open=True),
     "probe.max_duration": _Key("float", 300e-6, "maximum probe window, s", lo=0, lo_open=True),
-    "probe.background_mean": _Key("float", 0.3, "mean background counts per full window", lo=0),
-    "probe.effective_detuning": _Key("float", 8.594e6,
-                                     "detuning including the differential light shift, Hz"),
+    "probe.background_mean": _Key("float", 0.3, "mean stray-light + dark counts per full window",
+                                  lo=0),
     "readout.mode": _Key("choice", "adaptive", "stop rule", choices=("adaptive", "fixed")),
     "readout.nd": _Key("int", 2, "counts required to call the atom bright", lo=1),
     "readout.depump_hazard": _Key("float", DEFAULT_DEPUMP_HAZARD,
@@ -88,9 +85,6 @@ SCHEMA: dict[str, _Key] = {
                               lo=0, hi=1, hi_open=True),
     "loss.f2_per_cycle": _Key("float", 0.012, "histogram-run loss for F2 preparations",
                               lo=0, hi=1, hi_open=True),
-    "loss.heating_threshold_fraction": _Key("float", 1.0,
-                                            "fraction of depth at which the atom is lost",
-                                            lo=0, hi=1, lo_open=True),
     "cooling.reset": _Key("bool", True, "cooling restores the baseline energy"),
     "histogram.trials_f1": _Key("int", 1684, "F1-prepared trials", lo=1),
     "histogram.trials_f2": _Key("int", 2127, "F2-prepared trials", lo=1),
@@ -227,15 +221,8 @@ class RunConfig:
             recoil_temperature=self.values["species.recoil_temperature"],
         )
 
-    def detector(self) -> DetectorConfig:
-        return DetectorConfig(
-            net_efficiency=self.values["detector.efficiency"],
-            dark_rate=self.values["detector.dark_rate"],
-        )
-
     def probe(self) -> ProbeConfig:
         return ProbeConfig(
-            effective_detuning=self.values["probe.effective_detuning"],
             scatter_rate=self.values["probe.scatter_rate"],
             background_mean_per_window=self.values["probe.background_mean"],
         )
@@ -254,33 +241,16 @@ class RunConfig:
             baseline_energy=self.values["trap.baseline_energy"],
         )
 
-    def loss_model(self, per_cycle: float | None = None) -> LossModel:
-        return LossModel(
-            background_loss_per_cycle=(
-                self.values["loss.background_per_cycle"] if per_cycle is None else per_cycle
-            ),
-            heating_threshold_fraction=self.values["loss.heating_threshold_fraction"],
-        )
-
-    def cooling(self) -> CoolingConfig:
-        return CoolingConfig(reset=self.values["cooling.reset"])
-
     def cycle_config(self) -> CycleConfig:
         return CycleConfig(
             species=self.species(),
             probe=self.probe(),
-            detector=self.detector(),
             policy=self.policy(),
             trap=self.trap(),
-            loss=self.loss_model(),
-            cooling=self.cooling(),
+            net_efficiency=self.values["detector.efficiency"],
             depump_hazard=self.values["readout.depump_hazard"],
-        )
-
-    def histogram_loss_models(self) -> tuple[LossModel, LossModel]:
-        return (
-            self.loss_model(self.values["loss.f1_per_cycle"]),
-            self.loss_model(self.values["loss.f2_per_cycle"]),
+            background_loss=self.values["loss.background_per_cycle"],
+            cooling_reset=self.values["cooling.reset"],
         )
 
     def rabi_config(self) -> RabiConfig:

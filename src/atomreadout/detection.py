@@ -1,29 +1,15 @@
-"""Photon detection channel: detector parameters and Poisson count tails.
+"""Photon detection channel: Poisson count tails.
 
 Scattered photons become detector counts through Bernoulli thinning at the net
-collection+quantum efficiency; stray light and dark counts are homogeneous
-Poisson processes. Event times are continuous and no dead time is modeled. The
-probe kernel in ``experiments`` samples these processes directly.
+collection+quantum efficiency; the background (stray light and detector dark
+counts together) is one homogeneous Poisson process. Event times are
+continuous and no dead time is modeled. The probe kernel in ``experiments``
+samples these processes directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class DetectorConfig:
-    """Net photon detection efficiency and detector dark-count rate."""
-
-    net_efficiency: float
-    dark_rate: float   # counts/s, always-on detector noise
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.net_efficiency <= 1.0:
-            raise ValueError("net_efficiency must lie in (0, 1]")
-        if self.dark_rate < 0:
-            raise ValueError("dark_rate must be nonnegative")
 
 
 def poisson_tail_at_least(k: int, mean: float) -> float:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import DetectorConfig
 from .fitting import (
     FitResult,
     Histogram,
@@ -38,7 +37,7 @@ from .fitting import (
 from .physics import F1, F2, AtomState, ProbeConfig, SpeciesConstants
 from .readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy
 from .seeding import derive_substream
-from .trap import CoolingConfig, LossModel, TrapConfig, apply_heating, check_loss, cool
+from .trap import TrapConfig, apply_heating, check_loss, cool
 
 EXP_HISTOGRAM = 1
 EXP_SURVIVAL = 2
@@ -56,16 +55,20 @@ class CycleConfig:
 
     species: SpeciesConstants
     probe: ProbeConfig
-    detector: DetectorConfig
     policy: ReadoutPolicy
     trap: TrapConfig
-    loss: LossModel
-    cooling: CoolingConfig
-    depump_hazard: float
+    net_efficiency: float    # collection times detector quantum efficiency
+    depump_hazard: float     # per-scatter probability of falling dark
+    background_loss: float   # non-heating loss probability per cycle
+    cooling_reset: bool      # cooling restores the trap's baseline energy
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.net_efficiency <= 1.0:
+            raise ValueError("net_efficiency must lie in (0, 1]")
         if not 0.0 <= self.depump_hazard < 1.0:
             raise ValueError("depump_hazard must lie in [0, 1)")
+        if not 0.0 <= self.background_loss < 1.0:
+            raise ValueError("background_loss must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ def _simulate_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> 
     policy = cfg.policy
     window = policy.max_duration
     bg_rate = cfg.probe.background_mean_per_window / window
-    eta = cfg.detector.net_efficiency
+    eta = cfg.net_efficiency
     hazard = cfg.depump_hazard
     rate = cfg.probe.scatter_rate
 
@@ -166,9 +169,9 @@ def run_detection_cycle(
         # mF after a depump is not tracked; it is resampled at the next preparation
         after = replace(after, hyperfine=F1, zeeman_mF=0)
     after = apply_heating(after, outcome.scatters, cfg.species)
-    after = check_loss(after, cfg.trap, cfg.loss, rng)
+    after = check_loss(after, cfg.trap, cfg.background_loss, rng)
     if after.present:
-        after = cool(after, cfg.cooling, cfg.trap)
+        after = cool(after, cfg.cooling_reset, cfg.trap)
     record = CycleRecord(
         trial_index,
         atom.hyperfine,
@@ -225,12 +228,17 @@ def _run_rows(
     return out
 
 
+def workers_used(requested: int) -> int:
+    """Processes a pool of ``requested`` workers runs: the request capped at the CPU count."""
+    return min(requested, os.cpu_count() or 1)
+
+
 def _map_rows(n_rows: int, workers: int, *args) -> list:
     """``_run_rows`` over rows ``0..n_rows-1``, in-process or over 4 x workers row ranges.
 
-    ``workers`` is capped at the CPU count; the rows do not depend on it.
+    ``workers`` is capped by ``workers_used``; the rows do not depend on it.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    workers = workers_used(workers)
     if workers <= 1:
         return _run_rows(0, n_rows, *args)
     size = math.ceil(n_rows / (4 * workers))
@@ -288,11 +296,14 @@ def experiment_histogram(
     trials_f2: int,
     cfg: CycleConfig,
     master_seed: int,
-    loss_f1: LossModel | None = None,
-    loss_f2: LossModel | None = None,
+    loss_f1: float | None = None,
+    loss_f2: float | None = None,
     workers: int = 1,
 ) -> HistogramResult:
-    """Count histograms and error/loss rates for both prepared states."""
+    """Count histograms and error/loss rates for both prepared states.
+
+    ``loss_f1`` and ``loss_f2``, when given, replace ``cfg.background_loss`` for that state.
+    """
     if trials_f1 <= 0 or trials_f2 <= 0:
         raise ValueError("trial counts must be positive")
     results: dict[str, list[CycleRecord]] = {}
@@ -300,7 +311,7 @@ def experiment_histogram(
         (F1, trials_f1, loss_f1),
         (F2, trials_f2, loss_f2),
     ):
-        state_cfg = cfg if loss_override is None else replace(cfg, loss=loss_override)
+        state_cfg = cfg if loss_override is None else replace(cfg, background_loss=loss_override)
         key = (EXP_HISTOGRAM, _STATE_CODE[state])
         results[state] = _map_rows(
             trials, workers, master_seed, key, state_cfg, state, (0.0,), None, None

@@ -54,12 +54,9 @@ class ProbeConfig:
     is the mean number of spurious detector counts accumulated over one full
     probe window (stray light plus dark counts); the window length is the
     readout policy's ``max_duration``, and the probe kernel divides by it to
-    get the background rate. ``effective_detuning`` includes the differential
-    light shift of the trap, so it is what the depump suppression actually
-    sees.
+    get the background rate.
     """
 
-    effective_detuning: float
     scatter_rate: float
     background_mean_per_window: float
 

@@ -65,9 +65,10 @@ def _p_detect_first(efficiency: float, hazard: float) -> float:
 def analytic_f2_error(efficiency: float, hazard: float, n_d: int) -> float:
     """P(a bright atom fails to reach n_d counts) under the per-event race model.
 
-    The window-timeout contribution is neglected: at the default operating
-    point it is ~1e-8, four orders below the depump term. The Monte Carlo
-    path does include timeouts, which validates the neglect.
+    This is the limit of no background counts and an unbounded window. The
+    Monte Carlo has both: background counts help a bright atom that depumps
+    early reach n_d, so at the reference point it gives about 4.7%, not 5.5%.
+    The 5.5% is the race value as the background goes to 0.
     """
     if not 0.0 < efficiency <= 1.0:
         raise ValueError("efficiency must lie in (0, 1]")
@@ -106,8 +107,9 @@ def implied_effective_detuning(
 ) -> float:
     """Probe detuning whose depump suppression would produce the given hazard.
 
-    Useful as a consistency check on a calibrated hazard: the implied value
-    should sit near the nominal detuning plus the differential light shift.
+    The detuning includes the trap's differential light shift. It exists only
+    when the hazard and branching are positive and branching/hazard does not
+    exceed the on-resonance suppression; otherwise this raises ValueError.
     """
     if hazard <= 0 or branching_to_F1 <= 0:
         raise ValueError("hazard and branching must be positive")

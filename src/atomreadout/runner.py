@@ -2,7 +2,8 @@
 
 Result and summary files are byte-identical for identical (config, seed),
 independent of worker count; the manifest additionally records wall time and
-is therefore the one output not covered by the byte-identity contract.
+the CPU-capped worker count, and is therefore the one output not covered by
+the byte-identity contract.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import RunConfig
-from .detection import poisson_tail_at_least
 from .experiments import (
     CELL_LOST,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
+    workers_used,
 )
 from .physics import (
     F1,
@@ -89,13 +90,12 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
 
 def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
     species = config.species()
-    detector = config.detector()
     probe = config.probe()
     policy = config.policy()
     hazard = float(config["readout.depump_hazard"])
     branching = float(config["readout.branching_to_f1"])
     gamma = species.linewidth_gamma
-    eta = detector.net_efficiency
+    eta = float(config["detector.efficiency"])
     nd = policy.threshold_counts
 
     rows: list[Row] = [
@@ -111,9 +111,6 @@ def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
          "same ratio detuned by one linewidth"),
         ("depump_suppression_at_two_linewidths", depump_suppression(2.0 * gamma, species),
          "same ratio detuned by two linewidths"),
-        ("depump_suppression_at_effective_detuning",
-         depump_suppression(probe.effective_detuning, species),
-         "suppression at the light-shifted operating detuning"),
         ("depump_hazard_on_resonance",
          depump_hazard_per_scatter(depump_suppression(0.0, species), branching),
          "per-scatter dark-state probability at zero detuning"),
@@ -126,39 +123,36 @@ def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
         ("scatters_to_fill_trap_depth",
          math.ceil(config.trap().depth / heating_per_scatter(species)),
          "scatters that would heat a cold atom to the trap depth"),
-        ("dark_count_false_positive_config_window",
-         poisson_tail_at_least(nd, detector.dark_rate * policy.max_duration),
-         "P(threshold reached by dark counts alone in one window)"),
-        ("dark_count_false_positive_1ms",
-         poisson_tail_at_least(nd, detector.dark_rate * 1e-3),
-         "same for a 1 ms window"),
         ("analytic_f1_error", analytic_f1_error(policy, probe.background_mean_per_window),
          "background tail at the stop threshold"),
         ("analytic_f2_error", analytic_f2_error(eta, hazard, nd),
          "race-model bright-state error"),
     ]
-    if hazard > 0.0 and branching > 0.0:
-        ratio = branching / hazard
-        if ratio <= depump_suppression(0.0, species):
-            rows.append(
-                ("implied_effective_detuning_Hz",
-                 implied_effective_detuning(hazard, branching, species),
-                 "detuning whose suppression reproduces the configured hazard")
-            )
+    try:
+        detuning = implied_effective_detuning(hazard, branching, species)
+    except ValueError:  # no hazard, no branching, or a hazard below the resonant floor
+        rows.append(("implied_detuning_degenerate", True,
+                     "no detuning reproduces the configured hazard"))
+    else:
+        rows += [
+            ("implied_effective_detuning_Hz", detuning,
+             "detuning whose suppression reproduces the configured hazard"),
+            ("depump_suppression_at_implied_detuning", branching / hazard,
+             "suppression at that detuning: branching over hazard"),
+        ]
     header = ("quantity", "value", "note")
     summary = {name: value for name, value, _ in rows}
     return {"": (header, rows)}, summary
 
 
 def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    loss_f1, loss_f2 = config.histogram_loss_models()
     result = experiment_histogram(
         int(config["histogram.trials_f1"]),
         int(config["histogram.trials_f2"]),
         config.cycle_config(),
         config.master_seed,
-        loss_f1=loss_f1,
-        loss_f2=loss_f2,
+        loss_f1=float(config["loss.f1_per_cycle"]),
+        loss_f2=float(config["loss.f2_per_cycle"]),
         workers=config.workers,
     )
     records = (
@@ -191,7 +185,7 @@ def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
         policy, config.probe().background_mean_per_window
     )
     summary["analytic_f2_error"] = analytic_f2_error(
-        config.detector().net_efficiency,
+        float(config["detector.efficiency"]),
         float(config["readout.depump_hazard"]),
         policy.threshold_counts,
     )
@@ -316,6 +310,8 @@ def run(config: RunConfig) -> RunOutput:
         "master_seed": config.master_seed,
         "generator": GENERATOR_NAME,
         "config": {k: config.values[k] for k in sorted(config.values)},
+        # the worker count after the CPU cap; the budget runs in this process
+        "workers_used": 1 if config.experiment == "budget" else workers_used(config.workers),
         "result_files": [Path(p).name for p in written],
         "summary": summary,
         "wall_time_s": time.time() - start,

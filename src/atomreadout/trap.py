@@ -27,23 +27,6 @@ class TrapConfig:
             raise ValueError("trap depth must exceed the cooled baseline energy")
 
 
-@dataclass(frozen=True)
-class LossModel:
-    background_loss_per_cycle: float
-    heating_threshold_fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.background_loss_per_cycle < 1.0:
-            raise ValueError("background_loss_per_cycle must lie in [0, 1)")
-        if not 0.0 < self.heating_threshold_fraction <= 1.0:
-            raise ValueError("heating_threshold_fraction must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class CoolingConfig:
-    reset: bool   # cooling restores the baseline energy
-
-
 def apply_heating(
     atom: AtomState, scatters: int, constants: SpeciesConstants = RB87_D2
 ) -> AtomState:
@@ -60,24 +43,24 @@ def apply_heating(
 
 
 def check_loss(
-    atom: AtomState, trap: TrapConfig, loss: LossModel, rng: np.random.Generator
+    atom: AtomState, trap: TrapConfig, background_loss: float, rng: np.random.Generator
 ) -> AtomState:
-    """Mark the atom absent on threshold crossing or a background-loss draw."""
+    """Mark the atom absent when its energy reaches the depth, or on a background-loss draw."""
     if not atom.present:
         raise ValueError("cannot re-check a lost atom")
-    if atom.motional_energy >= loss.heating_threshold_fraction * trap.depth:
+    if atom.motional_energy >= trap.depth:
         return replace(atom, present=False)
-    if loss.background_loss_per_cycle > 0.0:
-        if rng.random() < loss.background_loss_per_cycle:
+    if background_loss > 0.0:
+        if rng.random() < background_loss:
             return replace(atom, present=False)
     return atom
 
 
-def cool(atom: AtomState, cooling: CoolingConfig, trap: TrapConfig) -> AtomState:
+def cool(atom: AtomState, reset: bool, trap: TrapConfig) -> AtomState:
     """Cooling pulse: restores the baseline motional energy when ``reset`` is set."""
     if not atom.present:
         raise ValueError("cannot cool an absent atom")
-    if not cooling.reset:
+    if not reset:
         return atom
     return replace(atom, motional_energy=trap.baseline_energy)
 

@@ -153,7 +153,7 @@ def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> Read
     depump_time = math.inf
     if in_f2:
         scatters = poisson_times(cfg.probe.scatter_rate, window, rng)
-        signal, undetected = thin(scatters, cfg.detector.net_efficiency, rng)
+        signal, undetected = thin(scatters, cfg.net_efficiency, rng)
         depumps, _ = thin(undetected, cfg.depump_hazard, rng)
         if depumps.size:
             depump_time = float(depumps[0])

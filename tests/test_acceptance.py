@@ -212,7 +212,7 @@ def test_criterion_8_distributional_oracles(ref_cfg):
         ref_cfg, depump_hazard=0.0, policy=replace(ref_cfg.policy, kind=FIXED_WINDOW)
     )
     background = cfg.probe.background_mean_per_window
-    signal = cfg.probe.scatter_rate * cfg.detector.net_efficiency * cfg.policy.max_duration
+    signal = cfg.probe.scatter_rate * cfg.net_efficiency * cfg.policy.max_duration
     rng = np.random.default_rng(2024)
     samples = 100_000
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from atomreadout.config import (
     reference_cycle_config,
     validate_value,
 )
+from atomreadout.physics import depump_suppression
 from atomreadout.runner import run
 
 # config updates -> SHA-256 of each result table, keyed by file suffix
@@ -78,7 +80,8 @@ class TestParsing:
         assert config["readout.nd"] == 3
 
     def test_unknown_key_names_line_and_key(self):
-        # the other keys were once accepted but changed no output
+        # the other keys were once accepted, and each changed no result table
+        # or duplicated another input
         for key in (
             "bogus.key",
             "nd",
@@ -86,6 +89,9 @@ class TestParsing:
             "species.hyperfine_splitting",
             "prep.duration",
             "cooling.pulse_duration",
+            "detector.dark_rate",
+            "probe.effective_detuning",
+            "loss.heating_threshold_fraction",
         ):
             with pytest.raises(ConfigError) as err:
                 parse_config(f"probe.scatter_rate = 1e6\n{key} = 1\n")
@@ -97,8 +103,8 @@ class TestParsing:
         for key, text in (
             ("detector.efficiency", "1.5"),
             ("detector.efficiency", "nan"),
-            ("probe.effective_detuning", "inf"),
-            ("probe.effective_detuning", "-inf"),
+            ("probe.scatter_rate", "inf"),
+            ("probe.scatter_rate", "-inf"),
             ("trap.depth", "inf"),
             ("rabi.points", "5"),  # the damped-sinusoid fit needs 8
         ):
@@ -142,24 +148,24 @@ class TestDomainBuilders:
             "species": {"linewidth_gamma": "species.linewidth",
                         "excited_splitting_delta23": "species.excited_splitting",
                         "recoil_temperature": "species.recoil_temperature"},
-            "probe": {"effective_detuning": "probe.effective_detuning",
-                      "scatter_rate": "probe.scatter_rate",
+            "probe": {"scatter_rate": "probe.scatter_rate",
                       "background_mean_per_window": "probe.background_mean"},
-            "detector": {"net_efficiency": "detector.efficiency",
-                         "dark_rate": "detector.dark_rate"},
             "policy": {"threshold_counts": "readout.nd", "max_duration": "probe.max_duration"},
             "trap": {"depth": "trap.depth", "baseline_energy": "trap.baseline_energy"},
-            "loss": {"background_loss_per_cycle": "loss.background_per_cycle",
-                     "heating_threshold_fraction": "loss.heating_threshold_fraction"},
-            "cooling": {"reset": "cooling.reset"},
         }
+        plain = {"net_efficiency": "detector.efficiency",
+                 "depump_hazard": "readout.depump_hazard",
+                 "background_loss": "loss.background_per_cycle",
+                 "cooling_reset": "cooling.reset"}
         from atomreadout.physics import RB87_D2
         from atomreadout.readout import ADAPTIVE_STOP
 
         cfg = reference_cycle_config()
+        assert {f.name for f in dataclasses.fields(cfg)} == set(feeds) | set(plain)
         assert cfg.species == RB87_D2
-        assert cfg.depump_hazard == SCHEMA["readout.depump_hazard"].default
         assert SCHEMA["readout.mode"].default == "adaptive" and cfg.policy.kind == ADAPTIVE_STOP
+        for name, key in plain.items():
+            assert getattr(cfg, name) == SCHEMA[key].default, key
         for part, fields in feeds.items():
             obj = getattr(cfg, part)
             names = {f.name for f in dataclasses.fields(obj)} - {"kind"}
@@ -178,11 +184,15 @@ class TestDomainBuilders:
         grid = config.rabi_config().pulse_lengths
         assert len(grid) == 8 and grid[-1] == pytest.approx(1e-3)
 
-    def test_histogram_loss_models(self):
-        config = parse_config("loss.f1_per_cycle = 0.009\nloss.f2_per_cycle = 0.0105\n")
-        f1, f2 = config.histogram_loss_models()
-        assert f1.background_loss_per_cycle == 0.009
-        assert f2.background_loss_per_cycle == 0.0105
+    def test_histogram_loss_models(self, tmp_path):
+        # each per-state key sets the loss of its own state's trials only
+        config = parse_config("loss.f1_per_cycle = 0.9\nloss.f2_per_cycle = 0.0\n").with_updates(
+            {"histogram.trials_f1": 50, "histogram.trials_f2": 50,
+             "output.path": str(tmp_path / "h")}
+        )
+        summary = run(config).summary
+        assert summary["f1_loss_rate"] > 0.7
+        assert summary["f2_losses"] == 0
 
 
 class TestCliOverrides:
@@ -212,9 +222,10 @@ class TestCliOverrides:
         assert config["histogram.trials_f1"] == 50
         assert config["histogram.trials_f2"] == 50
 
-    def test_trials_mapping_survival(self):
-        args = self.parse_args(["--experiment", "survival", "--trials", "12"])
-        assert load_config(args)["survival.atoms"] == 12
+    @pytest.mark.parametrize("experiment", ["survival", "rabi"])
+    def test_trials_mapping_atoms(self, experiment):
+        args = self.parse_args(["--experiment", experiment, "--trials", "12"])
+        assert load_config(args)[f"{experiment}.atoms"] == 12
 
     def test_trials_rejected_for_budget(self, tmp_path, capsys):
         args = self.parse_args(["--experiment", "budget", "--trials", "5"])
@@ -235,6 +246,38 @@ class TestRunnerOutput:
             )
             run(config)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("key,value", [
+        ("readout.depump_hazard", 0.0),
+        ("readout.branching_to_f1", 0.0),
+        ("readout.depump_hazard", 1e-9),  # below the on-resonance floor
+    ])
+    def test_budget_marks_missing_implied_detuning(self, key, value, tmp_path):
+        implied = {"implied_effective_detuning_Hz", "depump_suppression_at_implied_detuning"}
+        config = default_config().with_updates(
+            {"experiment": "budget", "output.path": str(tmp_path / "a")}
+        )
+        reference = run(config).summary
+        assert "implied_detuning_degenerate" not in reference
+        assert depump_suppression(reference["implied_effective_detuning_Hz"]) == pytest.approx(
+            reference["depump_suppression_at_implied_detuning"], rel=1e-12
+        )
+        config = config.with_updates({key: value, "output.path": str(tmp_path / "b")})
+        summary = run(config).summary
+        assert summary["implied_detuning_degenerate"] is True
+        assert not implied & set(summary)
+        assert "\nimplied_detuning_degenerate,true," in (tmp_path / "b.csv").read_text()
+
+    def test_manifest_records_workers_used(self, tmp_path, monkeypatch):
+        # one CPU caps the 64 requested workers at one, so no pool starts
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        config = default_config().with_updates(
+            {"experiment": "survival", "survival.atoms": 3, "workers": 64,
+             "output.path": str(tmp_path / "s")}
+        )
+        manifest = json.loads(Path(run(config).manifest_file).read_text())
+        assert manifest["workers_used"] == 1
+        assert manifest["config"]["workers"] == 64
 
     def test_rerun_is_byte_identical(self, tmp_path):
         for name in ("x", "y"):
@@ -358,6 +401,67 @@ class TestRunnerOutput:
         lines = (tmp_path / "h.csv").read_text().splitlines()
         assert lines[0] == "trial,prepared_state,counts,classified,lost"
         assert len(lines) == 1 + 40 + 60
+
+
+# small runs of every experiment, and for each key that feeds the simulation or
+# the budget (all but experiment, seed, workers and output.*) a perturbed value
+LIVENESS_SIZES = {"histogram.trials_f1": 200, "histogram.trials_f2": 200,
+                  "survival.atoms": 10, "survival.cycles": 40,
+                  "rabi.atoms": 20, "rabi.points": 8}
+PERTURBED = {
+    "species.linewidth": 5.0e6,
+    "species.excited_splitting": 200e6,
+    "species.recoil_temperature": 2e-5,
+    "detector.efficiency": 0.03,
+    "probe.scatter_rate": 2e6,
+    "probe.max_duration": 200e-6,
+    "probe.background_mean": 0.5,
+    "readout.mode": "fixed",
+    "readout.nd": 3,
+    "readout.depump_hazard": 1e-3,
+    "readout.branching_to_f1": 0.25,
+    "trap.depth": 1e-4,
+    "trap.baseline_energy": 1.99e-3,
+    "loss.background_per_cycle": 0.5,
+    "loss.f1_per_cycle": 0.5,
+    "loss.f2_per_cycle": 0.5,
+    "cooling.reset": False,
+    **{key: size + 1 for key, size in LIVENESS_SIZES.items()},
+    "rabi.span": 1e-3,
+    "rabi.frequency": 2000.0,
+    "rabi.decoherence_time": 1e-3,
+}
+
+
+class TestKeyLiveness:
+    """No config key that changes no output: each input must change a result table."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """``tables(experiment, updates)``, and those tables at the defaults per experiment."""
+        stem = tmp_path_factory.mktemp("liveness") / "t"
+
+        def tables(experiment, updates):
+            config = default_config().with_updates(
+                {**LIVENESS_SIZES, **updates, "experiment": experiment, "output.path": str(stem)}
+            )
+            return [Path(p).read_bytes() for p in run(config).result_files]
+
+        experiments = ("budget", "histogram", "survival", "rabi")
+        return tables, {experiment: tables(experiment, {}) for experiment in experiments}
+
+    def test_every_input_key_is_perturbed(self):
+        inputs = {k for k in SCHEMA if k not in ("experiment", "seed", "workers")
+                  and not k.startswith("output.")}
+        assert set(PERTURBED) == inputs
+
+    @pytest.mark.parametrize("key", sorted(PERTURBED))
+    def test_key_changes_a_result_table(self, key, runs):
+        tables, reference = runs
+        assert any(
+            tables(experiment, {key: PERTURBED[key]}) != unperturbed
+            for experiment, unperturbed in reference.items()
+        ), f"{key} changes no result table"
 
 
 class TestCliProcess:

@@ -5,12 +5,14 @@ the building blocks of the event-level oracle that the probe kernel is checked
 against, so their statistics are checked here.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from atomreadout.detection import DetectorConfig, poisson_tail_at_least
+from atomreadout.detection import poisson_tail_at_least
 from helpers import merge, poisson_chisquare_pvalue, poisson_times, thin
 
 
@@ -25,11 +27,13 @@ times_strategy = st.builds(
 
 
 class TestDetectorConfig:
-    def test_detector_config_validation(self):
-        with pytest.raises(ValueError):
-            DetectorConfig(net_efficiency=0.0, dark_rate=100.0)
-        with pytest.raises(ValueError):
-            DetectorConfig(net_efficiency=0.02, dark_rate=-1.0)
+    """The detector's one input, the net efficiency, is a field of the cycle config."""
+
+    def test_detector_config_validation(self, ref_cfg):
+        for eta in (0.0, -0.02, 1.5):
+            with pytest.raises(ValueError):
+                replace(ref_cfg, net_efficiency=eta)
+        assert replace(ref_cfg, net_efficiency=1.0).net_efficiency == 1.0
 
 
 class TestThinning:

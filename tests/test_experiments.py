@@ -46,7 +46,7 @@ def quiet(cfg, hazard=None, background=None, loss=None):
     if background is not None:
         out = replace(out, probe=replace(out.probe, background_mean_per_window=background))
     if loss is not None:
-        out = replace(out, loss=replace(out.loss, background_loss_per_cycle=loss))
+        out = replace(out, background_loss=loss)
     return out
 
 
@@ -130,7 +130,7 @@ class TestDetectionCycle:
         cfg = quiet(ref_cfg, hazard=hazard, background=0.0, loss=0.0)
         cfg = replace(
             cfg,
-            detector=replace(cfg.detector, net_efficiency=eta),
+            net_efficiency=eta,
             policy=replace(cfg.policy, threshold_counts=nd),
         )
         expected = analytic_f2_error(eta, hazard, nd)
@@ -186,7 +186,7 @@ class TestDetectionCycle:
             cfg,
             policy=replace(cfg.policy, kind=FIXED_WINDOW, threshold_counts=2, max_duration=300e-6),
             trap=replace(cfg.trap, depth=50e-6, baseline_energy=0.0),
-            cooling=replace(cfg.cooling, reset=True),
+            cooling_reset=True,
         )
         rng = derive_substream(83, (0,))
         after, record = run_detection_cycle(prepare_state(F2, rng), cfg, rng)
@@ -257,8 +257,8 @@ class TestHistogramExperiment:
             4000,
             ref_cfg,
             master_seed=7,
-            loss_f1=replace(ref_cfg.loss, background_loss_per_cycle=0.009),
-            loss_f2=replace(ref_cfg.loss, background_loss_per_cycle=0.0105),
+            loss_f1=0.009,
+            loss_f2=0.0105,
         )
         assert abs(result.f1.loss_rate - 0.009) < binomial_3se(0.009, 4000)
         assert abs(result.f2.loss_rate - 0.0105) < binomial_3se(0.0105, 4000)

@@ -161,7 +161,7 @@ class TestDomainTypes:
 
     def test_probe_config_rejects_bad_rate(self):
         with pytest.raises(ValueError):
-            ProbeConfig(effective_detuning=8.594e6, scatter_rate=0.0, background_mean_per_window=0.3)
+            ProbeConfig(scatter_rate=0.0, background_mean_per_window=0.3)
 
     def test_atom_state_zeeman_range(self):
         AtomState(hyperfine="F2", zeeman_mF=2)

@@ -82,7 +82,7 @@ class TestRunAdaptive:
         cfg = replace(
             ref_cfg, depump_hazard=0.0, probe=replace(ref_cfg.probe, background_mean_per_window=0.0)
         )
-        assert cfg.probe.scatter_rate * cfg.detector.net_efficiency == pytest.approx(70_000.0)
+        assert cfg.probe.scatter_rate * cfg.net_efficiency == pytest.approx(70_000.0)
         rng = np.random.default_rng(7)
         trials = 100_000
         elapsed = np.empty(trials)
@@ -94,7 +94,7 @@ class TestRunAdaptive:
         # the adaptive rule can stop early but never change the decision: both
         # policies see the same seeded draws, so the same detections
         rng = np.random.default_rng(13)
-        eta = ref_cfg.detector.net_efficiency
+        eta = ref_cfg.net_efficiency
         for _ in range(10_000):
             probe = replace(ref_cfg.probe, scatter_rate=rng.uniform(1e3, 3e4) / eta)
             seed = int(rng.integers(2**63))

@@ -10,7 +10,7 @@ from atomreadout.trap import apply_heating, check_loss, cool
 
 REF = reference_cycle_config()
 TRAP = REF.trap
-NO_LOSS = replace(REF.loss, background_loss_per_cycle=0.0)
+NO_LOSS = 0.0
 
 
 def hot_atom(energy):
@@ -23,12 +23,9 @@ class TestConfigs:
             replace(TRAP, depth=1e-6, baseline_energy=1e-6)
 
     def test_loss_probability_range(self):
-        with pytest.raises(ValueError):
-            replace(REF.loss, background_loss_per_cycle=1.0)
-
-    def test_threshold_fraction_range(self):
-        with pytest.raises(ValueError):
-            replace(REF.loss, heating_threshold_fraction=0.0)
+        for loss in (1.0, -0.01):
+            with pytest.raises(ValueError):
+                replace(REF, background_loss=loss)
 
 
 class TestHeating:
@@ -61,18 +58,11 @@ class TestLossCheck:
         atom = check_loss(hot_atom(2.1e-3), replace(TRAP, depth=2e-3), NO_LOSS, rng)
         assert not atom.present
 
-    def test_partial_threshold_fraction(self):
-        rng = np.random.default_rng(0)
-        loss = replace(NO_LOSS, heating_threshold_fraction=0.5)
-        assert not check_loss(hot_atom(1.1e-3), TRAP, loss, rng).present
-        assert check_loss(hot_atom(0.9e-3), TRAP, loss, rng).present
-
     def test_background_bernoulli_rate(self):
         rng = np.random.default_rng(41)
-        loss = replace(REF.loss, background_loss_per_cycle=0.012)
         trials = 100_000
         survived = sum(
-            check_loss(hot_atom(0.0), TRAP, loss, rng).present for _ in range(trials)
+            check_loss(hot_atom(0.0), TRAP, 0.012, rng).present for _ in range(trials)
         )
         expected = 0.988
         se = math.sqrt(expected * (1 - expected) / trials)
@@ -85,20 +75,19 @@ class TestLossCheck:
 
 class TestCooling:
     def test_reset_restores_baseline(self):
-        atom = cool(hot_atom(181e-6), replace(REF.cooling, reset=True), TRAP)
+        atom = cool(hot_atom(181e-6), True, TRAP)
         assert atom.motional_energy == TRAP.baseline_energy
 
     def test_no_reset_keeps_energy(self):
-        atom = cool(hot_atom(181e-6), replace(REF.cooling, reset=False), TRAP)
+        atom = cool(hot_atom(181e-6), False, TRAP)
         assert atom.motional_energy == pytest.approx(181e-6)
 
     def test_heat_cool_cycle_never_accumulates(self):
         atom = hot_atom(0.0)
-        cooling = replace(REF.cooling, reset=True)
         for _ in range(100):
             assert atom.motional_energy == TRAP.baseline_energy
             atom = apply_heating(atom, 100)
-            atom = cool(atom, cooling, TRAP)
+            atom = cool(atom, True, TRAP)
         assert atom.motional_energy == TRAP.baseline_energy
 
     def test_without_cooling_loss_cycle_is_deterministic(self):
