@@ -13,7 +13,6 @@ from .config import (
 from .detection import poisson_tail_at_least
 from .experiments import (
     CycleConfig,
-    CycleRecord,
     HistogramResult,
     RabiConfig,
     RabiResult,
@@ -39,7 +38,7 @@ from .fitting import (
 from .physics import (
     F1,
     F2,
-    AtomState,
+    Atoms,
     ProbeConfig,
     RB87_D2,
     SpeciesConstants,

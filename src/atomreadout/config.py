@@ -9,7 +9,7 @@ reference operating point, written nowhere else; an empty file yields it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .experiments import CycleConfig, RabiConfig, uniform_pulse_grid
 from .physics import RB87_D2, ProbeConfig, SpeciesConstants
@@ -178,9 +178,24 @@ def _cross_validate(values: dict[str, object]) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully populated, validated set of configuration values."""
+    """A fully populated, validated set of configuration values.
 
-    values: dict[str, object] = field(default_factory=dict)
+    Construction checks every value against ``SCHEMA``: an unknown or missing
+    key is a ``ConfigError`` naming it.
+    """
+
+    values: dict[str, object]
+
+    def __post_init__(self) -> None:
+        unknown = sorted(self.values.keys() - SCHEMA.keys())
+        if unknown:
+            raise ConfigError("unknown key", key=unknown[0])
+        missing = [key for key in SCHEMA if key not in self.values]
+        if missing:
+            raise ConfigError("missing key", key=missing[0])
+        checked = {key: validate_value(key, self.values[key]) for key in SCHEMA}
+        _cross_validate(checked)
+        object.__setattr__(self, "values", checked)
 
     def __getitem__(self, key: str) -> object:
         return self.values[key]
@@ -206,11 +221,7 @@ class RunConfig:
         return str(self.values["output.format"])
 
     def with_updates(self, updates: dict[str, object]) -> "RunConfig":
-        merged = dict(self.values)
-        for key, value in updates.items():
-            merged[key] = validate_value(key, value)
-        _cross_validate(merged)
-        return RunConfig(merged)
+        return RunConfig({**self.values, **updates})
 
     # -- domain object builders ------------------------------------------
 
@@ -285,7 +296,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("expected 'key = value'", lineno)
         key = key.strip()
         values[key] = parse_value(key, val.strip(), lineno)
-    _cross_validate(values)
     return RunConfig(values)
 
 

@@ -1,20 +1,29 @@
 """Detection cycles and the four headline experiments.
 
-One cycle is prepare -> probe -> classify -> heat -> loss check -> cool. The probe
-Monte Carlo uses the Poisson marking decomposition of the scattering stream:
-while the atom is bright, detected signal photons arrive at rate
-``scatter_rate * eta``, the first depumping event at rate
-``scatter_rate * (1-eta) * q`` (detection preempts the depump within a single
-event), and silent scatters fill in the rest. Background counts run at their
-own rate for the whole probe-on window. This is law-equivalent to drawing
-every scattering event and marking it, at a fraction of the cost; the tests
-check it against such an event-by-event oracle.
+One cycle is prepare -> probe -> classify -> heat -> loss check -> cool, and it
+steps a whole block of atoms at once. The probe draws its detections exactly,
+by a time change. A bright atom falls dark at its depumping time tau, the
+first event of the depumping stream (rate ``scatter_rate * (1-eta) * q``); a
+dark atom is dark from time 0. Detections arrive at rate lam_s + lam_b before
+tau (signal ``scatter_rate * eta`` plus background) and at lam_b after it, so
+their cumulative intensity is Lambda(t) = (lam_s + lam_b) t before tau and
+lam_s tau + lam_b t after it. The first n_d arrivals are cumulated Exp(1) gaps
+mapped through the inverse of Lambda; an arrival before tau is signal with
+probability lam_s / (lam_s + lam_b). The adaptive stop ends the probe at the
+n_d-th arrival; the fixed window adds the Poisson count of the rest of the
+window, so both policies share the first n_d arrivals and call an atom the
+same way from the same draws. Silent scatters are Poisson over the bright time the probe saw, and a
+depump is one more scatter. The tests check this law against an
+event-by-event oracle.
 
-Every experiment runs the same row loop: a row is one atom stepped through its
-cycles until they run out or the atom is lost, and a histogram trial is a row
-of one cycle. Rows draw from per-(experiment, row, cycle) substreams of the
-master seed, so any execution order (including process pools) gives identical
-results.
+Every experiment runs the same row driver. A row is one atom stepped through
+its cycles until they run out or the atom is lost, and a histogram trial is a
+row of one cycle. Rows run in fixed blocks of ``BLOCK`` atoms, and each block
+draws from its own substream of the master seed: path
+``(experiment, state, block)`` for histogram trials and
+``(experiment, block, cycle)`` for survival and Rabi rows. A process pool
+splits the rows only at block boundaries, so any execution order gives
+identical results.
 """
 
 from __future__ import annotations
@@ -34,9 +43,9 @@ from .fitting import (
     fit_damped_sinusoid,
     fit_exponential,
 )
-from .physics import F1, F2, AtomState, ProbeConfig, SpeciesConstants
+from .physics import F1, F2, Atoms, ProbeConfig, SpeciesConstants
 from .readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy
-from .seeding import derive_substream
+from .seeding import BLOCK, derive_substream
 from .trap import TrapConfig, apply_heating, check_loss, cool
 
 EXP_HISTOGRAM = 1
@@ -47,6 +56,7 @@ _STATE_CODE = {F1: 0, F2: 1}
 CELL_F2 = "F2-detected"
 CELL_F1 = "F1-detected"
 CELL_LOST = "lost"
+CELLS = (CELL_LOST, CELL_F1, CELL_F2)   # the labels of cell codes 0, 1 and 2
 
 
 @dataclass(frozen=True)
@@ -71,161 +81,164 @@ class CycleConfig:
             raise ValueError("background_loss must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    trial_index: int
-    true_state_at_probe: str
-    detected_counts: int
-    classified: str
-    probe_elapsed: float
-    scatters: int
-    atom_present_after: bool
-    depumped_during_probe: bool
+def prepare_state(target: str, energy: np.ndarray, rng: np.random.Generator) -> Atoms:
+    """Present atoms at motional ``energy``, freshly pumped into ``target``.
 
-
-def prepare_state(target: str, rng: np.random.Generator) -> AtomState:
-    """Fresh atom pumped into ``target``, Zeeman sublevel drawn uniformly."""
+    Only an F1 atom's Zeeman sublevel is drawn (uniform over mF = -1, 0, 1),
+    and only whether it is mF=0 is kept.
+    """
+    n = energy.size
     if target == F1:
-        mf = int(rng.integers(-1, 2))
+        in_mf0 = rng.integers(-1, 2, size=n) == 0
     elif target == F2:
-        mf = int(rng.integers(-2, 3))
+        in_mf0 = np.zeros(n, dtype=bool)
     else:
         raise ValueError(f"unknown hyperfine target {target!r}")
-    return AtomState(hyperfine=target, zeeman_mF=mf, motional_energy=0.0, present=True)
+    return Atoms(np.full(n, target == F2), in_mf0, energy, np.ones(n, dtype=bool))
 
 
-def reprepare(atom: AtomState, target: str, rng: np.random.Generator) -> AtomState:
-    """Re-pump an existing atom; motional energy and presence are untouched."""
-    if not atom.present:
-        raise ValueError("cannot prepare an absent atom")
-    fresh = prepare_state(target, rng)
-    return replace(atom, hyperfine=fresh.hyperfine, zeeman_mF=fresh.zeeman_mF)
+def reprepare(atoms: Atoms, target: str, rng: np.random.Generator) -> Atoms:
+    """Re-pump atoms that are all present; their motional energy is kept."""
+    atoms.require_present("prepare")
+    return prepare_state(target, atoms.energy, rng)
 
 
-def _resolve_stop(
-    detection_times: np.ndarray, policy: ReadoutPolicy
-) -> tuple[str, int, float]:
-    threshold = policy.threshold_counts
-    if policy.kind == ADAPTIVE_STOP:
-        if detection_times.size >= threshold:
-            return F2, threshold, float(detection_times[threshold - 1])
-        return F1, int(detection_times.size), policy.max_duration
-    counts = int(detection_times.size)
-    return (F2 if counts >= threshold else F1), counts, policy.max_duration
-
-
-def _simulate_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutOutcome:
+def _simulate_probe(
+    bright: np.ndarray, cfg: CycleConfig, rng: np.random.Generator
+) -> ReadoutOutcome:
+    """Probe a block of prepared atoms; ``bright`` marks the atoms in F2."""
     policy = cfg.policy
     window = policy.max_duration
-    bg_rate = cfg.probe.background_mean_per_window / window
+    rate = cfg.probe.scatter_rate
     eta = cfg.net_efficiency
     hazard = cfg.depump_hazard
-    rate = cfg.probe.scatter_rate
+    lam_s = rate * eta
+    lam_b = cfg.probe.background_mean_per_window / window
+    n = bright.size
 
-    depump_time = math.inf
-    sig_times = np.empty(0)
-    if in_f2:
-        depump_event_rate = rate * (1.0 - eta) * hazard
-        if depump_event_rate > 0.0:
-            depump_time = float(rng.exponential(1.0 / depump_event_rate))
-        bright = min(depump_time, window)
-        n_sig = int(rng.poisson(rate * eta * bright))
-        sig_times = np.sort(rng.random(n_sig) * bright)
+    tau = np.zeros(n)  # depumping time; a dark atom is dark from the start
+    depump_rate = rate * (1.0 - eta) * hazard
+    if depump_rate > 0.0:
+        tau[bright] = rng.exponential(1.0 / depump_rate, np.count_nonzero(bright))
+    else:
+        tau[bright] = np.inf
+    span = np.minimum(tau, window)
+    at_tau = (lam_s + lam_b) * span            # Lambda(min(tau, W))
+    at_end = at_tau + lam_b * (window - span)  # Lambda(W)
 
-    n_bg = int(rng.poisson(bg_rate * window))
-    bg_times = np.sort(rng.random(n_bg) * window)
-    detections = np.sort(np.concatenate((sig_times, bg_times))) if in_f2 else bg_times
+    # Lambda at each atom's first n_d detections
+    arrivals = rng.exponential(size=(n, policy.threshold_counts)).cumsum(axis=1)
+    last = arrivals[:, -1]
+    called = last <= at_end
+    counts = np.count_nonzero(arrivals <= at_end[:, None], axis=1)
+    before_tau = np.count_nonzero(arrivals < at_tau[:, None], axis=1)
+    if policy.kind == ADAPTIVE_STOP:
+        after_tau = span + (last - at_tau) / lam_b if lam_b > 0.0 else window
+        stop = np.where(last < at_tau, last / (lam_s + lam_b), after_tau)
+        elapsed = np.where(called, stop, window)
+    else:
+        # the arrivals after the n_d-th, split at tau
+        extra_bright = rng.poisson(np.where(called, np.maximum(at_tau - last, 0.0), 0.0))
+        extra_dark = rng.poisson(np.where(called, at_end - np.maximum(at_tau, last), 0.0))
+        counts += extra_bright + extra_dark
+        before_tau += extra_bright
+        elapsed = np.full(n, window)
 
-    classified, counts, elapsed = _resolve_stop(detections, policy)
+    depumped = bright & (tau <= elapsed)
+    silent_rate = rate * (1.0 - eta) * (1.0 - hazard)
+    scatters = (
+        rng.binomial(before_tau, lam_s / (lam_s + lam_b))
+        + rng.poisson(silent_rate * np.minimum(elapsed, tau))
+        + depumped
+    )
+    return ReadoutOutcome(called, counts, elapsed, scatters, depumped)
 
-    scatters = 0
-    depumped = False
-    if in_f2:
-        bright_seen = min(elapsed, depump_time)
-        scatters = int(np.searchsorted(sig_times, bright_seen, side="right"))
-        silent_rate = rate * (1.0 - eta) * (1.0 - hazard)
-        scatters += int(rng.poisson(silent_rate * bright_seen))
-        depumped = depump_time <= elapsed
-        if depumped:
-            scatters += 1  # the depumping decay is itself a scattering event
-    return ReadoutOutcome(classified, counts, elapsed, scatters, depumped)
+
+def _cycle(atoms: Atoms, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutOutcome:
+    """Probe, classify, heat, loss-check and cool a block of prepared atoms in place.
+
+    The loss check sees the heat of this probe before cooling removes it, so a
+    hot enough probe ejects the atom.
+    """
+    outcome = _simulate_probe(atoms.bright, cfg, rng)
+    atoms.bright &= ~outcome.depumped
+    apply_heating(atoms, outcome.scatters, cfg.species)
+    check_loss(atoms, cfg.trap, cfg.background_loss, rng)
+    cool(atoms, cfg.cooling_reset, cfg.trap)
+    return outcome
 
 
 def run_detection_cycle(
-    atom: AtomState, cfg: CycleConfig, rng: np.random.Generator, trial_index: int = 0
-) -> tuple[AtomState, CycleRecord]:
-    """Probe, classify, heat, loss-check and cool one already-prepared atom.
+    state: str, cfg: CycleConfig, rng: np.random.Generator
+) -> tuple[Atoms, ReadoutOutcome]:
+    """One cycle of a single atom prepared in ``state`` at the trap's baseline energy.
 
-    The loss check sees the heat of this probe before cooling removes it, so a
-    hot enough probe ejects the atom; only an atom still present is cooled.
+    The block kernel's cycle on a batch of one; returns the atom after the
+    cycle and its probe outcome.
     """
-    if not atom.present:
-        record = CycleRecord(trial_index, atom.hyperfine, 0, F1, 0.0, 0, False, False)
-        return atom, record
-
-    outcome = _simulate_probe(atom.hyperfine == F2, cfg, rng)
-    after = atom
-    if outcome.depumped_during_probe:
-        # mF after a depump is not tracked; it is resampled at the next preparation
-        after = replace(after, hyperfine=F1, zeeman_mF=0)
-    after = apply_heating(after, outcome.scatters, cfg.species)
-    after = check_loss(after, cfg.trap, cfg.background_loss, rng)
-    if after.present:
-        after = cool(after, cfg.cooling_reset, cfg.trap)
-    record = CycleRecord(
-        trial_index,
-        atom.hyperfine,
-        outcome.detected_counts,
-        outcome.classified,
-        outcome.elapsed,
-        outcome.scatters,
-        after.present,
-        outcome.depumped_during_probe,
-    )
-    return after, record
+    atoms = prepare_state(state, np.full(1, cfg.trap.baseline_energy), rng)
+    return atoms, _cycle(atoms, cfg, rng)
 
 
-def _run_rows(
-    lo: int,
-    hi: int,
+def _run_block(
+    block: int,
+    n_rows: int,
     master_seed: int,
     key: tuple[int, ...],
     cfg: CycleConfig,
     state: str,
-    pulse_lengths: tuple[float, ...],
+    pulse_lengths: tuple[float, ...] | None,
     rabi: RabiConfig | None,
-    cells: tuple | None,
-) -> list:
-    """Step the atoms of rows ``lo..hi-1`` through one cycle per pulse length.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step the atoms of one block of rows through one cycle per pulse length.
 
     Each row is one atom that starts at the trap's baseline energy. Before each
     cycle it is re-prepared in ``state`` and, when ``rabi`` is given, driven
     for that cycle's pulse length. A row ends when its cycles run out or its
-    atom is lost. ``cells`` gives the (lost, F1-detected, F2-detected) values
-    written per cycle, and a lost atom's value fills the rest of its row; cycle
-    ``c`` of row ``r`` draws from substream ``(*key, r, c)``. With
-    ``cells=None`` each row is a single-shot trial that draws from
-    ``(*key, r)`` and yields its ``CycleRecord``. All rows go into one flat list.
+    atom is lost. With ``pulse_lengths=None`` each row is a single-shot trial
+    and the block draws from substream ``(*key, block)``; otherwise cycle
+    ``c`` draws from ``(*key, block, c)``. Returns (rows, cycles) arrays of
+    the detected counts, the bright calls and whether the atom is present
+    after the cycle; the cycles after an atom's loss read (0, False, False).
     """
-    baseline = AtomState(hyperfine=state, zeeman_mF=0, motional_energy=cfg.trap.baseline_energy)
-    out: list = []
-    for row in range(lo, hi):
-        atom = baseline
-        for cycle, duration in enumerate(pulse_lengths):
-            path = (*key, row) if cells is None else (*key, row, cycle)
-            rng = derive_substream(master_seed, path)
-            atom = reprepare(atom, state, rng)
-            if rabi is not None:
-                atom = microwave_pulse(atom, duration, rabi, rng)
-            atom, record = run_detection_cycle(atom, cfg, rng, row)
-            if cells is None:
-                out.append(record)
-            elif not record.atom_present_after:
-                out.extend([cells[0]] * (len(pulse_lengths) - cycle))
+    lo = block * BLOCK
+    n = min(n_rows - lo, BLOCK)
+    lengths = (0.0,) if pulse_lengths is None else pulse_lengths
+    counts = np.zeros((n, len(lengths)), dtype=np.int64)
+    called = np.zeros((n, len(lengths)), dtype=bool)
+    present = np.zeros((n, len(lengths)), dtype=bool)
+    rows = np.arange(n)
+    atoms = Atoms(
+        np.zeros(n, dtype=bool),
+        np.zeros(n, dtype=bool),
+        np.full(n, cfg.trap.baseline_energy),
+        np.ones(n, dtype=bool),
+    )
+    for cycle, duration in enumerate(lengths):
+        path = (*key, block) if pulse_lengths is None else (*key, block, cycle)
+        rng = derive_substream(master_seed, path)
+        atoms = reprepare(atoms, state, rng)
+        if rabi is not None:
+            microwave_pulse(atoms, duration, rabi, rng)
+        outcome = _cycle(atoms, cfg, rng)
+        counts[rows, cycle] = outcome.detected_counts
+        called[rows, cycle] = outcome.called_bright
+        present[rows, cycle] = atoms.present
+        if not atoms.present.all():
+            rows = rows[atoms.present]
+            atoms = atoms.take(atoms.present)
+            if not rows.size:
                 break
-            else:
-                out.append(cells[2] if record.classified == F2 else cells[1])
-    return out
+    return counts, called, present
+
+
+def _concat(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
+
+
+def _run_rows(first: int, stop: int, n_rows: int, *args) -> tuple[np.ndarray, ...]:
+    """``_run_block`` over blocks ``first..stop-1``, their rows joined in order."""
+    return _concat([_run_block(block, n_rows, *args) for block in range(first, stop)])
 
 
 def workers_used(requested: int) -> int:
@@ -233,21 +246,22 @@ def workers_used(requested: int) -> int:
     return min(requested, os.cpu_count() or 1)
 
 
-def _map_rows(n_rows: int, workers: int, *args) -> list:
-    """``_run_rows`` over rows ``0..n_rows-1``, in-process or over 4 x workers row ranges.
+def _map_rows(n_rows: int, workers: int, *args) -> tuple[np.ndarray, ...]:
+    """``_run_rows`` over rows ``0..n_rows-1``, in-process or over 4 x workers ranges of blocks.
 
     ``workers`` is capped by ``workers_used``; the rows do not depend on it.
     """
     workers = workers_used(workers)
+    n_blocks = math.ceil(n_rows / BLOCK)
     if workers <= 1:
-        return _run_rows(0, n_rows, *args)
-    size = math.ceil(n_rows / (4 * workers))
+        return _run_rows(0, n_blocks, n_rows, *args)
+    size = math.ceil(n_blocks / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_run_rows, lo, min(lo + size, n_rows), *args)
-            for lo in range(0, n_rows, size)
+            pool.submit(_run_rows, lo, min(lo + size, n_blocks), n_rows, *args)
+            for lo in range(0, n_blocks, size)
         ]
-        return [cell for future in futures for cell in future.result()]
+        return _concat([future.result() for future in futures])
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +269,10 @@ def _map_rows(n_rows: int, workers: int, *args) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSummary:
+    """Error and loss summary of one prepared state, with its per-trial columns."""
+
     prepared: str
     trials: int
     errors: int
@@ -265,20 +281,23 @@ class StateSummary:
     losses: int
     loss_rate: float
     histogram: Histogram
+    counts: np.ndarray          # detected counts per trial
+    called_bright: np.ndarray   # classified F2, per trial
+    lost: np.ndarray            # lost during its cycle, per trial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistogramResult:
     f1: StateSummary
     f2: StateSummary
-    records: tuple[CycleRecord, ...]
 
 
-def _summarize_state(state: str, records: list[CycleRecord]) -> StateSummary:
-    wrong = F2 if state == F1 else F1
-    errors = sum(1 for r in records if r.classified == wrong)
-    losses = sum(1 for r in records if not r.atom_present_after)
-    n = len(records)
+def _summarize_state(
+    state: str, counts: np.ndarray, called_bright: np.ndarray, lost: np.ndarray
+) -> StateSummary:
+    errors = int(np.count_nonzero(called_bright != (state == F2)))
+    losses = int(np.count_nonzero(lost))
+    n = counts.size
     return StateSummary(
         prepared=state,
         trials=n,
@@ -287,7 +306,10 @@ def _summarize_state(state: str, records: list[CycleRecord]) -> StateSummary:
         error_interval=binomial_interval(errors, n, 0.95),
         losses=losses,
         loss_rate=losses / n,
-        histogram=build_histogram([r.detected_counts for r in records]),
+        histogram=build_histogram(counts),
+        counts=counts,
+        called_bright=called_bright,
+        lost=lost,
     )
 
 
@@ -306,21 +328,18 @@ def experiment_histogram(
     """
     if trials_f1 <= 0 or trials_f2 <= 0:
         raise ValueError("trial counts must be positive")
-    results: dict[str, list[CycleRecord]] = {}
+    sides = []
     for state, trials, loss_override in (
         (F1, trials_f1, loss_f1),
         (F2, trials_f2, loss_f2),
     ):
         state_cfg = cfg if loss_override is None else replace(cfg, background_loss=loss_override)
         key = (EXP_HISTOGRAM, _STATE_CODE[state])
-        results[state] = _map_rows(
-            trials, workers, master_seed, key, state_cfg, state, (0.0,), None, None
+        counts, called, present = _map_rows(
+            trials, workers, master_seed, key, state_cfg, state, None, None
         )
-    return HistogramResult(
-        f1=_summarize_state(F1, results[F1]),
-        f2=_summarize_state(F2, results[F2]),
-        records=tuple(results[F1] + results[F2]),
-    )
+        sides.append(_summarize_state(state, counts[:, 0], called[:, 0], ~present[:, 0]))
+    return HistogramResult(*sides)
 
 
 # ---------------------------------------------------------------------------
@@ -328,33 +347,39 @@ def experiment_histogram(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurvivalMatrix:
-    """One row per atom, one cell per cycle; ``lost`` is absorbing."""
+def _cell_codes(called: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Per-cycle codes into ``CELLS``: lost (or not measured), F1- or F2-detected."""
+    return np.where(present, 1 + called, 0).astype(np.int8)
 
-    rows: tuple[tuple[str, ...], ...]
+
+@dataclass(frozen=True, eq=False)
+class SurvivalMatrix:
+    """One row per atom, one cell per cycle, as codes into ``CELLS``; ``lost`` is absorbing."""
+
+    cells: np.ndarray
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            seen_lost = False
-            for cell in row:
-                if cell not in (CELL_F1, CELL_F2, CELL_LOST):
-                    raise ValueError(f"unknown cell label {cell!r}")
-                if seen_lost and cell != CELL_LOST:
-                    raise ValueError("a lost atom cannot reappear later in its row")
-                seen_lost = seen_lost or cell == CELL_LOST
-            if len(row) != len(self.rows[0]):
-                raise ValueError("all rows must have the same number of cycles")
+        cells = self.cells
+        if cells.ndim != 2:
+            raise ValueError("cells must form a (rows, cycles) matrix")
+        if cells.size and (cells.min() < 0 or cells.max() >= len(CELLS)):
+            raise ValueError("unknown cell code")
+        lost = cells == 0
+        if np.any(lost[:, :-1] & ~lost[:, 1:]):
+            raise ValueError("a lost atom cannot reappear later in its row")
 
-    def survival_lengths(self) -> tuple[int, ...]:
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        """The cells as labels, row by row."""
+        return tuple(tuple(CELLS[c] for c in row) for row in self.cells.tolist())
+
+    def survival_lengths(self) -> np.ndarray:
         """Completed cycles per row (the column index of the first lost cell)."""
-        out = []
-        for row in self.rows:
-            out.append(row.index(CELL_LOST) if CELL_LOST in row else len(row))
-        return tuple(out)
+        lost = self.cells == 0
+        return np.where(lost.any(axis=1), lost.argmax(axis=1), self.cells.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurvivalResult:
     matrix: SurvivalMatrix
     fraction_alive: tuple[float, ...]   # index k = fraction surviving k full cycles
@@ -371,17 +396,13 @@ def experiment_survival(
     """Repeated-measurement survival run; rows sorted longest-lived first."""
     if n_atoms <= 0 or n_cycles <= 0:
         raise ValueError("n_atoms and n_cycles must be positive")
-    labels = (CELL_LOST, CELL_F1, CELL_F2)
-    cells = _map_rows(
-        n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, (0.0,) * n_cycles, None, labels
+    _, called, present = _map_rows(
+        n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, (0.0,) * n_cycles, None
     )
-    rows = [tuple(cells[a * n_cycles:(a + 1) * n_cycles]) for a in range(n_atoms)]
-    order = sorted(
-        range(n_atoms),
-        key=lambda a: (-(rows[a].index(CELL_LOST) if CELL_LOST in rows[a] else n_cycles), a),
-    )
-    matrix = SurvivalMatrix(tuple(rows[a] for a in order))
-    lengths = np.asarray(matrix.survival_lengths())
+    cells = _cell_codes(called, present)
+    order = np.argsort(-SurvivalMatrix(cells).survival_lengths(), kind="stable")
+    matrix = SurvivalMatrix(cells[order])
+    lengths = matrix.survival_lengths()
     fraction = tuple(float(np.mean(lengths >= k)) for k in range(n_cycles + 1))
     ks = np.arange(n_cycles + 1, dtype=float)
     ys = np.asarray(fraction)
@@ -431,24 +452,20 @@ def transfer_probability(duration: float, rabi: RabiConfig) -> float:
 
 
 def microwave_pulse(
-    atom: AtomState, duration: float, rabi: RabiConfig, rng: np.random.Generator
-) -> AtomState:
-    """Apply one microwave pulse; only an atom in mF=0 responds."""
-    if not atom.present:
-        raise ValueError("cannot drive an absent atom")
-    if atom.hyperfine != F1:
+    atoms: Atoms, duration: float, rabi: RabiConfig, rng: np.random.Generator
+) -> None:
+    """Drive F1 atoms with one microwave pulse; only the atoms in mF=0 respond."""
+    atoms.require_present("drive")
+    if atoms.bright.any():
         raise ValueError("the drive starts from F1")
-    if atom.zeeman_mF != 0:
-        return atom
-    if rng.random() < transfer_probability(duration, rabi):
-        return replace(atom, hyperfine=F2)
-    return atom
+    flips = rng.random(np.count_nonzero(atoms.in_mf0)) < transfer_probability(duration, rabi)
+    atoms.bright[atoms.in_mf0] = flips
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RabiResult:
     pulse_lengths: tuple[float, ...]
-    outcomes: tuple[tuple[int | None, ...], ...]   # 1 = classified F2; None = not measured
+    outcomes: np.ndarray          # (atoms, points) codes into CELLS; lost = not measured
     n_measured: tuple[int, ...]
     f2_fraction: tuple[float, ...]
     curve_fit: FitResult | None   # None when too few points were measured to fit
@@ -472,29 +489,24 @@ def experiment_rabi(
         raise ValueError("n_atoms must be positive")
     if len(rabi.pulse_lengths) < 2:
         raise ValueError("need at least 2 pulse lengths")
-    n_points = len(rabi.pulse_lengths)
-    # a cycle whose presence check fails keeps no point
-    cells = _map_rows(
-        n_atoms, workers, master_seed, (EXP_RABI,), cfg, F1, rabi.pulse_lengths, rabi, (None, 0, 1)
+    _, called, present = _map_rows(
+        n_atoms, workers, master_seed, (EXP_RABI,), cfg, F1, rabi.pulse_lengths, rabi
     )
-    rows = [tuple(cells[a * n_points:(a + 1) * n_points]) for a in range(n_atoms)]
-    n_measured = []
-    fraction = []
-    for i in range(n_points):
-        vals = [row[i] for row in rows if row[i] is not None]
-        n_measured.append(len(vals))
-        fraction.append(sum(vals) / len(vals) if vals else float("nan"))
+    # a cycle whose presence check fails keeps no point
+    outcomes = _cell_codes(called, present)
+    measured = np.count_nonzero(outcomes, axis=0)
+    bright = np.count_nonzero(outcomes == 2, axis=0)
+    fraction = np.divide(bright, measured, out=np.full(measured.size, np.nan), where=measured > 0)
     times = np.asarray(rabi.pulse_lengths)
-    fracs = np.asarray(fraction)
-    mask = np.asarray(n_measured) > 0
+    mask = measured > 0
     try:
-        fit = fit_damped_sinusoid(times[mask], fracs[mask])
+        fit = fit_damped_sinusoid(times[mask], fraction[mask])
     except ValueError:
         fit = None
     return RabiResult(
         tuple(rabi.pulse_lengths),
-        tuple(rows),
-        tuple(n_measured),
-        tuple(fraction),
+        outcomes,
+        tuple(measured.tolist()),
+        tuple(fraction.tolist()),
         fit,
     )

@@ -41,18 +41,15 @@ class Histogram:
         return self.frequencies[count] / self.total
 
 
-def build_histogram(counts: Sequence[int]) -> Histogram:
+def build_histogram(counts: Sequence[int] | np.ndarray) -> Histogram:
     """Histogram of detected counts with unit bins from 0 to max(counts)."""
-    values = [int(c) for c in counts]
-    if any(c < 0 for c in values):
-        raise ValueError("counts must be nonnegative")
-    if not values:
+    values = np.asarray(counts, dtype=np.int64)
+    if not values.size:
         return Histogram((0,), (), 0)
-    top = max(values)
-    freq = [0] * (top + 1)
-    for c in values:
-        freq[c] += 1
-    return Histogram(tuple(range(top + 2)), tuple(freq), len(values))
+    if values.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    freq = np.bincount(values)
+    return Histogram(tuple(range(freq.size + 1)), tuple(freq.tolist()), values.size)
 
 
 def binomial_interval(

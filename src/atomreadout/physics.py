@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 F1 = "F1"
 F2 = "F2"
-
-ZEEMAN_RANGE = {F1: (-1, 1), F2: (-2, 2)}
 
 
 @dataclass(frozen=True)
@@ -67,29 +67,37 @@ class ProbeConfig:
             raise ValueError("background_mean_per_window must be nonnegative")
 
 
-@dataclass(frozen=True)
-class AtomState:
-    """The simulated particle: hyperfine/Zeeman label, motional energy, presence.
+@dataclass
+class Atoms:
+    """A block of simulated atoms, one array entry per atom.
 
-    ``motional_energy`` is accumulated energy above the cooled baseline, in
-    kelvin.
+    ``bright`` marks the atoms in F=2. ``in_mf0`` marks the clock sublevel
+    mF=0 of an F=1 atom, the one Zeeman sublevel anything reads (the microwave
+    drive); no other sublevel is tracked. ``energy`` is the motional energy in
+    kelvin and ``present`` is False once the atom is lost. The functions that
+    step atoms (the microwave pulse, heating, the loss check, cooling) update
+    these arrays in place.
     """
 
-    hyperfine: str = F1
-    zeeman_mF: int = 0
-    motional_energy: float = 0.0
-    present: bool = True
+    bright: np.ndarray
+    in_mf0: np.ndarray
+    energy: np.ndarray
+    present: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.hyperfine not in ZEEMAN_RANGE:
-            raise ValueError(f"unknown hyperfine label {self.hyperfine!r}")
-        lo, hi = ZEEMAN_RANGE[self.hyperfine]
-        if not lo <= self.zeeman_mF <= hi:
-            raise ValueError(
-                f"zeeman_mF={self.zeeman_mF} outside [{lo}, {hi}] for {self.hyperfine}"
-            )
-        if self.motional_energy < 0:
-            raise ValueError("motional_energy must be nonnegative")
+        if np.any(self.energy < 0):
+            raise ValueError("motional energy must be nonnegative")
+
+    def __len__(self) -> int:
+        return self.energy.size
+
+    def take(self, keep: np.ndarray) -> "Atoms":
+        """The atoms selected by the boolean mask ``keep``, as a new block."""
+        return Atoms(self.bright[keep], self.in_mf0[keep], self.energy[keep], self.present[keep])
+
+    def require_present(self, action: str) -> None:
+        if not self.present.all():
+            raise ValueError(f"cannot {action} an absent atom")
 
 
 def misdetection_probability(mean_detected: float) -> float:

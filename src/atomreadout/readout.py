@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .detection import poisson_tail_at_least
 from .physics import RB87_D2, SpeciesConstants, depump_suppression
 
@@ -46,11 +48,13 @@ class ReadoutPolicy:
 
 @dataclass(frozen=True)
 class ReadoutOutcome:
-    classified: str
-    detected_counts: int
-    elapsed: float
-    scatters: int
-    depumped_during_probe: bool
+    """Probe results for a block of atoms, one array entry per atom."""
+
+    called_bright: np.ndarray     # classified F2
+    detected_counts: np.ndarray
+    elapsed: np.ndarray           # probe-on time, s
+    scatters: np.ndarray          # scattering events while bright, the depumping one included
+    depumped: np.ndarray          # fell dark during the probe
 
 
 def analytic_f1_error(policy: ReadoutPolicy, background_mean: float) -> float:

@@ -3,7 +3,8 @@
 Result and summary files are byte-identical for identical (config, seed),
 independent of worker count; the manifest additionally records wall time and
 the CPU-capped worker count, and is therefore the one output not covered by
-the byte-identity contract.
+the byte-identity contract. Tables are held as columns up to the write, and
+each column is formatted as a whole.
 """
 
 from __future__ import annotations
@@ -14,9 +15,12 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig
 from .experiments import (
-    CELL_LOST,
+    CELL_F2,
+    CELLS,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
@@ -37,10 +41,12 @@ from .readout import analytic_f1_error, analytic_f2_error, implied_effective_det
 from .seeding import GENERATOR_NAME
 
 ARTIFACT_NAME = "atomreadout"
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 Row = tuple
-Table = tuple[tuple[str, ...], list[Row]]
+Column = np.ndarray | list
+Table = tuple[tuple[str, ...], tuple[Column, ...]]   # header, one column per name
+WRITE_CHUNK = 1024   # table rows formatted at a time
 
 
 @dataclass(frozen=True)
@@ -78,14 +84,56 @@ def _dump_json(payload: object, indent: int | None) -> str:
     return text + "\n"
 
 
+def _json_cell(value: object) -> str:
+    if isinstance(value, float):  # json.dumps writes a finite float as its repr
+        return repr(value) if math.isfinite(value) else "null"  # strict JSON has no nan
+    return json.dumps(value)
+
+
+def _cells(column: Column, fmt: str) -> list[str]:
+    """Every cell of one column as CSV or JSON text."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == bool:
+            return np.where(column, "true", "false").tolist()
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+        column = column.tolist()
+        if column and isinstance(column[0], str):  # a label column
+            if fmt == "csv":
+                return column
+            labels = {label: json.dumps(label) for label in set(column)}
+            return [labels[v] for v in column]
+    cell = _format_cell if fmt == "csv" else _json_cell
+    return [cell(v) for v in column]
+
+
 def _write_table(path: Path, table: Table, fmt: str) -> None:
-    header, rows = table
-    if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        path.write_text(_dump_json([dict(zip(header, row)) for row in rows], None))
+    """Write a table as CSV, or as a compact JSON list of objects with sorted keys.
+
+    Rows are formatted ``WRITE_CHUNK`` at a time, which bounds the text held in memory.
+    """
+    header, columns = table
+    n_rows = len(columns[0]) if columns else 0
+    with path.open("w") as out:
+        if fmt == "csv":
+            out.write(",".join(header) + "\n")
+            for lo in range(0, n_rows, WRITE_CHUNK):
+                texts = [_cells(column[lo:lo + WRITE_CHUNK], fmt) for column in columns]
+                out.write("\n".join(map(",".join, zip(*texts))) + "\n")
+            return
+        order = sorted(range(len(header)), key=header.__getitem__)
+        keys = (json.dumps(header[i]).replace("%", "%%") for i in order)
+        row = "{" + ", ".join(key + ": %s" for key in keys) + "}"
+        out.write("[")
+        for lo in range(0, n_rows, WRITE_CHUNK):
+            texts = [_cells(columns[i][lo:lo + WRITE_CHUNK], fmt) for i in order]
+            out.write((", " if lo else "") + ", ".join(row % cells for cells in zip(*texts)))
+        out.write("]\n")
+
+
+def _from_rows(header: tuple[str, ...], rows: list[Row]) -> Table:
+    """A small table given row by row."""
+    return header, tuple(map(list, zip(*rows)))
 
 
 def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
@@ -142,7 +190,7 @@ def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
         ]
     header = ("quantity", "value", "note")
     summary = {name: value for name, value, _ in rows}
-    return {"": (header, rows)}, summary
+    return {"": _from_rows(header, rows)}, summary
 
 
 def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
@@ -155,23 +203,26 @@ def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
         loss_f2=float(config["loss.f2_per_cycle"]),
         workers=config.workers,
     )
+    sides = (result.f1, result.f2)
     records = (
         ("trial", "prepared_state", "counts", "classified", "lost"),
-        [
-            (r.trial_index, r.true_state_at_probe, r.detected_counts, r.classified,
-             not r.atom_present_after)
-            for r in result.records
-        ],
+        (
+            np.concatenate([np.arange(side.trials) for side in sides]),
+            np.repeat([side.prepared for side in sides], [side.trials for side in sides]),
+            np.concatenate([side.counts for side in sides]),
+            np.where(np.concatenate([side.called_bright for side in sides]), F2, F1),
+            np.concatenate([side.lost for side in sides]),
+        ),
     )
     hist_rows: list[Row] = []
-    for side in (result.f1, result.f2):
+    for side in sides:
         for count, freq in enumerate(side.histogram.frequencies):
             hist_rows.append((side.prepared, count, freq))
-    histogram = (("prepared_state", "counts", "frequency"), hist_rows)
+    histogram = _from_rows(("prepared_state", "counts", "frequency"), hist_rows)
 
     policy = config.policy()
     summary: dict[str, object] = {}
-    for side in (result.f1, result.f2):
+    for side in sides:
         tag = side.prepared.lower()
         summary[f"{tag}_trials"] = side.trials
         summary[f"{tag}_errors"] = side.errors
@@ -189,7 +240,7 @@ def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
         float(config["readout.depump_hazard"]),
         policy.threshold_counts,
     )
-    summary_table = (("quantity", "value"), [(k, v) for k, v in summary.items()])
+    summary_table = _from_rows(("quantity", "value"), list(summary.items()))
     return {"": records, "_histogram": histogram, "_summary": summary_table}, summary
 
 
@@ -201,26 +252,23 @@ def _build_survival(config: RunConfig) -> tuple[dict[str, Table], dict]:
         config.master_seed,
         workers=config.workers,
     )
+    cells = result.matrix.cells
+    atoms, cycles = cells.shape
     records = (
         ("atom", "cycle", "cell"),
-        [
-            (a, c, cell)
-            for a, row in enumerate(result.matrix.rows)
-            for c, cell in enumerate(row)
-        ],
+        (
+            np.repeat(np.arange(atoms), cycles),
+            np.tile(np.arange(cycles), atoms),
+            np.asarray(CELLS)[cells.ravel()],
+        ),
     )
-    curve = (
-        ("cycle", "fraction_alive"),
-        [(k, frac) for k, frac in enumerate(result.fraction_alive)],
-    )
+    curve = _from_rows(("cycle", "fraction_alive"), list(enumerate(result.fraction_alive)))
     fit = result.lifetime_fit
     summary: dict[str, object] = {
-        "atoms": len(result.matrix.rows),
-        "cycles": len(result.matrix.rows[0]),
+        "atoms": atoms,
+        "cycles": cycles,
         "survivor_fraction_final": result.fraction_alive[-1],
-        "full_length_rows": sum(
-            1 for row in result.matrix.rows if CELL_LOST not in row
-        ),
+        "full_length_rows": int(np.count_nonzero(cells[:, -1])),
     }
     if fit is None:
         summary["lifetime_fit_degenerate"] = True
@@ -230,7 +278,7 @@ def _build_survival(config: RunConfig) -> tuple[dict[str, Table], dict]:
         summary["lifetime_variance"] = fit.covariance_diag["lifetime"]
         summary["fit_converged"] = fit.converged
         summary["fit_residual_norm"] = fit.residual_norm
-    summary_table = (("quantity", "value"), [(k, v) for k, v in summary.items()])
+    summary_table = _from_rows(("quantity", "value"), list(summary.items()))
     return {"": records, "_curve": curve, "_summary": summary_table}, summary
 
 
@@ -242,14 +290,18 @@ def _build_rabi(config: RunConfig) -> tuple[dict[str, Table], dict]:
         config.master_seed,
         workers=config.workers,
     )
-    record_rows: list[Row] = []
-    for a, row in enumerate(result.outcomes):
-        for i, outcome in enumerate(row):
-            if outcome is None:
-                continue
-            record_rows.append((a, i, result.pulse_lengths[i], F2 if outcome else F1))
-    records = (("atom", "point", "pulse_length", "outcome"), record_rows)
-    curve = (
+    measured = result.outcomes > 0
+    atom, point = np.nonzero(measured)
+    records = (
+        ("atom", "point", "pulse_length", "outcome"),
+        (
+            atom,
+            point,
+            np.asarray(result.pulse_lengths)[point],
+            np.where(result.outcomes[measured] == CELLS.index(CELL_F2), F2, F1),
+        ),
+    )
+    curve = _from_rows(
         ("point", "pulse_length", "n_measured", "f2_fraction"),
         [
             (i, result.pulse_lengths[i], result.n_measured[i], result.f2_fraction[i])
@@ -278,7 +330,7 @@ def _build_rabi(config: RunConfig) -> tuple[dict[str, Table], dict]:
             policy, config.probe().background_mean_per_window
         ),
     }
-    summary_table = (("quantity", "value"), [(k, v) for k, v in summary.items()])
+    summary_table = _from_rows(("quantity", "value"), list(summary.items()))
     return {"": records, "_curve": curve, "_summary": summary_table}, summary
 
 

@@ -1,8 +1,10 @@
 """Deterministic derivation of independent random substreams.
 
-Every trial, atom, and cycle gets its own generator derived from the master
-seed and an integer index path, so results are identical no matter how the
-work is ordered or parallelized.
+Each block of atoms gets its own generator, derived from the master seed and
+an integer index path: ``(experiment, state, block)`` for a block of
+histogram trials, ``(experiment, block, cycle)`` for one cycle of a block of
+survival or Rabi rows. Blocks have a fixed size, so results are identical no
+matter how the blocks are ordered or spread over processes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ from typing import Sequence
 
 import numpy as np
 
-GENERATOR_NAME = "numpy.random.PCG64 seeded via SeedSequence(master_seed, spawn_key=path)"
+BLOCK = 4096   # atoms per substream; fixed, so that no result depends on the worker count
+
+GENERATOR_NAME = (
+    "numpy.random.PCG64 seeded via SeedSequence(master_seed, spawn_key=path), "
+    f"one path per block of {BLOCK} atoms"
+)
 
 
 def derive_substream(master_seed: int, indices: Sequence[int]) -> np.random.Generator:

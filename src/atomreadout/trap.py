@@ -3,16 +3,17 @@
 Heating is deterministic mean-energy accounting (two recoil temperatures per
 scattering event); loss is a hard threshold on accumulated energy versus trap
 depth plus an independent per-cycle background Bernoulli that stands in for
-collisions and everything else non-thermal. All energies in kelvin.
+collisions and everything else non-thermal. Each step acts on a block of atoms
+in place. All energies in kelvin.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .physics import AtomState, RB87_D2, SpeciesConstants, heating_for_scatters
+from .physics import RB87_D2, Atoms, SpeciesConstants, heating_per_scatter
 
 
 @dataclass(frozen=True)
@@ -28,39 +29,28 @@ class TrapConfig:
 
 
 def apply_heating(
-    atom: AtomState, scatters: int, constants: SpeciesConstants = RB87_D2
-) -> AtomState:
-    """Add the deterministic recoil energy of ``scatters`` scattering events."""
-    if not atom.present:
-        raise ValueError("cannot heat an absent atom")
-    if scatters < 0:
-        raise ValueError("scatters must be nonnegative")
-    if scatters == 0:
-        return atom
-    return replace(
-        atom, motional_energy=atom.motional_energy + heating_for_scatters(scatters, constants)
-    )
+    atoms: Atoms, scatters: np.ndarray, constants: SpeciesConstants = RB87_D2
+) -> None:
+    """Add the deterministic recoil energy of each atom's ``scatters`` scattering events."""
+    atoms.require_present("heat")
+    atoms.energy += scatters * heating_per_scatter(constants)
 
 
 def check_loss(
-    atom: AtomState, trap: TrapConfig, background_loss: float, rng: np.random.Generator
-) -> AtomState:
-    """Mark the atom absent when its energy reaches the depth, or on a background-loss draw."""
-    if not atom.present:
-        raise ValueError("cannot re-check a lost atom")
-    if atom.motional_energy >= trap.depth:
-        return replace(atom, present=False)
+    atoms: Atoms, trap: TrapConfig, background_loss: float, rng: np.random.Generator
+) -> None:
+    """Mark atoms absent whose energy reaches the depth, or on a background-loss draw."""
+    atoms.require_present("re-check")
+    lost = atoms.energy >= trap.depth
     if background_loss > 0.0:
-        if rng.random() < background_loss:
-            return replace(atom, present=False)
-    return atom
+        lost |= rng.random(len(atoms)) < background_loss
+    atoms.present &= ~lost
 
 
-def cool(atom: AtomState, reset: bool, trap: TrapConfig) -> AtomState:
-    """Cooling pulse: restores the baseline motional energy when ``reset`` is set."""
-    if not atom.present:
-        raise ValueError("cannot cool an absent atom")
-    if not reset:
-        return atom
-    return replace(atom, motional_energy=trap.baseline_energy)
+def cool(atoms: Atoms, reset: bool, trap: TrapConfig) -> None:
+    """Cooling pulse: restores the baseline motional energy when ``reset`` is set.
 
+    Lost atoms are cooled too; no later step reads them.
+    """
+    if reset:
+        atoms.energy.fill(trap.baseline_energy)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -9,7 +10,6 @@ import numpy as np
 from scipy import stats
 
 from atomreadout.experiments import CycleConfig
-from atomreadout.physics import F1, F2
 from atomreadout.readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy
 
 
@@ -94,10 +94,11 @@ def two_sample_chisquare_pvalue(a, b, min_pooled: int = 10) -> float:
 # ---------------------------------------------------------------------------
 # event-level probe oracle
 #
-# The production kernel (experiments._simulate_probe) samples the probe through
-# the Poisson marking decomposition. This oracle instead draws every scattering
-# event, marks each one detected, depumped or silent, merges in the background
-# counts, and applies the stop rule to the merged stream.
+# The production kernel (experiments._simulate_probe) samples a block of probes
+# through the time change of the detection process. This oracle instead draws
+# every scattering event of one probe, marks each one detected, depumped or
+# silent, merges in the background counts, and applies the stop rule to the
+# merged stream. Its ReadoutOutcome holds scalars, one probe's values.
 # ---------------------------------------------------------------------------
 
 
@@ -140,8 +141,7 @@ def stop_rule(
         counts = threshold
         elapsed = float(detection_times[threshold - 1])
     scatters = int(np.count_nonzero(scatter_times <= elapsed))
-    classified = F2 if counts >= threshold else F1
-    return ReadoutOutcome(classified, counts, elapsed, scatters, depump_time <= elapsed)
+    return ReadoutOutcome(counts >= threshold, counts, elapsed, scatters, depump_time <= elapsed)
 
 
 def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutOutcome:
@@ -165,3 +165,14 @@ def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> Read
 def binomial_3se(p: float, n: int) -> float:
     """Three binomial standard errors of a proportion estimate."""
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def same_result(a, b) -> bool:
+    """Field-by-field equality of two results; arrays compare element by element."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_result(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b

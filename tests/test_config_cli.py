@@ -1,18 +1,22 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from atomreadout import experiments, runner
 from atomreadout.cli import build_parser, load_config, main
 from atomreadout.config import (
     ConfigError,
     DEFAULT_DEPUMP_HAZARD,
     SCHEMA,
+    RunConfig,
     config_reference,
     default_config,
     parse_config,
@@ -20,41 +24,41 @@ from atomreadout.config import (
     validate_value,
 )
 from atomreadout.physics import depump_suppression
-from atomreadout.runner import run
+from atomreadout.runner import _write_table, run
 
 # config updates -> SHA-256 of each result table, keyed by file suffix
 PINNED_TABLES = {
     "histogram": (
         {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000},
         {
-            ".csv": "cee6f76e0ee28e7e6141a1cc9d7423abc30d1665ab560ed99f5fd97a2ef89c8a",
-            "_histogram.csv": "65c404471eca275a652c2fbcf12673538c1b12248d05685ecfc663ce19bbf4cc",
-            "_summary.csv": "21e13f22a736909550dd53528e09fa662342e22f42d08f89ea97863e4a577517",
+            ".csv": "57dd0297ddb80621daffc4cefa33cdff49754615b6ea0f788cfffb5462be6cba",
+            "_histogram.csv": "d9feb5f98b06203313a95e1efea5bbc2272ef6ff5900926cfc161abf6dffab5b",
+            "_summary.csv": "96ef481fce2b1c7bdd0297b2174ad67cc1625b503b8d5a4da604c2ba7a72f38c",
         },
     ),
     "survival-one-cycle": (
         {"experiment": "survival", "survival.atoms": 200, "survival.cycles": 1},
         {
-            ".csv": "6a6efbfdf85f50df07353234d56fcdcddcf1ea281261be0122125d7b3baf628f",
-            "_curve.csv": "3172f4396b4c138d077f20bc9f0d5336086110d7a1ef68b4cd9f6a1bffb34f72",
-            "_summary.csv": "b3d36f6e009c1a1c90e6b2891481a188181dbcff15469b48e39df805b77249d0",
+            ".csv": "c8ebb182d0f353b91df01f2696e66b53e434488074236bc71876fb6da432252d",
+            "_curve.csv": "b3f3963872775e618da27f297689d2fe236ac7a7e14ec5ba7abdea8fccc11ecb",
+            "_summary.csv": "7ee264798f5155340a1f14959cf774f4e214c0bd4a2eb767e331643634766449",
         },
     ),
     "survival-lossy": (
         {"experiment": "survival", "survival.atoms": 30, "survival.cycles": 60,
          "loss.background_per_cycle": 0.05},
         {
-            ".csv": "2567aa2944ecd970e3a682c5f86a387106167ed091c9392c84fdde4c4eb7d2aa",
-            "_curve.csv": "78615e46997e0adbd37182f35e794981c9e28b507a691634434355350d49d6e3",
-            "_summary.csv": "beafe2de4aeaa4ca22a96f8bd538f9289a522996faa534b56465355a6c47f985",
+            ".csv": "d10a98c693492554c9d043d87d9b44431aa46f01f6eb18b5f81b82ba8dcab4f7",
+            "_curve.csv": "5c7fb4eb361ef0558540c7951e686e28cc1e4eece3b75e644b98fd66ffbb190a",
+            "_summary.csv": "a38aae9b596045e5671b1a1dfd4054d6564fe8fbbdc18b62eab4a4cfe77a82af",
         },
     ),
     "rabi-lossy": (
         {"experiment": "rabi", "rabi.atoms": 20, "loss.background_per_cycle": 0.05},
         {
-            ".csv": "6372cf6f99e95895661f620e0e876669fff190916921542fd47326b802d52aa3",
-            "_curve.csv": "ea527248c0497836326f6272b407a7b8e02a3a3eb3e0128a243d1fdab6fbf94b",
-            "_summary.csv": "590ba16054011120bdf202860abdbe95986e7b2f763931ee65a033cf7ce35392",
+            ".csv": "219166dec861950afb52e735a4c2399773bdca9430b7a6e9830f675301f71f3b",
+            "_curve.csv": "2bbf369a5869f22fce38f9e8b44dd8172c474f655e17d4eaccc914fdd4ad0dde",
+            "_summary.csv": "758c13fcc6ece9e2e7958445b2f5dae5ca5e35c88800a376bd47c1cd93bb3f40",
         },
     ),
 }
@@ -238,7 +242,85 @@ class TestCliOverrides:
         assert not (tmp_path / "b.csv").exists()
 
 
+def json_safe(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_safe(v) for v in value]
+    return value
+
+
+def row_writer(path, header, rows, fmt):
+    """The row-by-row table writer that the column writer replaced, kept as its oracle."""
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(cell(v) for v in row) for row in rows)
+        path.write_text("\n".join(lines) + "\n")
+        return
+    payload = [dict(zip(header, row)) for row in rows]
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(json_safe(payload), sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
+
+
 class TestRunnerOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_rows", [0, 5])
+    @pytest.mark.parametrize("chunk", [2, runner.WRITE_CHUNK])
+    def test_column_writer_matches_row_writer(self, fmt, n_rows, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "WRITE_CHUNK", chunk)
+        header = ("trial", "lost", "label", "pulse", "value", "note")
+        columns = (
+            np.arange(5),
+            np.array([True, False, False, True, False]),
+            np.array(["F1", "F2", "F2", "lost", "F1"]),
+            np.array([1e-05, 0.1, 0.0, 3.0e-3, math.nan]),
+            [1, 0.1, True, "x", math.inf],
+            ['say "hi"', "\u00b5s", "", "a b", "F1-detected"],
+        )
+        columns = tuple(c[:n_rows] for c in columns)
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+        _write_table(tmp_path / "columns", (header, columns), fmt)
+        row_writer(tmp_path / "rows", header, rows, fmt)
+        assert (tmp_path / "columns").read_bytes() == (tmp_path / "rows").read_bytes()
+
+    def test_multi_block_tables_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        # several blocks of rows per run, so that an error in splitting them
+        # between pool workers shows in the tables
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        block = experiments.BLOCK
+        cases = {
+            "histogram": {"histogram.trials_f1": 2 * block + 17,
+                          "histogram.trials_f2": 2 * block + 17},
+            "survival": {"survival.atoms": block + 5, "survival.cycles": 3},
+            "rabi": {"rabi.atoms": block + 5, "rabi.points": 8},
+        }
+        records = {"histogram": 4 * block + 34, "survival": 3 * (block + 5)}
+        for experiment, sizes in cases.items():
+            tables = []
+            for workers in (1, 2):
+                config = default_config().with_updates({
+                    **sizes, "experiment": experiment, "workers": workers,
+                    "output.path": str(tmp_path / f"{experiment}-{workers}" / "run"),
+                })
+                out = run(config)
+                tables.append({Path(p).name: Path(p).read_bytes() for p in out.result_files})
+            assert tables[0] == tables[1], experiment
+            if experiment in records:
+                assert tables[0]["run.csv"].count(b"\n") == 1 + records[experiment]
+
     def test_budget_is_seed_independent(self, tmp_path):
         for seed, name in ((1, "a"), (999, "b")):
             config = default_config().with_updates(
@@ -315,6 +397,20 @@ class TestRunnerOutput:
         assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
         assert set(manifest["result_files"]) == {p.split("/")[-1] for p in out.result_files}
 
+    def test_manifest_with_a_removed_key_is_rejected(self, tmp_path):
+        config = default_config().with_updates(
+            {"experiment": "budget", "output.path": str(tmp_path / "budget")}
+        )
+        values = json.loads(Path(run(config).manifest_file).read_text())["config"]
+        with pytest.raises(ConfigError, match="detector.dark_rate"):
+            RunConfig({**values, "detector.dark_rate": 5.0})
+        with pytest.raises(ConfigError, match="detector.dark_rate"):
+            RunConfig(values).with_updates({"detector.dark_rate": 5.0})
+        with pytest.raises(ConfigError, match="trap.depth"):
+            RunConfig({k: v for k, v in values.items() if k != "trap.depth"})
+        with pytest.raises(ConfigError, match="detector.efficiency"):
+            RunConfig({**values, "detector.efficiency": 2.0})
+
     def test_json_format(self, tmp_path):
         config = default_config().with_updates(
             {
@@ -373,9 +469,9 @@ class TestRunnerOutput:
 
     @pytest.mark.parametrize("case", sorted(PINNED_TABLES))
     def test_stream_layout_is_pinned(self, case, tmp_path):
-        # Digests of the tables as the (1, state, trial) / (2, atom, cycle) /
-        # (3, atom, point) substream layout realises them. A change that means
-        # to alter the realised samples updates these and says so.
+        # Digests of the tables as the block kernel and its (1, state, block) /
+        # (2, block, cycle) / (3, block, cycle) substream layout realise them. A
+        # change that means to alter the realised samples updates these and says so.
         updates, digests = PINNED_TABLES[case]
         config = default_config().with_updates(
             {**updates, "seed": 1, "workers": 1, "output.format": "csv",

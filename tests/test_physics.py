@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from atomreadout.physics import (
     RB87_D2,
-    AtomState,
+    Atoms,
     ProbeConfig,
     SpeciesConstants,
     depump_hazard_per_scatter,
@@ -163,15 +164,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ProbeConfig(scatter_rate=0.0, background_mean_per_window=0.3)
 
-    def test_atom_state_zeeman_range(self):
-        AtomState(hyperfine="F2", zeeman_mF=2)
-        with pytest.raises(ValueError):
-            AtomState(hyperfine="F1", zeeman_mF=2)
-
     def test_atom_state_negative_energy_rejected(self):
         with pytest.raises(ValueError):
-            AtomState(motional_energy=-1e-9)
-
-    def test_atom_state_unknown_level_rejected(self):
-        with pytest.raises(ValueError):
-            AtomState(hyperfine="F3")
+            Atoms(np.ones(2, bool), np.zeros(2, bool), np.array([0.0, -1e-9]), np.ones(2, bool))

@@ -1,11 +1,12 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomreadout.experiments import _resolve_stop, _simulate_probe
-from atomreadout.physics import F1, F2, depump_hazard_per_scatter, depump_suppression
+from atomreadout.experiments import _simulate_probe
+from atomreadout.physics import depump_hazard_per_scatter, depump_suppression
 from atomreadout.readout import (
     ADAPTIVE_STOP,
     FIXED_WINDOW,
@@ -42,28 +43,34 @@ def counts_at(*times):
     return np.asarray(times, dtype=float)
 
 
+def resolve(detections, policy):
+    """The oracle's stop rule on given detection times of an atom that never depumps."""
+    outcome = stop_rule(counts_at(), detections, math.inf, policy)
+    return outcome.called_bright, outcome.detected_counts, outcome.elapsed
+
+
 class TestClassifyFixed:
     def test_zero_counts_is_dark(self):
-        assert _resolve_stop(counts_at(), FIXED) == (F1, 0, FIXED.max_duration)
+        assert resolve(counts_at(), FIXED) == (False, 0, FIXED.max_duration)
 
     def test_boundary_inclusive(self):
-        assert _resolve_stop(counts_at(10e-6, 250e-6), FIXED)[0] == F2
+        assert resolve(counts_at(10e-6, 250e-6), FIXED)[0]
 
     def test_typical_bright_signal(self):
-        classified, counts, elapsed = _resolve_stop(np.linspace(1e-6, 290e-6, 21), FIXED)
-        assert (classified, counts, elapsed) == (F2, 21, FIXED.max_duration)
+        called, counts, elapsed = resolve(np.linspace(1e-6, 290e-6, 21), FIXED)
+        assert (called, counts, elapsed) == (True, 21, FIXED.max_duration)
 
 
 class TestRunAdaptive:
     def test_empty_source(self):
-        classified, counts, elapsed = _resolve_stop(counts_at(), ADAPTIVE)
-        assert classified == F1
+        called, counts, elapsed = resolve(counts_at(), ADAPTIVE)
+        assert not called
         assert counts == 0
         assert elapsed == ADAPTIVE.max_duration
 
     def test_stops_at_second_count(self):
-        classified, counts, elapsed = _resolve_stop(counts_at(10e-6, 40e-6, 200e-6), ADAPTIVE)
-        assert classified == F2
+        called, counts, elapsed = resolve(counts_at(10e-6, 40e-6, 200e-6), ADAPTIVE)
+        assert called
         assert counts == 2
         assert elapsed == pytest.approx(40e-6)
 
@@ -73,8 +80,8 @@ class TestRunAdaptive:
             counts_at(5e-6, 8e-6), counts_at(20e-6), 8e-6, ReadoutPolicy(ADAPTIVE_STOP, 1, 300e-6)
         )
         assert outcome.scatters == 2
-        assert outcome.depumped_during_probe
-        assert outcome.classified == F2
+        assert outcome.depumped
+        assert outcome.called_bright
         assert outcome.elapsed == 20e-6
 
     def test_mean_stop_time_is_second_arrival(self, ref_cfg):
@@ -83,36 +90,34 @@ class TestRunAdaptive:
             ref_cfg, depump_hazard=0.0, probe=replace(ref_cfg.probe, background_mean_per_window=0.0)
         )
         assert cfg.probe.scatter_rate * cfg.net_efficiency == pytest.approx(70_000.0)
-        rng = np.random.default_rng(7)
         trials = 100_000
-        elapsed = np.empty(trials)
-        for i in range(trials):
-            elapsed[i] = _simulate_probe(True, cfg, rng).elapsed
+        rng = np.random.default_rng(7)
+        elapsed = _simulate_probe(np.ones(trials, dtype=bool), cfg, rng).elapsed
         assert abs(elapsed.mean() - 2.0 / 70_000.0) / (2.0 / 70_000.0) < 0.05
 
     def test_agrees_with_fixed_window_when_threshold_reached(self, ref_cfg):
         # the adaptive rule can stop early but never change the decision: both
-        # policies see the same seeded draws, so the same detections
+        # policies see the same seeded draws, so the same first detections
         rng = np.random.default_rng(13)
         eta = ref_cfg.net_efficiency
-        for _ in range(10_000):
+        bright = np.ones(50, dtype=bool)
+        for _ in range(200):
             probe = replace(ref_cfg.probe, scatter_rate=rng.uniform(1e3, 3e4) / eta)
             seed = int(rng.integers(2**63))
             adaptive = _simulate_probe(
-                True, replace(ref_cfg, probe=probe, policy=ADAPTIVE), np.random.default_rng(seed)
+                bright, replace(ref_cfg, probe=probe, policy=ADAPTIVE), np.random.default_rng(seed)
             )
             fixed = _simulate_probe(
-                True, replace(ref_cfg, probe=probe, policy=FIXED), np.random.default_rng(seed)
+                bright, replace(ref_cfg, probe=probe, policy=FIXED), np.random.default_rng(seed)
             )
-            assert adaptive.classified == fixed.classified
-            if fixed.detected_counts >= FIXED.threshold_counts:
-                assert adaptive.classified == F2
-                assert adaptive.detected_counts == ADAPTIVE.threshold_counts
-                assert adaptive.elapsed <= fixed.elapsed
-            else:
-                assert adaptive.classified == F1
-                assert adaptive.detected_counts == fixed.detected_counts
-                assert adaptive.elapsed == fixed.elapsed
+            reached = fixed.detected_counts >= FIXED.threshold_counts
+            assert np.array_equal(adaptive.called_bright, fixed.called_bright)
+            assert np.array_equal(adaptive.called_bright, reached)
+            assert np.all(adaptive.detected_counts[reached] == ADAPTIVE.threshold_counts)
+            assert np.all(adaptive.elapsed[reached] <= fixed.elapsed[reached])
+            missed = ~reached
+            assert np.array_equal(adaptive.detected_counts[missed], fixed.detected_counts[missed])
+            assert np.array_equal(adaptive.elapsed[missed], fixed.elapsed[missed])
 
 
 class TestAnalyticF1Error:
