@@ -56,7 +56,10 @@ def survival_result(ref_cfg):
 
 @pytest.fixture(scope="module")
 def rabi_result(ref_cfg):
-    return experiment_rabi(312, default_config().rabi_config(), ref_cfg, DEFAULT_SEED)
+    # ten times the paper's 312 atoms: there the fitted tau spreads about
+    # +-18% against the +-15% gate, so the criterion passed about half of all
+    # seeds whether or not the model was right; here it spreads about +-5%
+    return experiment_rabi(3120, default_config().rabi_config(), ref_cfg, DEFAULT_SEED)
 
 
 def test_criterion_1_feasibility_formulas():
