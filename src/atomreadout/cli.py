@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from .config import (
+    ROW_KEYS,
     ConfigError,
     RunConfig,
     config_reference,
@@ -70,16 +71,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     config = config.with_updates(overrides)
 
     if args.trials is not None:
-        experiment = config.experiment
-        if experiment == "histogram":
-            trials = {"histogram.trials_f1": args.trials, "histogram.trials_f2": args.trials}
-        elif experiment == "survival":
-            trials = {"survival.atoms": args.trials}
-        elif experiment == "rabi":
-            trials = {"rabi.atoms": args.trials}
-        else:
-            raise ConfigError(f"the {experiment} experiment takes no trial count", key="--trials")
-        config = config.with_updates(trials)
+        if config.experiment not in ROW_KEYS:
+            raise ConfigError(f"the {config.experiment} experiment takes no trial count",
+                              key="--trials")
+        config = config.with_updates(dict.fromkeys(ROW_KEYS[config.experiment], args.trials))
     return config
 
 

@@ -98,6 +98,13 @@ SCHEMA: dict[str, _Key] = {
                                   lo=0, lo_open=True),
 }
 
+# the keys that count each experiment's rows (trials or atoms); the budget runs none
+ROW_KEYS: dict[str, tuple[str, ...]] = {
+    "histogram": ("histogram.trials_f1", "histogram.trials_f2"),
+    "survival": ("survival.atoms",),
+    "rabi": ("rabi.atoms",),
+}
+
 
 def _check_range(key: str, spec: _Key, value: float, line: int | None) -> None:
     if spec.lo is not None:

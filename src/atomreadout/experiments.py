@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -241,9 +241,23 @@ def _run_rows(first: int, stop: int, n_rows: int, *args) -> tuple[np.ndarray, ..
     return _concat([_run_block(block, n_rows, *args) for block in range(first, stop)])
 
 
-def workers_used(requested: int) -> int:
-    """Processes a pool of ``requested`` workers runs: the request capped at the CPU count."""
-    return min(requested, os.cpu_count() or 1)
+def workers_used(requested: int, n_rows: int) -> int:
+    """Processes that run ``n_rows`` rows for ``requested`` workers.
+
+    The request is capped at the CPU count and at one process per block of
+    rows; at 1 the rows run in this process and no pool starts.
+    """
+    return max(1, min(requested, os.cpu_count() or 1, math.ceil(n_rows / BLOCK)))
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use, so a run that starts no pool skips it."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _map_rows(n_rows: int, workers: int, *args) -> tuple[np.ndarray, ...]:
@@ -251,12 +265,13 @@ def _map_rows(n_rows: int, workers: int, *args) -> tuple[np.ndarray, ...]:
 
     ``workers`` is capped by ``workers_used``; the rows do not depend on it.
     """
-    workers = workers_used(workers)
+    workers = workers_used(workers, n_rows)
     n_blocks = math.ceil(n_rows / BLOCK)
-    if workers <= 1:
+    if workers == 1:
         return _run_rows(0, n_blocks, n_rows, *args)
     size = math.ceil(n_blocks / (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    executor = sys.modules[__name__].ProcessPoolExecutor  # the module's, or a stand-in set on it
+    with executor(max_workers=workers) as pool:
         futures = [
             pool.submit(_run_rows, lo, min(lo + size, n_blocks), n_rows, *args)
             for lo in range(0, n_blocks, size)

@@ -2,9 +2,17 @@
 
 Result and summary files are byte-identical for identical (config, seed),
 independent of worker count; the manifest additionally records wall time and
-the CPU-capped worker count, and is therefore the one output not covered by
-the byte-identity contract. Tables are held as columns up to the write, and
-each column is formatted as a whole.
+the number of processes that ran, and is therefore the one output not covered by
+the byte-identity contract.
+
+Tables are held as columns up to the write, which turns each chunk of
+``WRITE_CHUNK`` rows into one byte matrix and one ``write``, with no Python
+call per row. Each column becomes a (rows, width) matrix of its cells' UTF-8
+text, NUL-padded on the right: integers by digit arithmetic, bools by a
+two-entry lookup, and any other array by formatting each distinct value once
+and gathering. The columns sit between constant separator columns (``,`` and
+``\\n`` for CSV; the sorted ``{"key": `` pieces for JSON), and one boolean
+compaction drops the padding, so a cell's text may not itself contain NUL.
 """
 
 from __future__ import annotations
@@ -13,11 +21,12 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ROW_KEYS, RunConfig
 from .experiments import (
     CELL_F2,
     CELLS,
@@ -46,7 +55,7 @@ ARTIFACT_VERSION = "0.2.0"
 Row = tuple
 Column = np.ndarray | list
 Table = tuple[tuple[str, ...], tuple[Column, ...]]   # header, one column per name
-WRITE_CHUNK = 1024   # table rows formatted at a time
+WRITE_CHUNK = 1024   # table rows formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -90,45 +99,83 @@ def _json_cell(value: object) -> str:
     return json.dumps(value)
 
 
-def _cells(column: Column, fmt: str) -> list[str]:
-    """Every cell of one column as CSV or JSON text."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == bool:
-            return np.where(column, "true", "false").tolist()
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
-        column = column.tolist()
-        if column and isinstance(column[0], str):  # a label column
-            if fmt == "csv":
-                return column
-            labels = {label: json.dumps(label) for label in set(column)}
-            return [labels[v] for v in column]
-    cell = _format_cell if fmt == "csv" else _json_cell
-    return [cell(v) for v in column]
+def _text(cells: list[str]) -> np.ndarray:
+    """The cells' UTF-8 text as a fixed-width bytes array, NUL-padded on the right."""
+    encoded = [cell.encode() for cell in cells]
+    if any(b"\0" in cell for cell in encoded):
+        raise ValueError("a table cell contains NUL, which the table writer cannot keep")
+    return np.array(encoded, dtype=bytes)
+
+
+def _digit_bytes(column: np.ndarray) -> np.ndarray:
+    """An integer column as a (rows, width) byte matrix of its decimal text, NUL-padded."""
+    negative = column < 0
+    magnitude = column.astype(np.uint64)
+    magnitude = np.where(negative, ~magnitude + np.uint64(1), magnitude)  # |x|, int64 min too
+    width = len(str(magnitude.max()))
+    digits = np.empty((width + 1, len(column)), np.uint8)  # one row per place, sign first
+    digits[0] = np.where(negative, ord("-"), 0)
+    ten = np.uint64(10)
+    for place in range(width, 0, -1):
+        quotient = magnitude // ten
+        digits[place] = magnitude - quotient * ten + ord("0")
+        if place < width:  # a leading zero is padding; the units digit always shows
+            digits[place] *= magnitude > 0
+        magnitude = quotient
+    return digits.T
+
+
+def _cell_bytes(column: Column, cell) -> np.ndarray:
+    """A column chunk as a (rows, width) byte matrix of its cells' text, NUL-padded.
+
+    Integers and bools are formatted by array arithmetic; any other array has
+    each distinct value formatted once by ``cell``, and a list every cell.
+    """
+    if not isinstance(column, np.ndarray):
+        text = _text([cell(v) for v in column])
+    elif column.dtype == bool:
+        text = np.where(column, b"true", b"false")
+    elif column.dtype.kind in "iu":
+        return _digit_bytes(column)
+    else:  # floats by their bits, so that -0.0 and 0.0 stay two values
+        key = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        text = _text([cell(v) for v in column[first].tolist()])[inverse]
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
 def _write_table(path: Path, table: Table, fmt: str) -> None:
     """Write a table as CSV, or as a compact JSON list of objects with sorted keys.
 
-    Rows are formatted ``WRITE_CHUNK`` at a time, which bounds the text held in memory.
+    Each ``WRITE_CHUNK`` rows become one byte matrix: the columns' cell bytes
+    between constant separator columns, NUL padding dropped, written at once.
     """
     header, columns = table
     n_rows = len(columns[0]) if columns else 0
-    with path.open("w") as out:
-        if fmt == "csv":
-            out.write(",".join(header) + "\n")
-            for lo in range(0, n_rows, WRITE_CHUNK):
-                texts = [_cells(column[lo:lo + WRITE_CHUNK], fmt) for column in columns]
-                out.write("\n".join(map(",".join, zip(*texts))) + "\n")
-            return
+    if fmt == "csv":
+        head, tail, skip, cell = ",".join(header) + "\n", "", 0, _format_cell
+        order = range(len(header))
+        seps = ["", *[","] * (len(header) - 1), "\n"]
+    else:  # every row starts ", {", less the first row's ", "
+        head, tail, skip, cell = "[", "]\n", 2, _json_cell
         order = sorted(range(len(header)), key=header.__getitem__)
-        keys = (json.dumps(header[i]).replace("%", "%%") for i in order)
-        row = "{" + ", ".join(key + ": %s" for key in keys) + "}"
-        out.write("[")
+        keys = [json.dumps(header[i]) + ": " for i in order]
+        seps = [(", " if j else ", {") + key for j, key in enumerate(keys)] + ["}"]
+    seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps]
+    with path.open("wb") as out:
+        out.write(head.encode())
         for lo in range(0, n_rows, WRITE_CHUNK):
-            texts = [_cells(columns[i][lo:lo + WRITE_CHUNK], fmt) for i in order]
-            out.write((", " if lo else "") + ", ".join(row % cells for cells in zip(*texts)))
-        out.write("]\n")
+            rows = min(WRITE_CHUNK, n_rows - lo)
+            parts = [seps[0]]
+            for i, sep in zip(order, seps[1:]):
+                parts += [_cell_bytes(columns[i][lo:lo + rows], cell), sep]
+            edges = [0, *accumulate(part.shape[-1] for part in parts)]
+            chunk = np.empty((rows, edges[-1]), np.uint8)
+            for part, start, stop in zip(parts, edges, edges[1:]):
+                chunk[:, start:stop] = part  # a separator broadcasts down the rows
+            chunk = chunk.ravel()
+            out.write(chunk[chunk != 0][0 if lo else skip:])
+        out.write(tail.encode())
 
 
 def _from_rows(header: tuple[str, ...], rows: list[Row]) -> Table:
@@ -291,7 +338,8 @@ def _build_rabi(config: RunConfig) -> tuple[dict[str, Table], dict]:
         workers=config.workers,
     )
     measured = result.outcomes > 0
-    atom, point = np.nonzero(measured)
+    # int32 halves the index columns, which the table holds through its write
+    atom, point = (index.astype(np.int32) for index in np.nonzero(measured))
     records = (
         ("atom", "point", "pulse_length", "outcome"),
         (
@@ -362,8 +410,11 @@ def run(config: RunConfig) -> RunOutput:
         "master_seed": config.master_seed,
         "generator": GENERATOR_NAME,
         "config": {k: config.values[k] for k in sorted(config.values)},
-        # the worker count after the CPU cap; the budget runs in this process
-        "workers_used": 1 if config.experiment == "budget" else workers_used(config.workers),
+        # the processes that ran the rows: the request capped at the CPU count and the blocks
+        "workers_used": workers_used(
+            config.workers,
+            max((int(config[key]) for key in ROW_KEYS.get(config.experiment, ())), default=0),
+        ),
         "result_files": [Path(p).name for p in written],
         "summary": summary,
         "wall_time_s": time.time() - start,

@@ -51,7 +51,10 @@ def histogram_result(ref_cfg):
 
 @pytest.fixture(scope="module")
 def survival_result(ref_cfg):
-    return experiment_survival(102, 100, ref_cfg, DEFAULT_SEED)
+    # ten times the paper's 102 atoms: there the fitted lifetime spreads about
+    # +-11 cycles against the [76, 96] gate, so the criterion passed about three
+    # seeds in five whether or not the model was right; here it spreads about +-3
+    return experiment_survival(1020, 100, ref_cfg, DEFAULT_SEED)
 
 
 @pytest.fixture(scope="module")

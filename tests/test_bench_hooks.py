@@ -10,6 +10,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from atomreadout import runner
+from atomreadout.config import default_config
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -46,3 +49,29 @@ def test_every_wrapped_name_resolves():
         if not callable(getattr(module, attr, None)):
             missing.append(name)
     assert not missing, f"names the benchmark wraps are gone: {missing}"
+
+
+def test_write_counter_unpacks_the_write_call(tmp_path, monkeypatch):
+    # launch.py counts each table write by unpacking its arguments as
+    # (path, (header, columns), fmt) and reading the written file's size
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+
+    def count_write(_, args) -> None:
+        path, (_header, columns), _fmt = args
+        recorder.count("write.columns", len(columns))
+        recorder.count("write.bytes", Path(path).stat().st_size)
+
+    module_name, attr = tracing.WRITE.split(".", 1)
+    assert module_name == "runner"
+    monkeypatch.setattr(runner, attr, recorder.wrap(tracing.WRITE, getattr(runner, attr),
+                                                    count_write))
+    config = default_config().with_updates({
+        "experiment": "histogram", "histogram.trials_f1": 20, "histogram.trials_f2": 20,
+        "output.path": str(tmp_path / "h"),
+    })
+    out = runner.run(config)
+    assert recorder.counters["write.bytes"] == sum(
+        Path(path).stat().st_size for path in out.result_files
+    )
+    assert recorder.counters["write.columns"] == 5 + 3 + 2  # records, histogram, summary

@@ -275,26 +275,51 @@ def row_writer(path, header, rows, fmt):
     path.write_text(text + "\n")
 
 
+def writer_columns(n_rows):
+    """Columns of every value kind the table writer treats apart, ``n_rows`` long."""
+    big = np.iinfo(np.int64)
+    patterns = (
+        np.array([0, -7, big.min, big.max, 42, -1, 10, 100000]),
+        np.array([2**64 - 1, 2**63, 0, 9], dtype=np.uint64),
+        np.array([-128, 127, 0, 2, -1], dtype=np.int8),
+        np.array([True, False, False, True, False]),
+        np.array(["F1", "", "\u00b5s", 'say "hi"', "lost", "\u65e5\u672c", "F2"]),
+        np.array([1e-05, 0.1, math.nan, 0.1, math.inf, 0.0, -0.0, 3.0e-3, -math.inf, 1e-05]),
+        np.array([0.5, 0.25], dtype=np.float32),
+        [1, 0.1, True, "x", math.inf, -0.0, math.nan],
+        ['say "hi"', "\u00b5s", "", "a b", "F1-detected"],
+    )
+    header = ("trial", "u64", "code", "lost", "label", "pulse", "f32", "value", "note")
+    columns = tuple(
+        np.resize(p, n_rows) if isinstance(p, np.ndarray) else (p * n_rows)[:n_rows]
+        for p in patterns
+    )
+    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    return header, columns, rows
+
+
 class TestRunnerOutput:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n_rows", [0, 5])
+    # the last size fills three chunks and part of a fourth at either chunk size
+    @pytest.mark.parametrize("n_rows", [0, 5, 3 * runner.WRITE_CHUNK + 1])
     @pytest.mark.parametrize("chunk", [2, runner.WRITE_CHUNK])
     def test_column_writer_matches_row_writer(self, fmt, n_rows, chunk, tmp_path, monkeypatch):
         monkeypatch.setattr(runner, "WRITE_CHUNK", chunk)
-        header = ("trial", "lost", "label", "pulse", "value", "note")
-        columns = (
-            np.arange(5),
-            np.array([True, False, False, True, False]),
-            np.array(["F1", "F2", "F2", "lost", "F1"]),
-            np.array([1e-05, 0.1, 0.0, 3.0e-3, math.nan]),
-            [1, 0.1, True, "x", math.inf],
-            ['say "hi"', "\u00b5s", "", "a b", "F1-detected"],
-        )
-        columns = tuple(c[:n_rows] for c in columns)
-        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+        header, columns, rows = writer_columns(n_rows)
         _write_table(tmp_path / "columns", (header, columns), fmt)
         row_writer(tmp_path / "rows", header, rows, fmt)
         assert (tmp_path / "columns").read_bytes() == (tmp_path / "rows").read_bytes()
+
+    @pytest.mark.parametrize("column", [np.array(["a", "b\0c"]), ["a", "b\0c"]])
+    def test_writer_refuses_a_nul_it_would_drop(self, column, tmp_path):
+        # the writer drops NUL padding, so a CSV cell holding NUL would be cut short
+        table = (("label",), (column,))
+        with pytest.raises(ValueError, match="NUL"):
+            _write_table(tmp_path / "t.csv", table, "csv")
+        # JSON escapes it, so nothing is lost there
+        _write_table(tmp_path / "t.json", table, "json")
+        row_writer(tmp_path / "rows.json", ("label",), [("a",), ("b\0c",)], "json")
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
 
     def test_multi_block_tables_do_not_depend_on_workers(self, tmp_path, monkeypatch):
         # several blocks of rows per run, so that an error in splitting them
@@ -316,10 +341,32 @@ class TestRunnerOutput:
                     "output.path": str(tmp_path / f"{experiment}-{workers}" / "run"),
                 })
                 out = run(config)
+                manifest = json.loads(Path(out.manifest_file).read_text())
+                assert manifest["workers_used"] == workers
                 tables.append({Path(p).name: Path(p).read_bytes() for p in out.result_files})
             assert tables[0] == tables[1], experiment
             if experiment in records:
                 assert tables[0]["run.csv"].count(b"\n") == 1 + records[experiment]
+
+    def test_one_block_of_rows_runs_in_process(self, tmp_path, monkeypatch):
+        # rows that fill at most one block start no pool, whatever workers asks for
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a pool started for one block of rows")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tables = []
+        for workers in (1, 2):
+            if workers == 2:
+                monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+            config = default_config().with_updates({
+                "experiment": "rabi", "rabi.atoms": experiments.BLOCK, "rabi.points": 8,
+                "workers": workers, "output.path": str(tmp_path / f"w{workers}" / "run"),
+            })
+            out = run(config)
+            assert json.loads(Path(out.manifest_file).read_text())["workers_used"] == 1
+            tables.append({Path(p).name: Path(p).read_bytes() for p in out.result_files})
+        assert tables[0] == tables[1]
 
     def test_budget_is_seed_independent(self, tmp_path):
         for seed, name in ((1, "a"), (999, "b")):
