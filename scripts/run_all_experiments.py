@@ -13,12 +13,12 @@ from atomreadout.config import default_config
 from atomreadout.runner import run
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--workers", type=int, default=1, help="process-pool workers")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
     summaries = {}

@@ -13,11 +13,7 @@ from .config import (
 from .detection import poisson_tail_at_least
 from .experiments import (
     CycleConfig,
-    HistogramResult,
     RabiConfig,
-    RabiResult,
-    SurvivalMatrix,
-    SurvivalResult,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
@@ -29,7 +25,6 @@ from .experiments import (
 )
 from .fitting import (
     FitResult,
-    Histogram,
     binomial_interval,
     build_histogram,
     fit_damped_sinusoid,

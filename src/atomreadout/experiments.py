@@ -24,6 +24,12 @@ draws from its own substream of the master seed: path
 ``(experiment, block, cycle)`` for survival and Rabi rows. A process pool
 splits the rows only at block boundaries, so any execution order gives
 identical results.
+
+Each experiment builds its result tables straight from the row driver's
+columns and returns ``(tables, summary)``: the tables keyed by file-name
+suffix (``""`` for the records), each a header and one column per name, and
+the summary dict, which is also the last table, ``_summary``. The runner
+writes them as they are.
 """
 
 from __future__ import annotations
@@ -35,16 +41,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fitting import (
-    FitResult,
-    Histogram,
-    binomial_interval,
-    build_histogram,
-    fit_damped_sinusoid,
-    fit_exponential,
-)
+from .fitting import binomial_interval, build_histogram, fit_damped_sinusoid, fit_exponential
 from .physics import F1, F2, Atoms, ProbeConfig, SpeciesConstants
-from .readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy
+from .readout import (
+    ADAPTIVE_STOP,
+    ReadoutOutcome,
+    ReadoutPolicy,
+    analytic_f1_error,
+    analytic_f2_error,
+)
 from .seeding import BLOCK, derive_substream
 from .trap import TrapConfig, apply_heating, check_loss, cool
 
@@ -280,52 +285,27 @@ def _map_rows(n_rows: int, workers: int, *args) -> tuple[np.ndarray, ...]:
 
 
 # ---------------------------------------------------------------------------
-# histogram experiment: independent single cycles, one fresh atom per trial
+# result tables: every experiment returns (tables, summary) as they are written
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, eq=False)
-class StateSummary:
-    """Error and loss summary of one prepared state, with its per-trial columns."""
-
-    prepared: str
-    trials: int
-    errors: int
-    error_rate: float
-    error_interval: tuple[float, float]
-    losses: int
-    loss_rate: float
-    histogram: Histogram
-    counts: np.ndarray          # detected counts per trial
-    called_bright: np.ndarray   # classified F2, per trial
-    lost: np.ndarray            # lost during its cycle, per trial
+Column = np.ndarray | list
+Table = tuple[tuple[str, ...], tuple[Column, ...]]   # header, one column per name
 
 
-@dataclass(frozen=True, eq=False)
-class HistogramResult:
-    f1: StateSummary
-    f2: StateSummary
+def _from_rows(header: tuple[str, ...], rows: list[tuple]) -> Table:
+    """A small table given row by row."""
+    return header, tuple(map(list, zip(*rows)))
 
 
-def _summarize_state(
-    state: str, counts: np.ndarray, called_bright: np.ndarray, lost: np.ndarray
-) -> StateSummary:
-    errors = int(np.count_nonzero(called_bright != (state == F2)))
-    losses = int(np.count_nonzero(lost))
-    n = counts.size
-    return StateSummary(
-        prepared=state,
-        trials=n,
-        errors=errors,
-        error_rate=errors / n,
-        error_interval=binomial_interval(errors, n, 0.95),
-        losses=losses,
-        loss_rate=losses / n,
-        histogram=build_histogram(counts),
-        counts=counts,
-        called_bright=called_bright,
-        lost=lost,
-    )
+def _with_summary(tables: dict[str, Table], summary: dict) -> tuple[dict[str, Table], dict]:
+    """``tables`` with the summary as its last table, ``_summary``, and the summary."""
+    tables["_summary"] = _from_rows(("quantity", "value"), list(summary.items()))
+    return tables, summary
+
+
+# ---------------------------------------------------------------------------
+# histogram experiment: independent single cycles, one fresh atom per trial
+# ---------------------------------------------------------------------------
 
 
 def experiment_histogram(
@@ -336,69 +316,66 @@ def experiment_histogram(
     loss_f1: float | None = None,
     loss_f2: float | None = None,
     workers: int = 1,
-) -> HistogramResult:
-    """Count histograms and error/loss rates for both prepared states.
+) -> tuple[dict[str, Table], dict]:
+    """Per-trial records, count histograms and error/loss rates for both prepared states.
 
-    ``loss_f1`` and ``loss_f2``, when given, replace ``cfg.background_loss`` for that state.
+    ``loss_f1`` and ``loss_f2``, when given, replace ``cfg.background_loss`` for
+    that state. Tables: the records (one row per trial, F1 trials first), the
+    count histograms ``_histogram`` and ``_summary``.
     """
     if trials_f1 <= 0 or trials_f2 <= 0:
         raise ValueError("trial counts must be positive")
-    sides = []
-    for state, trials, loss_override in (
-        (F1, trials_f1, loss_f1),
-        (F2, trials_f2, loss_f2),
-    ):
-        state_cfg = cfg if loss_override is None else replace(cfg, background_loss=loss_override)
+    sides = []   # per state: detected counts, called bright, lost
+    hist_rows = []
+    summary: dict[str, object] = {}
+    for state, trials, loss in ((F1, trials_f1, loss_f1), (F2, trials_f2, loss_f2)):
+        state_cfg = cfg if loss is None else replace(cfg, background_loss=loss)
         key = (EXP_HISTOGRAM, _STATE_CODE[state])
         counts, called, present = _map_rows(
             trials, workers, master_seed, key, state_cfg, state, None, None
         )
-        sides.append(_summarize_state(state, counts[:, 0], called[:, 0], ~present[:, 0]))
-    return HistogramResult(*sides)
+        counts, called, lost = counts[:, 0], called[:, 0], ~present[:, 0]
+        sides.append((counts, called, lost))
+        hist_rows += [(state, n, freq) for n, freq in enumerate(build_histogram(counts).tolist())]
+        errors = int(np.count_nonzero(called != (state == F2)))
+        losses = int(np.count_nonzero(lost))
+        low, high = binomial_interval(errors, trials)
+        tag = state.lower()
+        summary |= {
+            f"{tag}_trials": trials,
+            f"{tag}_errors": errors,
+            f"{tag}_error_rate": errors / trials,
+            f"{tag}_error_wilson_low": low,
+            f"{tag}_error_wilson_high": high,
+            f"{tag}_accuracy": 1.0 - errors / trials,
+            f"{tag}_losses": losses,
+            f"{tag}_loss_rate": losses / trials,
+        }
+    summary["analytic_f1_error"] = analytic_f1_error(
+        cfg.policy, cfg.probe.background_mean_per_window
+    )
+    summary["analytic_f2_error"] = analytic_f2_error(
+        cfg.net_efficiency, cfg.depump_hazard, cfg.policy.threshold_counts
+    )
+    # each column is built once, from both states' columns joined
+    counts, called, lost = (np.concatenate(parts) for parts in zip(*sides))
+    records = (
+        ("trial", "prepared_state", "counts", "classified", "lost"),
+        (
+            np.concatenate([np.arange(trials_f1), np.arange(trials_f2)]),
+            np.repeat([F1, F2], [trials_f1, trials_f2]),
+            counts,
+            np.where(called, F2, F1),
+            lost,
+        ),
+    )
+    histogram = _from_rows(("prepared_state", "counts", "frequency"), hist_rows)
+    return _with_summary({"": records, "_histogram": histogram}, summary)
 
 
 # ---------------------------------------------------------------------------
 # survival experiment: repeated prepare-F2/detect cycles until the atom is lost
 # ---------------------------------------------------------------------------
-
-
-def _cell_codes(called: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Per-cycle codes into ``CELLS``: lost (or not measured), F1- or F2-detected."""
-    return np.where(present, 1 + called, 0).astype(np.int8)
-
-
-@dataclass(frozen=True, eq=False)
-class SurvivalMatrix:
-    """One row per atom, one cell per cycle, as codes into ``CELLS``; ``lost`` is absorbing."""
-
-    cells: np.ndarray
-
-    def __post_init__(self) -> None:
-        cells = self.cells
-        if cells.ndim != 2:
-            raise ValueError("cells must form a (rows, cycles) matrix")
-        if cells.size and (cells.min() < 0 or cells.max() >= len(CELLS)):
-            raise ValueError("unknown cell code")
-        lost = cells == 0
-        if np.any(lost[:, :-1] & ~lost[:, 1:]):
-            raise ValueError("a lost atom cannot reappear later in its row")
-
-    @property
-    def rows(self) -> tuple[tuple[str, ...], ...]:
-        """The cells as labels, row by row."""
-        return tuple(tuple(CELLS[c] for c in row) for row in self.cells.tolist())
-
-    def survival_lengths(self) -> np.ndarray:
-        """Completed cycles per row (the column index of the first lost cell)."""
-        lost = self.cells == 0
-        return np.where(lost.any(axis=1), lost.argmax(axis=1), self.cells.shape[1])
-
-
-@dataclass(frozen=True, eq=False)
-class SurvivalResult:
-    matrix: SurvivalMatrix
-    fraction_alive: tuple[float, ...]   # index k = fraction surviving k full cycles
-    lifetime_fit: FitResult | None      # None when nothing decayed (no loss to fit)
 
 
 def experiment_survival(
@@ -407,18 +384,23 @@ def experiment_survival(
     cfg: CycleConfig,
     master_seed: int,
     workers: int = 1,
-) -> SurvivalResult:
-    """Repeated-measurement survival run; rows sorted longest-lived first."""
+) -> tuple[dict[str, Table], dict]:
+    """Repeated-measurement survival run, one atom per row.
+
+    Tables: the (atom, cycle, cell) records of the cell matrix, its rows
+    sorted longest-lived first and its cells labelled from ``CELLS``; the
+    survival curve ``_curve`` (index k: the fraction that survived k full
+    cycles); and ``_summary``, which carries the fitted lifetime, or
+    ``lifetime_fit_degenerate`` when nothing decayed.
+    """
     if n_atoms <= 0 or n_cycles <= 0:
         raise ValueError("n_atoms and n_cycles must be positive")
     _, called, present = _map_rows(
         n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, (0.0,) * n_cycles, None
     )
-    cells = _cell_codes(called, present)
-    order = np.argsort(-SurvivalMatrix(cells).survival_lengths(), kind="stable")
-    matrix = SurvivalMatrix(cells[order])
-    lengths = matrix.survival_lengths()
-    fraction = tuple(float(np.mean(lengths >= k)) for k in range(n_cycles + 1))
+    lengths = np.count_nonzero(present, axis=1)  # completed cycles: loss is absorbing
+    cells = np.where(present, 1 + called, 0)[np.argsort(-lengths, kind="stable")]  # CELLS codes
+    fraction = [float(np.mean(lengths >= k)) for k in range(n_cycles + 1)]
     ks = np.arange(n_cycles + 1, dtype=float)
     ys = np.asarray(fraction)
     keep = ys > 0.0
@@ -426,7 +408,32 @@ def experiment_survival(
         fit = fit_exponential(ks[keep], ys[keep])
     except ValueError:
         fit = None
-    return SurvivalResult(matrix, fraction, fit)
+    records = (
+        ("atom", "cycle", "cell"),
+        (
+            np.repeat(np.arange(n_atoms), n_cycles),
+            np.tile(np.arange(n_cycles), n_atoms),
+            np.asarray(CELLS)[cells.ravel()],
+        ),
+    )
+    curve = (("cycle", "fraction_alive"), (list(range(n_cycles + 1)), fraction))
+    summary: dict[str, object] = {
+        "atoms": n_atoms,
+        "cycles": n_cycles,
+        "survivor_fraction_final": fraction[-1],
+        "full_length_rows": int(np.count_nonzero(present[:, -1])),
+    }
+    if fit is None:
+        summary["lifetime_fit_degenerate"] = True
+    else:
+        summary |= {
+            "lifetime_cycles": fit.parameters["lifetime"],
+            "loss_per_cycle_fit": fit.parameters["loss_per_cycle"],
+            "lifetime_variance": fit.covariance_diag["lifetime"],
+            "fit_converged": fit.converged,
+            "fit_residual_norm": fit.residual_norm,
+        }
+    return _with_summary({"": records, "_curve": curve}, summary)
 
 
 # ---------------------------------------------------------------------------
@@ -477,28 +484,21 @@ def microwave_pulse(
     atoms.bright[atoms.in_mf0] = flips
 
 
-@dataclass(frozen=True, eq=False)
-class RabiResult:
-    pulse_lengths: tuple[float, ...]
-    outcomes: np.ndarray          # (atoms, points) codes into CELLS; lost = not measured
-    n_measured: tuple[int, ...]
-    f2_fraction: tuple[float, ...]
-    curve_fit: FitResult | None   # None when too few points were measured to fit
-
-
 def experiment_rabi(
     n_atoms: int,
     rabi: RabiConfig,
     cfg: CycleConfig,
     master_seed: int,
     workers: int = 1,
-) -> RabiResult:
+) -> tuple[dict[str, Table], dict]:
     """Ensemble Rabi scan: each atom attempts every pulse length once, in order.
 
     An atom lost partway leaves the rest of its row unmeasured and the next
     row starts with a fresh atom. The ensemble curve averages whatever rows
-    reached each point, and is fitted with the damped-sinusoid model; with
-    too few measured points (heavy loss) ``curve_fit`` is None.
+    reached each point, and is fitted with the damped-sinusoid model. Tables:
+    the (atom, point) records of the measured cycles, the curve ``_curve`` and
+    ``_summary``, which carries the fit, or ``curve_fit_degenerate`` when
+    too few points were measured to fit (heavy loss).
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
@@ -508,20 +508,40 @@ def experiment_rabi(
         n_atoms, workers, master_seed, (EXP_RABI,), cfg, F1, rabi.pulse_lengths, rabi
     )
     # a cycle whose presence check fails keeps no point
-    outcomes = _cell_codes(called, present)
-    measured = np.count_nonzero(outcomes, axis=0)
-    bright = np.count_nonzero(outcomes == 2, axis=0)
-    fraction = np.divide(bright, measured, out=np.full(measured.size, np.nan), where=measured > 0)
     times = np.asarray(rabi.pulse_lengths)
+    measured = np.count_nonzero(present, axis=0)
+    bright = np.count_nonzero(called & present, axis=0)
     mask = measured > 0
+    fraction = np.divide(bright, measured, out=np.full(measured.size, np.nan), where=mask)
     try:
         fit = fit_damped_sinusoid(times[mask], fraction[mask])
     except ValueError:
         fit = None
-    return RabiResult(
-        tuple(rabi.pulse_lengths),
-        outcomes,
-        tuple(measured.tolist()),
-        tuple(fraction.tolist()),
-        fit,
+    # int32 halves the index columns, which the table holds through its write
+    atom, point = (index.astype(np.int32) for index in np.nonzero(present))
+    records = (
+        ("atom", "point", "pulse_length", "outcome"),
+        (atom, point, times[point], np.where(called[present], F2, F1)),
     )
+    curve = (
+        ("point", "pulse_length", "n_measured", "f2_fraction"),
+        (list(range(times.size)), list(rabi.pulse_lengths), measured.tolist(), fraction.tolist()),
+    )
+    summary: dict[str, object] = {"atoms": n_atoms, "points": times.size}
+    if fit is None:
+        summary["curve_fit_degenerate"] = True
+    else:
+        summary |= {
+            "fit_frequency_hz": fit.parameters["frequency"],
+            "fit_decoherence_time_s": fit.parameters["decoherence_time"],
+            "fit_amplitude": fit.parameters["amplitude"],
+            "fit_offset": fit.parameters["offset"],
+            "fit_converged": fit.converged,
+            "fit_residual_norm": fit.residual_norm,
+        }
+    summary |= {
+        "zero_point_fraction": float(fraction[0]),
+        "zero_point_n": int(measured[0]),
+        "analytic_f1_floor": analytic_f1_error(cfg.policy, cfg.probe.background_mean_per_window),
+    }
+    return _with_summary({"": records, "_curve": curve}, summary)

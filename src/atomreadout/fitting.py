@@ -1,4 +1,4 @@
-"""Histograms, binomial intervals, and the two nonlinear least-squares fits.
+"""Count histograms, Wilson intervals, and the two nonlinear least-squares fits.
 
 Both fitters use a damped normal-equations (Levenberg-Marquardt) refinement
 with analytic Jacobians; the damped-sinusoid fit is seeded by a coarse grid
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,49 +19,21 @@ MAX_ITERATIONS = 200
 RELATIVE_PARAMETER_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Unit-width integer count bins; ``bin_edges`` has one more entry than ``frequencies``."""
-
-    bin_edges: tuple[int, ...]
-    frequencies: tuple[int, ...]
-    total: int
-
-    def __post_init__(self) -> None:
-        if len(self.bin_edges) != len(self.frequencies) + 1:
-            raise ValueError("bin_edges must have one more entry than frequencies")
-        if sum(self.frequencies) != self.total:
-            raise ValueError("frequencies must sum to total")
-
-    def fraction(self, count: int) -> float:
-        """Fraction of samples landing exactly on ``count`` (0 outside the range)."""
-        if self.total == 0 or count < 0 or count >= len(self.frequencies):
-            return 0.0
-        return self.frequencies[count] / self.total
-
-
-def build_histogram(counts: Sequence[int] | np.ndarray) -> Histogram:
-    """Histogram of detected counts with unit bins from 0 to max(counts)."""
+def build_histogram(counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Frequencies of the detected counts in unit bins from 0 to max(counts)."""
     values = np.asarray(counts, dtype=np.int64)
-    if not values.size:
-        return Histogram((0,), (), 0)
-    if values.min() < 0:
+    if values.size and values.min() < 0:
         raise ValueError("counts must be nonnegative")
-    freq = np.bincount(values)
-    return Histogram(tuple(range(freq.size + 1)), tuple(freq.tolist()), values.size)
+    return np.bincount(values)
 
 
-def binomial_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def binomial_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie strictly between 0 and 1")
-    z = NormalDist().inv_cdf(1.0 - (1.0 - confidence) / 2.0)
+    z = 1.9599639845400536  # NormalDist().inv_cdf(0.975), the two-sided 95% quantile
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

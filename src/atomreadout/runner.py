@@ -1,4 +1,8 @@
-"""Experiment orchestration: run a config, write result tables and a manifest.
+"""Experiment orchestration: run a config, write its result tables and a manifest.
+
+The histogram, survival and Rabi builders unpack the config into one
+experiment call, which returns the tables and summary to write; the budget
+builder computes its closed-form rows here.
 
 Result and summary files are byte-identical for identical (config, seed),
 independent of worker count; the manifest additionally records wall time and
@@ -28,16 +32,15 @@ import numpy as np
 
 from .config import ROW_KEYS, RunConfig
 from .experiments import (
-    CELL_F2,
-    CELLS,
+    Column,
+    Table,
+    _from_rows,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
     workers_used,
 )
 from .physics import (
-    F1,
-    F2,
     depump_hazard_per_scatter,
     depump_suppression,
     heating_for_scatters,
@@ -52,9 +55,6 @@ from .seeding import GENERATOR_NAME
 ARTIFACT_NAME = "atomreadout"
 ARTIFACT_VERSION = "0.2.0"
 
-Row = tuple
-Column = np.ndarray | list
-Table = tuple[tuple[str, ...], tuple[Column, ...]]   # header, one column per name
 WRITE_CHUNK = 1024   # table rows formatted and written at a time
 
 
@@ -178,11 +178,6 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
         out.write(tail.encode())
 
 
-def _from_rows(header: tuple[str, ...], rows: list[Row]) -> Table:
-    """A small table given row by row."""
-    return header, tuple(map(list, zip(*rows)))
-
-
 def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
     species = config.species()
     probe = config.probe()
@@ -193,7 +188,7 @@ def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
     eta = float(config["detector.efficiency"])
     nd = policy.threshold_counts
 
-    rows: list[Row] = [
+    rows: list[tuple] = [
         ("mean_detected_for_1pct_error", required_mean_photons(0.01),
          "mean counts where the zero-count probability falls below 1e-2"),
         ("mean_detected_for_0p1pct_error", required_mean_photons(0.001),
@@ -241,7 +236,7 @@ def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
 
 
 def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    result = experiment_histogram(
+    return experiment_histogram(
         int(config["histogram.trials_f1"]),
         int(config["histogram.trials_f2"]),
         config.cycle_config(),
@@ -250,136 +245,26 @@ def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
         loss_f2=float(config["loss.f2_per_cycle"]),
         workers=config.workers,
     )
-    sides = (result.f1, result.f2)
-    records = (
-        ("trial", "prepared_state", "counts", "classified", "lost"),
-        (
-            np.concatenate([np.arange(side.trials) for side in sides]),
-            np.repeat([side.prepared for side in sides], [side.trials for side in sides]),
-            np.concatenate([side.counts for side in sides]),
-            np.where(np.concatenate([side.called_bright for side in sides]), F2, F1),
-            np.concatenate([side.lost for side in sides]),
-        ),
-    )
-    hist_rows: list[Row] = []
-    for side in sides:
-        for count, freq in enumerate(side.histogram.frequencies):
-            hist_rows.append((side.prepared, count, freq))
-    histogram = _from_rows(("prepared_state", "counts", "frequency"), hist_rows)
-
-    policy = config.policy()
-    summary: dict[str, object] = {}
-    for side in sides:
-        tag = side.prepared.lower()
-        summary[f"{tag}_trials"] = side.trials
-        summary[f"{tag}_errors"] = side.errors
-        summary[f"{tag}_error_rate"] = side.error_rate
-        summary[f"{tag}_error_wilson_low"] = side.error_interval[0]
-        summary[f"{tag}_error_wilson_high"] = side.error_interval[1]
-        summary[f"{tag}_accuracy"] = 1.0 - side.error_rate
-        summary[f"{tag}_losses"] = side.losses
-        summary[f"{tag}_loss_rate"] = side.loss_rate
-    summary["analytic_f1_error"] = analytic_f1_error(
-        policy, config.probe().background_mean_per_window
-    )
-    summary["analytic_f2_error"] = analytic_f2_error(
-        float(config["detector.efficiency"]),
-        float(config["readout.depump_hazard"]),
-        policy.threshold_counts,
-    )
-    summary_table = _from_rows(("quantity", "value"), list(summary.items()))
-    return {"": records, "_histogram": histogram, "_summary": summary_table}, summary
 
 
 def _build_survival(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    result = experiment_survival(
+    return experiment_survival(
         int(config["survival.atoms"]),
         int(config["survival.cycles"]),
         config.cycle_config(),
         config.master_seed,
         workers=config.workers,
     )
-    cells = result.matrix.cells
-    atoms, cycles = cells.shape
-    records = (
-        ("atom", "cycle", "cell"),
-        (
-            np.repeat(np.arange(atoms), cycles),
-            np.tile(np.arange(cycles), atoms),
-            np.asarray(CELLS)[cells.ravel()],
-        ),
-    )
-    curve = _from_rows(("cycle", "fraction_alive"), list(enumerate(result.fraction_alive)))
-    fit = result.lifetime_fit
-    summary: dict[str, object] = {
-        "atoms": atoms,
-        "cycles": cycles,
-        "survivor_fraction_final": result.fraction_alive[-1],
-        "full_length_rows": int(np.count_nonzero(cells[:, -1])),
-    }
-    if fit is None:
-        summary["lifetime_fit_degenerate"] = True
-    else:
-        summary["lifetime_cycles"] = fit.parameters["lifetime"]
-        summary["loss_per_cycle_fit"] = fit.parameters["loss_per_cycle"]
-        summary["lifetime_variance"] = fit.covariance_diag["lifetime"]
-        summary["fit_converged"] = fit.converged
-        summary["fit_residual_norm"] = fit.residual_norm
-    summary_table = _from_rows(("quantity", "value"), list(summary.items()))
-    return {"": records, "_curve": curve, "_summary": summary_table}, summary
 
 
 def _build_rabi(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    result = experiment_rabi(
+    return experiment_rabi(
         int(config["rabi.atoms"]),
         config.rabi_config(),
         config.cycle_config(),
         config.master_seed,
         workers=config.workers,
     )
-    measured = result.outcomes > 0
-    # int32 halves the index columns, which the table holds through its write
-    atom, point = (index.astype(np.int32) for index in np.nonzero(measured))
-    records = (
-        ("atom", "point", "pulse_length", "outcome"),
-        (
-            atom,
-            point,
-            np.asarray(result.pulse_lengths)[point],
-            np.where(result.outcomes[measured] == CELLS.index(CELL_F2), F2, F1),
-        ),
-    )
-    curve = _from_rows(
-        ("point", "pulse_length", "n_measured", "f2_fraction"),
-        [
-            (i, result.pulse_lengths[i], result.n_measured[i], result.f2_fraction[i])
-            for i in range(len(result.pulse_lengths))
-        ],
-    )
-    fit = result.curve_fit
-    policy = config.policy()
-    summary: dict[str, object] = {
-        "atoms": len(result.outcomes),
-        "points": len(result.pulse_lengths),
-    }
-    if fit is None:
-        summary["curve_fit_degenerate"] = True
-    else:
-        summary["fit_frequency_hz"] = fit.parameters["frequency"]
-        summary["fit_decoherence_time_s"] = fit.parameters["decoherence_time"]
-        summary["fit_amplitude"] = fit.parameters["amplitude"]
-        summary["fit_offset"] = fit.parameters["offset"]
-        summary["fit_converged"] = fit.converged
-        summary["fit_residual_norm"] = fit.residual_norm
-    summary |= {
-        "zero_point_fraction": result.f2_fraction[0],
-        "zero_point_n": result.n_measured[0],
-        "analytic_f1_floor": analytic_f1_error(
-            policy, config.probe().background_mean_per_window
-        ),
-    }
-    summary_table = _from_rows(("quantity", "value"), list(summary.items()))
-    return {"": records, "_curve": curve, "_summary": summary_table}, summary
 
 
 _BUILDERS = {

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -167,12 +166,48 @@ def binomial_3se(p: float, n: int) -> float:
     return 3.0 * np.sqrt(p * (1.0 - p) / n)
 
 
-def same_result(a, b) -> bool:
-    """Field-by-field equality of two results; arrays compare element by element."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            same_result(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-        )
+def _same_cells(a, b) -> bool:
+    """Equal table columns or summary values: same types, and a nan equals a nan."""
     if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
-    return a == b
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same_cells, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+def same_result(a, b) -> bool:
+    """Equality of two experiment results ``(tables, summary)``, column by column."""
+    (tables_a, summary_a), (tables_b, summary_b) = a, b
+    return (
+        list(tables_a) == list(tables_b)
+        and all(
+            tables_a[k][0] == tables_b[k][0]
+            and len(tables_a[k][1]) == len(tables_b[k][1])
+            and all(map(_same_cells, tables_a[k][1], tables_b[k][1]))
+            for k in tables_a
+        )
+        and list(summary_a) == list(summary_b)
+        and all(_same_cells(summary_a[k], summary_b[k]) for k in summary_a)
+    )
+
+
+def table_column(tables, suffix: str, name: str) -> np.ndarray:
+    """One named column of an experiment's table, as an array."""
+    header, columns = tables[suffix]
+    return np.asarray(columns[header.index(name)])
+
+
+def survival_cells(tables) -> np.ndarray:
+    """The survival records table as its (atoms, cycles) matrix of cell labels."""
+    atoms = table_column(tables, "", "atom")
+    cycles = table_column(tables, "", "cycle")
+    shape = (atoms.max() + 1, cycles.max() + 1)
+    assert np.array_equal(atoms, np.repeat(np.arange(shape[0]), shape[1]))
+    assert np.array_equal(cycles, np.tile(np.arange(shape[1]), shape[0]))
+    return table_column(tables, "", "cell").reshape(shape)

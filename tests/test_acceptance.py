@@ -28,7 +28,7 @@ from atomreadout.physics import (
 )
 from atomreadout.readout import FIXED_WINDOW, analytic_f2_error
 from atomreadout.runner import run
-from helpers import binomial_3se, markov_f2_error, poisson_chisquare_pvalue
+from helpers import binomial_3se, markov_f2_error, poisson_chisquare_pvalue, survival_cells
 
 ANALYTIC_F1_ERROR = 3.693631311376678e-2
 HAZARD_GRID = [
@@ -91,9 +91,10 @@ def test_criterion_1_feasibility_formulas():
 
 
 def test_criterion_2_dark_state_error(histogram_result):
-    rate = histogram_result.f1.error_rate
-    tol = binomial_3se(ANALYTIC_F1_ERROR, histogram_result.f1.trials)
-    low, high = histogram_result.f1.error_interval
+    _, summary = histogram_result
+    rate = summary["f1_error_rate"]
+    tol = binomial_3se(ANALYTIC_F1_ERROR, summary["f1_trials"])
+    low, high = summary["f1_error_wilson_low"], summary["f1_error_wilson_high"]
     ok = abs(rate - ANALYTIC_F1_ERROR) <= tol and low <= 0.04 <= high
     report(
         2,
@@ -105,8 +106,9 @@ def test_criterion_2_dark_state_error(histogram_result):
 
 
 def test_criterion_3_bright_state_error(histogram_result):
-    rate = histogram_result.f2.error_rate
-    tol = binomial_3se(0.055, histogram_result.f2.trials)
+    _, summary = histogram_result
+    rate = summary["f2_error_rate"]
+    tol = binomial_3se(0.055, summary["f2_trials"])
     mc_ok = abs(rate - 0.055) <= tol
     worst = max(
         abs(analytic_f2_error(eta, q, nd) - markov_f2_error(eta, q, nd))
@@ -123,13 +125,11 @@ def test_criterion_3_bright_state_error(histogram_result):
 
 
 def test_criterion_4_survival(survival_result):
-    lifetime = survival_result.lifetime_fit.parameters["lifetime"]
-    survivors = survival_result.fraction_alive[-1]
-    monotone = all(
-        all(cell == CELL_LOST for cell in row[row.index(CELL_LOST):])
-        for row in survival_result.matrix.rows
-        if CELL_LOST in row
-    )
+    tables, summary = survival_result
+    lifetime = summary["lifetime_cycles"]
+    survivors = summary["survivor_fraction_final"]
+    lost = survival_cells(tables) == CELL_LOST
+    monotone = not np.any(lost[:, :-1] & ~lost[:, 1:])
     ok = 76.0 <= lifetime <= 96.0 and 0.21 <= survivors <= 0.39 and monotone
     report(
         4,
@@ -141,21 +141,23 @@ def test_criterion_4_survival(survival_result):
 
 
 def test_criterion_5_rabi(rabi_result):
-    params = rabi_result.curve_fit.parameters
-    freq_ok = abs(params["frequency"] - 2950.0) / 2950.0 <= 0.02
-    tau_ok = abs(params["decoherence_time"] - 2.2e-3) / 2.2e-3 <= 0.15
-    amp_ok = abs(params["amplitude"] - 1.0 / 3.0) <= 0.04
-    n0 = rabi_result.n_measured[0]
-    zero = rabi_result.f2_fraction[0]
+    _, summary = rabi_result
+    freq, tau = summary["fit_frequency_hz"], summary["fit_decoherence_time_s"]
+    amplitude = summary["fit_amplitude"]
+    freq_ok = abs(freq - 2950.0) / 2950.0 <= 0.02
+    tau_ok = abs(tau - 2.2e-3) / 2.2e-3 <= 0.15
+    amp_ok = abs(amplitude - 1.0 / 3.0) <= 0.04
+    n0 = summary["zero_point_n"]
+    zero = summary["zero_point_fraction"]
     zero_ok = abs(zero - ANALYTIC_F1_ERROR) <= binomial_3se(ANALYTIC_F1_ERROR, n0)
     ok = freq_ok and tau_ok and amp_ok and zero_ok
     report(
         5,
         "rabi ensemble",
         ok,
-        f"f={params['frequency']:.1f} Hz (target 2950 +-2%), "
-        f"tau={params['decoherence_time'] * 1e3:.2f} ms (target 2.2 +-15%), "
-        f"A={params['amplitude']:.3f} (target 1/3 +-0.04), "
+        f"f={freq:.1f} Hz (target 2950 +-2%), "
+        f"tau={tau * 1e3:.2f} ms (target 2.2 +-15%), "
+        f"A={amplitude:.3f} (target 1/3 +-0.04), "
         f"zero-point {zero:.4f} vs floor {ANALYTIC_F1_ERROR:.4f}",
     )
 

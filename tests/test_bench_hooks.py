@@ -1,8 +1,10 @@
 """The names the benchmark's tracer wraps must exist on the modules it patches.
 
 ``perfbench/launch.py`` replaces these module attributes by name in its traced
-passes; a source change that drops or renames one would break only those
-passes, so the names are checked here without starting the benchmark.
+passes; a source change that drops or renames one, or stops calling it through
+the module attribute, would break only those passes. The names are checked
+here without starting the benchmark, and a run through wrapped names must
+record a span for each.
 """
 
 import importlib
@@ -75,3 +77,32 @@ def test_write_counter_unpacks_the_write_call(tmp_path, monkeypatch):
         Path(path).stat().st_size for path in out.result_files
     )
     assert recorder.counters["write.columns"] == 5 + 3 + 2  # records, histogram, summary
+
+
+def test_wrapped_names_are_called_through_their_modules(tmp_path, monkeypatch):
+    # launch.py wraps these names in place; a caller that bound the function
+    # object at import would skip the wrapper and leave its span empty
+    tracing = load_tracing()
+    recorder = tracing.Recorder()
+
+    def patch(name: str, after=None) -> None:
+        module_name, attr = name.split(".", 1)
+        module = importlib.import_module(f"atomreadout.{module_name}")
+        monkeypatch.setattr(module, attr, recorder.wrap(name, getattr(module, attr), after))
+
+    for name in (*tracing.EXPERIMENTS, *tracing.SUMMARY, tracing.WRITE):
+        patch(name)
+    for name in tracing.FIT:
+        patch(name, lambda fit, _: recorder.count("fit.iterations", fit.iterations))
+
+    for experiment, sizes in (
+        ("histogram", {"histogram.trials_f1": 20, "histogram.trials_f2": 20}),
+        ("survival", {"survival.atoms": 20, "survival.cycles": 30}),
+        ("rabi", {"rabi.atoms": 20, "rabi.points": 8}),
+    ):
+        runner.run(default_config().with_updates({
+            "experiment": experiment, **sizes, "output.path": str(tmp_path / experiment),
+        }))
+    fired = {recorder.names[i] for i in recorder.name_of}
+    assert set(recorder.names) - fired == set()
+    assert recorder.counters["fit.iterations"] > 0

@@ -12,7 +12,6 @@ from atomreadout.experiments import (
     CELL_F2,
     CELL_LOST,
     RabiConfig,
-    SurvivalMatrix,
     _cycle,
     _simulate_probe,
     experiment_histogram,
@@ -28,7 +27,14 @@ from atomreadout.experiments import (
 from atomreadout.physics import F1, F2, Atoms
 from atomreadout.readout import ADAPTIVE_STOP, FIXED_WINDOW, analytic_f2_error
 from atomreadout.seeding import derive_substream
-from helpers import binomial_3se, event_probe, same_result, two_sample_chisquare_pvalue
+from helpers import (
+    binomial_3se,
+    event_probe,
+    same_result,
+    survival_cells,
+    table_column,
+    two_sample_chisquare_pvalue,
+)
 
 ANALYTIC_F1_ERROR = 3.693631311376678e-2
 REF_RABI = default_config().rabi_config()
@@ -215,31 +221,54 @@ class TestKernelAgainstEventOracle:
 
 class TestHistogramExperiment:
     def test_reference_run(self, ref_cfg):
-        result = experiment_histogram(1684, 2127, ref_cfg, master_seed=1)
-        assert abs(result.f1.error_rate - ANALYTIC_F1_ERROR) < binomial_3se(
+        _, summary = experiment_histogram(1684, 2127, ref_cfg, master_seed=1)
+        assert abs(summary["f1_error_rate"] - ANALYTIC_F1_ERROR) < binomial_3se(
             ANALYTIC_F1_ERROR, 1684
         )
-        assert abs(result.f2.error_rate - 0.055) < binomial_3se(0.055, 2127)
-        low, high = result.f1.error_interval
-        assert low <= 0.04 <= high
+        assert abs(summary["f2_error_rate"] - 0.055) < binomial_3se(0.055, 2127)
+        assert summary["f1_error_wilson_low"] <= 0.04 <= summary["f1_error_wilson_high"]
+
+    def test_tables_agree_with_summary(self, ref_cfg):
+        tables, summary = experiment_histogram(300, 400, ref_cfg, master_seed=4)
+        assert list(tables) == ["", "_histogram", "_summary"]
+        prepared = table_column(tables, "", "prepared_state")
+        classified = table_column(tables, "", "classified")
+        lost = table_column(tables, "", "lost")
+        assert table_column(tables, "", "trial").tolist() == [*range(300), *range(400)]
+        hist_state = table_column(tables, "_histogram", "prepared_state")
+        frequency = table_column(tables, "_histogram", "frequency")
+        for state, trials in ((F1, 300), (F2, 400)):
+            tag = state.lower()
+            mine = prepared == state
+            assert summary[f"{tag}_trials"] == np.count_nonzero(mine) == trials
+            assert summary[f"{tag}_errors"] == np.count_nonzero(mine & (classified != state))
+            assert summary[f"{tag}_losses"] == np.count_nonzero(mine & lost)
+            assert frequency[hist_state == state].sum() == trials
+        header, (quantities, values) = tables["_summary"]
+        assert header == ("quantity", "value")
+        assert dict(zip(quantities, values)) == summary
 
     def test_adaptive_stop_truncates_bright_histogram(self, ref_cfg):
-        result = experiment_histogram(200, 400, ref_cfg, master_seed=5)
-        assert len(result.f2.histogram.frequencies) <= 3  # counts can only reach nd
+        tables, _ = experiment_histogram(200, 400, ref_cfg, master_seed=5)
+        bright = table_column(tables, "_histogram", "prepared_state") == F2
+        # counts can only reach nd
+        assert table_column(tables, "_histogram", "counts")[bright].tolist() == [0, 1, 2]
 
     def test_dark_histogram_matches_background_pmf(self, ref_cfg):
         cfg = quiet(ref_cfg, loss=0.0)
         trials = 30_000
-        result = experiment_histogram(trials, 10, cfg, master_seed=6)
-        hist = result.f1.histogram
+        tables, _ = experiment_histogram(trials, 10, cfg, master_seed=6)
+        dark = table_column(tables, "_histogram", "prepared_state") == F1
+        fraction = table_column(tables, "_histogram", "frequency")[dark] / trials
+        assert table_column(tables, "_histogram", "counts")[dark][:2].tolist() == [0, 1]
         expectations = {0: 0.7408182206817179, 1: 0.22224546620451535}
         for count, expected in expectations.items():
-            assert abs(hist.fraction(count) - expected) < binomial_3se(expected, trials)
-        tail = 1.0 - hist.fraction(0) - hist.fraction(1)
+            assert abs(fraction[count] - expected) < binomial_3se(expected, trials)
+        tail = 1.0 - fraction[0] - fraction[1]
         assert abs(tail - ANALYTIC_F1_ERROR) < binomial_3se(ANALYTIC_F1_ERROR, trials)
 
     def test_per_state_loss_overrides(self, ref_cfg):
-        result = experiment_histogram(
+        _, summary = experiment_histogram(
             4000,
             4000,
             ref_cfg,
@@ -247,8 +276,8 @@ class TestHistogramExperiment:
             loss_f1=0.009,
             loss_f2=0.0105,
         )
-        assert abs(result.f1.loss_rate - 0.009) < binomial_3se(0.009, 4000)
-        assert abs(result.f2.loss_rate - 0.0105) < binomial_3se(0.0105, 4000)
+        assert abs(summary["f1_loss_rate"] - 0.009) < binomial_3se(0.009, 4000)
+        assert abs(summary["f2_loss_rate"] - 0.0105) < binomial_3se(0.0105, 4000)
 
     def test_determinism(self, ref_cfg):
         a = experiment_histogram(300, 300, ref_cfg, master_seed=9)
@@ -264,27 +293,26 @@ class TestHistogramExperiment:
 class TestSurvivalExperiment:
     def test_zero_loss_keeps_every_atom(self, ref_cfg):
         cfg = quiet(ref_cfg, loss=0.0)
-        result = experiment_survival(20, 30, cfg, master_seed=11)
-        assert all(CELL_LOST not in row for row in result.matrix.rows)
-        assert result.fraction_alive[-1] == 1.0
+        tables, summary = experiment_survival(20, 30, cfg, master_seed=11)
+        assert CELL_LOST not in survival_cells(tables)
+        assert summary["survivor_fraction_final"] == 1.0
+        assert summary["lifetime_fit_degenerate"] is True
 
     def test_lost_is_absorbing_and_rows_sorted(self, ref_cfg):
-        result = experiment_survival(60, 60, ref_cfg, master_seed=12)
-        lengths = result.matrix.survival_lengths()
+        tables, summary = experiment_survival(60, 60, ref_cfg, master_seed=12)
+        lost = survival_cells(tables) == CELL_LOST
+        assert lost.any() and not lost.all()
+        assert not np.any(lost[:, :-1] & ~lost[:, 1:])  # no cell after a lost one is measured
+        lengths = np.where(lost.any(axis=1), lost.argmax(axis=1), lost.shape[1])
         assert list(lengths) == sorted(lengths, reverse=True)
-        for row in result.matrix.rows:
-            if CELL_LOST in row:
-                first = row.index(CELL_LOST)
-                assert all(cell == CELL_LOST for cell in row[first:])
-
-    def test_matrix_validation_rejects_resurrection(self):
-        with pytest.raises(ValueError):
-            SurvivalMatrix(np.array([[0, 2]], dtype=np.int8))  # lost, then F2-detected
+        fraction = table_column(tables, "_curve", "fraction_alive")
+        assert fraction.tolist() == [np.mean(lengths >= k) for k in range(61)]
+        assert summary["full_length_rows"] == np.count_nonzero(~lost[:, -1])
 
     def test_survival_curve_matches_geometric_decay(self, ref_cfg):
-        result = experiment_survival(102, 100, ref_cfg, master_seed=1)
+        _, summary = experiment_survival(102, 100, ref_cfg, master_seed=1)
         expected = 0.988**100
-        assert abs(result.fraction_alive[-1] - expected) < binomial_3se(expected, 102)
+        assert abs(summary["survivor_fraction_final"] - expected) < binomial_3se(expected, 102)
 
     def test_parallel_equals_serial(self, ref_cfg):
         serial = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=1)
@@ -322,9 +350,9 @@ class TestSurvivalExperiment:
 
     def test_cells_label_classification(self, ref_cfg):
         cfg = quiet(ref_cfg, loss=0.0, background=0.0, hazard=0.0)
-        result = experiment_survival(10, 20, cfg, master_seed=14)
+        tables, _ = experiment_survival(10, 20, cfg, master_seed=14)
         # noiseless bright cycles always classify bright
-        assert all(cell == CELL_F2 for row in result.matrix.rows for cell in row)
+        assert (survival_cells(tables) == CELL_F2).all()
 
 
 class TestMicrowavePulse:
@@ -362,18 +390,22 @@ class TestMicrowavePulse:
 
 class TestRabiExperiment:
     def test_zero_duration_point_is_false_positive_floor(self, ref_cfg):
-        result = experiment_rabi(150, REF_RABI, ref_cfg, master_seed=15)
-        n0 = result.n_measured[0]
-        assert abs(result.f2_fraction[0] - ANALYTIC_F1_ERROR) < binomial_3se(
+        tables, summary = experiment_rabi(150, REF_RABI, ref_cfg, master_seed=15)
+        n0 = summary["zero_point_n"]
+        assert n0 == table_column(tables, "_curve", "n_measured")[0] == 150
+        assert abs(summary["zero_point_fraction"] - ANALYTIC_F1_ERROR) < binomial_3se(
             ANALYTIC_F1_ERROR, n0
         )
 
     def test_lost_atoms_leave_rows_unmeasured(self, ref_cfg):
         cfg = quiet(ref_cfg, loss=0.2)
-        result = experiment_rabi(40, rabi_scan(20, 3.0e-3), cfg, master_seed=16)
-        unmeasured = result.outcomes == 0
+        tables, _ = experiment_rabi(40, rabi_scan(20, 3.0e-3), cfg, master_seed=16)
+        unmeasured = np.ones((40, 20), dtype=bool)
+        unmeasured[table_column(tables, "", "atom"), table_column(tables, "", "point")] = False
         assert not np.any(unmeasured[:, :-1] & ~unmeasured[:, 1:])
-        assert result.n_measured[-1] < result.n_measured[0]
+        n_measured = table_column(tables, "_curve", "n_measured")
+        assert n_measured.tolist() == np.count_nonzero(~unmeasured, axis=0).tolist()
+        assert n_measured[-1] < n_measured[0]
 
     def test_grid_helpers(self):
         grid = uniform_pulse_grid(5, 1e-3)
