@@ -34,7 +34,6 @@ from .physics import (
     F1,
     F2,
     Atoms,
-    ProbeConfig,
     RB87_D2,
     SpeciesConstants,
     depump_hazard_per_scatter,
@@ -46,10 +45,7 @@ from .physics import (
     scatters_for_detected,
 )
 from .readout import (
-    ADAPTIVE_STOP,
-    FIXED_WINDOW,
     ReadoutOutcome,
-    ReadoutPolicy,
     analytic_f1_error,
     analytic_f2_error,
     calibrate_depump,
@@ -57,6 +53,6 @@ from .readout import (
 )
 from .runner import ARTIFACT_VERSION, RunOutput, run
 from .seeding import derive_substream
-from .trap import TrapConfig, apply_heating, check_loss, cool
+from .trap import apply_heating, check_loss, cool
 
 __version__ = ARTIFACT_VERSION

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .config import (
     ROW_KEYS,
+    SCHEMA,
     ConfigError,
     RunConfig,
     config_reference,
@@ -28,15 +29,15 @@ def build_parser() -> argparse.ArgumentParser:
             "qubits and write machine-readable result tables."
         ),
     )
-    parser.add_argument("--experiment", choices=("histogram", "survival", "rabi", "budget"),
+    parser.add_argument("--experiment", choices=SCHEMA["experiment"].choices,
                         help="experiment to run (overrides the config file)")
     parser.add_argument("--config", metavar="PATH", help="config file (section.key = value lines)")
     parser.add_argument("--seed", type=int, help="master seed, unsigned 64-bit")
     parser.add_argument("--trials", type=int,
                         help="trial count override (both histogram states / atoms)")
     parser.add_argument("--out", metavar="PATH", help="output file stem")
-    parser.add_argument("--format", choices=("csv", "json"), help="result table format")
-    parser.add_argument("--nd", type=int, help="counts required to call the atom bright")
+    parser.add_argument("--format", choices=SCHEMA["output.format"].choices,
+                        help="result table format")
     parser.add_argument("--workers", type=int, help="process-pool workers")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key (repeatable)")
@@ -64,17 +65,15 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         overrides["output.path"] = args.out
     if args.format is not None:
         overrides["output.format"] = args.format
-    if args.nd is not None:
-        overrides["readout.nd"] = args.nd
     if args.workers is not None:
         overrides["workers"] = args.workers
     config = config.with_updates(overrides)
 
     if args.trials is not None:
-        if config.experiment not in ROW_KEYS:
-            raise ConfigError(f"the {config.experiment} experiment takes no trial count",
-                              key="--trials")
-        config = config.with_updates(dict.fromkeys(ROW_KEYS[config.experiment], args.trials))
+        experiment = config["experiment"]
+        if experiment not in ROW_KEYS:
+            raise ConfigError(f"the {experiment} experiment takes no trial count", key="--trials")
+        config = config.with_updates(dict.fromkeys(ROW_KEYS[experiment], args.trials))
     return config
 
 

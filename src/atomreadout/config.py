@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .experiments import CycleConfig, RabiConfig, uniform_pulse_grid
-from .physics import RB87_D2, ProbeConfig, SpeciesConstants
-from .readout import ADAPTIVE_STOP, FIXED_WINDOW, ReadoutPolicy, calibrate_depump
-from .trap import TrapConfig
+from .physics import RB87_D2, SpeciesConstants
+from .readout import calibrate_depump
 
 DEFAULT_SEED = 1
 
@@ -212,26 +211,6 @@ class RunConfig:
     def __getitem__(self, key: str) -> object:
         return self.values[key]
 
-    @property
-    def experiment(self) -> str:
-        return str(self.values["experiment"])
-
-    @property
-    def master_seed(self) -> int:
-        return int(self.values["seed"])
-
-    @property
-    def workers(self) -> int:
-        return int(self.values["workers"])
-
-    @property
-    def output_path(self) -> str:
-        return str(self.values["output.path"])
-
-    @property
-    def output_format(self) -> str:
-        return str(self.values["output.format"])
-
     def with_updates(self, updates: dict[str, object]) -> "RunConfig":
         return RunConfig({**self.values, **updates})
 
@@ -244,34 +223,18 @@ class RunConfig:
             recoil_temperature=self.values["species.recoil_temperature"],
         )
 
-    def probe(self) -> ProbeConfig:
-        return ProbeConfig(
-            scatter_rate=self.values["probe.scatter_rate"],
-            background_mean_per_window=self.values["probe.background_mean"],
-        )
-
-    def policy(self) -> ReadoutPolicy:
-        kind = ADAPTIVE_STOP if self.values["readout.mode"] == "adaptive" else FIXED_WINDOW
-        return ReadoutPolicy(
-            kind=kind,
-            threshold_counts=self.values["readout.nd"],
-            max_duration=self.values["probe.max_duration"],
-        )
-
-    def trap(self) -> TrapConfig:
-        return TrapConfig(
-            depth=self.values["trap.depth"],
-            baseline_energy=self.values["trap.baseline_energy"],
-        )
-
     def cycle_config(self) -> CycleConfig:
         return CycleConfig(
             species=self.species(),
-            probe=self.probe(),
-            policy=self.policy(),
-            trap=self.trap(),
+            scatter_rate=self.values["probe.scatter_rate"],
+            background_mean=self.values["probe.background_mean"],
+            adaptive=self.values["readout.mode"] == "adaptive",
+            n_d=self.values["readout.nd"],
+            window=self.values["probe.max_duration"],
             net_efficiency=self.values["detector.efficiency"],
             depump_hazard=self.values["readout.depump_hazard"],
+            depth=self.values["trap.depth"],
+            baseline_energy=self.values["trap.baseline_energy"],
             background_loss=self.values["loss.background_per_cycle"],
             cooling_reset=self.values["cooling.reset"],
         )

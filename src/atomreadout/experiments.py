@@ -42,16 +42,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fitting import binomial_interval, build_histogram, fit_damped_sinusoid, fit_exponential
-from .physics import F1, F2, Atoms, ProbeConfig, SpeciesConstants
-from .readout import (
-    ADAPTIVE_STOP,
-    ReadoutOutcome,
-    ReadoutPolicy,
-    analytic_f1_error,
-    analytic_f2_error,
-)
+from .physics import F1, F2, Atoms, SpeciesConstants, heating_per_scatter
+from .readout import ReadoutOutcome, analytic_f1_error, analytic_f2_error
 from .seeding import BLOCK, derive_substream
-from .trap import TrapConfig, apply_heating, check_loss, cool
+from .trap import apply_heating, check_loss, cool
 
 EXP_HISTOGRAM = 1
 EXP_SURVIVAL = 2
@@ -66,24 +60,35 @@ CELLS = (CELL_LOST, CELL_F1, CELL_F2)   # the labels of cell codes 0, 1 and 2
 
 @dataclass(frozen=True)
 class CycleConfig:
-    """Everything one detection cycle needs."""
+    """Everything one detection cycle needs: one field per config key, and the species."""
 
     species: SpeciesConstants
-    probe: ProbeConfig
-    policy: ReadoutPolicy
-    trap: TrapConfig
+    scatter_rate: float      # 1/s, bright-atom scattering rate before collection losses
+    background_mean: float   # mean stray-light plus dark counts over one full window
+    adaptive: bool           # stop at the n_d-th count; otherwise probe the whole window
+    n_d: int                 # counts that call the atom bright
+    window: float            # s, probe window (the adaptive stop's time limit)
     net_efficiency: float    # collection times detector quantum efficiency
     depump_hazard: float     # per-scatter probability of falling dark
+    depth: float             # K, trap depth
+    baseline_energy: float   # K, motional energy right after cooling
     background_loss: float   # non-heating loss probability per cycle
-    cooling_reset: bool      # cooling restores the trap's baseline energy
+    cooling_reset: bool      # cooling restores the baseline energy
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.net_efficiency <= 1.0:
-            raise ValueError("net_efficiency must lie in (0, 1]")
-        if not 0.0 <= self.depump_hazard < 1.0:
-            raise ValueError("depump_hazard must lie in [0, 1)")
-        if not 0.0 <= self.background_loss < 1.0:
-            raise ValueError("background_loss must lie in [0, 1)")
+        for ok, message in (
+            (self.scatter_rate > 0, "scatter_rate must be positive"),
+            (self.background_mean >= 0, "background_mean must be nonnegative"),
+            (self.n_d >= 1, "n_d must be at least 1"),
+            (self.window > 0, "window must be positive"),
+            (0.0 < self.net_efficiency <= 1.0, "net_efficiency must lie in (0, 1]"),
+            (0.0 <= self.depump_hazard < 1.0, "depump_hazard must lie in [0, 1)"),
+            (self.baseline_energy >= 0, "baseline_energy must be nonnegative"),
+            (self.depth > self.baseline_energy, "trap depth must exceed the baseline energy"),
+            (0.0 <= self.background_loss < 1.0, "background_loss must lie in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
 
 def prepare_state(target: str, energy: np.ndarray, rng: np.random.Generator) -> Atoms:
@@ -112,13 +117,12 @@ def _simulate_probe(
     bright: np.ndarray, cfg: CycleConfig, rng: np.random.Generator
 ) -> ReadoutOutcome:
     """Probe a block of prepared atoms; ``bright`` marks the atoms in F2."""
-    policy = cfg.policy
-    window = policy.max_duration
-    rate = cfg.probe.scatter_rate
+    window = cfg.window
+    rate = cfg.scatter_rate
     eta = cfg.net_efficiency
     hazard = cfg.depump_hazard
     lam_s = rate * eta
-    lam_b = cfg.probe.background_mean_per_window / window
+    lam_b = cfg.background_mean / window
     n = bright.size
 
     tau = np.zeros(n)  # depumping time; a dark atom is dark from the start
@@ -132,12 +136,12 @@ def _simulate_probe(
     at_end = at_tau + lam_b * (window - span)  # Lambda(W)
 
     # Lambda at each atom's first n_d detections
-    arrivals = rng.exponential(size=(n, policy.threshold_counts)).cumsum(axis=1)
+    arrivals = rng.exponential(size=(n, cfg.n_d)).cumsum(axis=1)
     last = arrivals[:, -1]
     called = last <= at_end
     counts = np.count_nonzero(arrivals <= at_end[:, None], axis=1)
     before_tau = np.count_nonzero(arrivals < at_tau[:, None], axis=1)
-    if policy.kind == ADAPTIVE_STOP:
+    if cfg.adaptive:
         after_tau = span + (last - at_tau) / lam_b if lam_b > 0.0 else window
         stop = np.where(last < at_tau, last / (lam_s + lam_b), after_tau)
         elapsed = np.where(called, stop, window)
@@ -167,21 +171,21 @@ def _cycle(atoms: Atoms, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutO
     """
     outcome = _simulate_probe(atoms.bright, cfg, rng)
     atoms.bright &= ~outcome.depumped
-    apply_heating(atoms, outcome.scatters, cfg.species)
-    check_loss(atoms, cfg.trap, cfg.background_loss, rng)
-    cool(atoms, cfg.cooling_reset, cfg.trap)
+    apply_heating(atoms, outcome.scatters, heating_per_scatter(cfg.species))
+    check_loss(atoms, cfg.depth, cfg.background_loss, rng)
+    cool(atoms, cfg.cooling_reset, cfg.baseline_energy)
     return outcome
 
 
 def run_detection_cycle(
     state: str, cfg: CycleConfig, rng: np.random.Generator
 ) -> tuple[Atoms, ReadoutOutcome]:
-    """One cycle of a single atom prepared in ``state`` at the trap's baseline energy.
+    """One cycle of a single atom prepared in ``state`` at the baseline energy.
 
     The block kernel's cycle on a batch of one; returns the atom after the
     cycle and its probe outcome.
     """
-    atoms = prepare_state(state, np.full(1, cfg.trap.baseline_energy), rng)
+    atoms = prepare_state(state, np.full(1, cfg.baseline_energy), rng)
     return atoms, _cycle(atoms, cfg, rng)
 
 
@@ -197,7 +201,7 @@ def _run_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step the atoms of one block of rows through one cycle per pulse length.
 
-    Each row is one atom that starts at the trap's baseline energy. Before each
+    Each row is one atom that starts at the baseline energy. Before each
     cycle it is re-prepared in ``state`` and, when ``rabi`` is given, driven
     for that cycle's pulse length. A row ends when its cycles run out or its
     atom is lost. With ``pulse_lengths=None`` each row is a single-shot trial
@@ -216,7 +220,7 @@ def _run_block(
     atoms = Atoms(
         np.zeros(n, dtype=bool),
         np.zeros(n, dtype=bool),
-        np.full(n, cfg.trap.baseline_energy),
+        np.full(n, cfg.baseline_energy),
         np.ones(n, dtype=bool),
     )
     for cycle, duration in enumerate(lengths):
@@ -351,12 +355,8 @@ def experiment_histogram(
             f"{tag}_losses": losses,
             f"{tag}_loss_rate": losses / trials,
         }
-    summary["analytic_f1_error"] = analytic_f1_error(
-        cfg.policy, cfg.probe.background_mean_per_window
-    )
-    summary["analytic_f2_error"] = analytic_f2_error(
-        cfg.net_efficiency, cfg.depump_hazard, cfg.policy.threshold_counts
-    )
+    summary["analytic_f1_error"] = analytic_f1_error(cfg.n_d, cfg.background_mean)
+    summary["analytic_f2_error"] = analytic_f2_error(cfg.net_efficiency, cfg.depump_hazard, cfg.n_d)
     # each column is built once, from both states' columns joined
     counts, called, lost = (np.concatenate(parts) for parts in zip(*sides))
     records = (
@@ -542,6 +542,6 @@ def experiment_rabi(
     summary |= {
         "zero_point_fraction": float(fraction[0]),
         "zero_point_n": int(measured[0]),
-        "analytic_f1_floor": analytic_f1_error(cfg.policy, cfg.probe.background_mean_per_window),
+        "analytic_f1_floor": analytic_f1_error(cfg.n_d, cfg.background_mean),
     }
     return _with_summary({"": records, "_curve": curve}, summary)

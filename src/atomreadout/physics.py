@@ -5,7 +5,8 @@ counts collected photons; an atom left in F=1 stays dark. This module holds the
 species constants and the back-of-the-envelope formulas that set the operating
 point: how many detected photons a given error target needs, how strongly the
 off-resonant F'=2 channel (the "depump" route into F=1) is suppressed, and how
-much recoil heating a readout costs.
+much recoil heating a readout costs. The probe's operating point, like every
+other input of a detection cycle, is a field of ``experiments.CycleConfig``.
 
 Conventions: frequencies in Hz, times in seconds, motional energies in
 temperature units (kelvin).
@@ -43,28 +44,6 @@ class SpeciesConstants:
 
 
 RB87_D2 = SpeciesConstants(6.0e6, 266.0e6, 361.96e-9)
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Probe-beam operating point while the readout light is on.
-
-    ``scatter_rate`` is the photon scattering rate of a bright (F=2) atom,
-    before any collection or detector losses. ``background_mean_per_window``
-    is the mean number of spurious detector counts accumulated over one full
-    probe window (stray light plus dark counts); the window length is the
-    readout policy's ``max_duration``, and the probe kernel divides by it to
-    get the background rate.
-    """
-
-    scatter_rate: float
-    background_mean_per_window: float
-
-    def __post_init__(self) -> None:
-        if self.scatter_rate <= 0:
-            raise ValueError("scatter_rate must be positive")
-        if self.background_mean_per_window < 0:
-            raise ValueError("background_mean_per_window must be nonnegative")
 
 
 @dataclass

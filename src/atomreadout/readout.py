@@ -1,10 +1,10 @@
 """Classification policies and their analytic error rates.
 
-Two rules are supported: a fixed window with a count threshold, and the
-adaptive rule that extinguishes the probe as soon as ``threshold_counts``
-detections have arrived. The adaptive rule is the interesting one: a bright
-atom is identified after a couple of counts instead of a full window, cutting
-scattering (and heating) by an order of magnitude.
+Two rules are supported, chosen by ``experiments.CycleConfig.adaptive``: a
+fixed window with a count threshold, and the adaptive rule that extinguishes
+the probe as soon as ``n_d`` detections have arrived. The adaptive rule is the
+interesting one: a bright atom is identified after a couple of counts instead
+of a full window, cutting scattering (and heating) by an order of magnitude.
 
 The F=2 failure channel is a race, per scattering event, between detection
 (probability eta) and depumping into the dark F=1 state (probability q).
@@ -25,26 +25,6 @@ import numpy as np
 from .detection import poisson_tail_at_least
 from .physics import RB87_D2, SpeciesConstants, depump_suppression
 
-FIXED_WINDOW = "fixed-window"
-ADAPTIVE_STOP = "adaptive-stop"
-
-
-@dataclass(frozen=True)
-class ReadoutPolicy:
-    """Classification rule: threshold counts within (or before) a time limit."""
-
-    kind: str
-    threshold_counts: int
-    max_duration: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in (FIXED_WINDOW, ADAPTIVE_STOP):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.threshold_counts < 1:
-            raise ValueError("threshold_counts must be at least 1")
-        if self.max_duration <= 0:
-            raise ValueError("max_duration must be positive")
-
 
 @dataclass(frozen=True)
 class ReadoutOutcome:
@@ -57,9 +37,9 @@ class ReadoutOutcome:
     depumped: np.ndarray          # fell dark during the probe
 
 
-def analytic_f1_error(policy: ReadoutPolicy, background_mean: float) -> float:
-    """P(a dark atom is called bright): the Poisson tail of the background alone."""
-    return poisson_tail_at_least(policy.threshold_counts, background_mean)
+def analytic_f1_error(n_d: int, background_mean: float) -> float:
+    """P(a dark atom is called bright): P(at least n_d background counts in the window)."""
+    return poisson_tail_at_least(n_d, background_mean)
 
 
 def _p_detect_first(efficiency: float, hazard: float) -> float:

@@ -179,14 +179,12 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
 
 
 def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    species = config.species()
-    probe = config.probe()
-    policy = config.policy()
-    hazard = float(config["readout.depump_hazard"])
-    branching = float(config["readout.branching_to_f1"])
+    cfg = config.cycle_config()
+    species = cfg.species
+    hazard = cfg.depump_hazard
+    branching = config["readout.branching_to_f1"]
     gamma = species.linewidth_gamma
-    eta = float(config["detector.efficiency"])
-    nd = policy.threshold_counts
+    eta = cfg.net_efficiency
 
     rows: list[tuple] = [
         ("mean_detected_for_1pct_error", required_mean_photons(0.01),
@@ -211,11 +209,11 @@ def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
         ("heating_for_250_scatters_K", heating_for_scatters(250, species),
          "readout heating budget for 250 scatters"),
         ("scatters_to_fill_trap_depth",
-         math.ceil(config.trap().depth / heating_per_scatter(species)),
+         math.ceil(cfg.depth / heating_per_scatter(species)),
          "scatters that would heat a cold atom to the trap depth"),
-        ("analytic_f1_error", analytic_f1_error(policy, probe.background_mean_per_window),
+        ("analytic_f1_error", analytic_f1_error(cfg.n_d, cfg.background_mean),
          "background tail at the stop threshold"),
-        ("analytic_f2_error", analytic_f2_error(eta, hazard, nd),
+        ("analytic_f2_error", analytic_f2_error(eta, hazard, cfg.n_d),
          "race-model bright-state error"),
     ]
     try:
@@ -237,33 +235,33 @@ def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
 
 def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
     return experiment_histogram(
-        int(config["histogram.trials_f1"]),
-        int(config["histogram.trials_f2"]),
+        config["histogram.trials_f1"],
+        config["histogram.trials_f2"],
         config.cycle_config(),
-        config.master_seed,
-        loss_f1=float(config["loss.f1_per_cycle"]),
-        loss_f2=float(config["loss.f2_per_cycle"]),
-        workers=config.workers,
+        config["seed"],
+        loss_f1=config["loss.f1_per_cycle"],
+        loss_f2=config["loss.f2_per_cycle"],
+        workers=config["workers"],
     )
 
 
 def _build_survival(config: RunConfig) -> tuple[dict[str, Table], dict]:
     return experiment_survival(
-        int(config["survival.atoms"]),
-        int(config["survival.cycles"]),
+        config["survival.atoms"],
+        config["survival.cycles"],
         config.cycle_config(),
-        config.master_seed,
-        workers=config.workers,
+        config["seed"],
+        workers=config["workers"],
     )
 
 
 def _build_rabi(config: RunConfig) -> tuple[dict[str, Table], dict]:
     return experiment_rabi(
-        int(config["rabi.atoms"]),
+        config["rabi.atoms"],
         config.rabi_config(),
         config.cycle_config(),
-        config.master_seed,
-        workers=config.workers,
+        config["seed"],
+        workers=config["workers"],
     )
 
 
@@ -278,27 +276,28 @@ _BUILDERS = {
 def run(config: RunConfig) -> RunOutput:
     """Execute the configured experiment and write its result files."""
     start = time.time()
-    tables, summary = _BUILDERS[config.experiment](config)
+    experiment, fmt = config["experiment"], config["output.format"]
+    tables, summary = _BUILDERS[experiment](config)
 
-    stem = Path(config.output_path or f"results/{config.experiment}")
+    stem = Path(config["output.path"] or f"results/{experiment}")
     stem.parent.mkdir(parents=True, exist_ok=True)
-    ext = ".csv" if config.output_format == "csv" else ".json"
+    ext = ".csv" if fmt == "csv" else ".json"
     written = []
     for suffix, table in tables.items():
         path = stem.with_name(stem.name + suffix + ext)
-        _write_table(path, table, config.output_format)
+        _write_table(path, table, fmt)
         written.append(str(path))
 
     manifest = {
         "artifact": {"name": ARTIFACT_NAME, "version": ARTIFACT_VERSION},
-        "experiment": config.experiment,
-        "master_seed": config.master_seed,
+        "experiment": experiment,
+        "master_seed": config["seed"],
         "generator": GENERATOR_NAME,
         "config": {k: config.values[k] for k in sorted(config.values)},
         # the processes that ran the rows: the request capped at the CPU count and the blocks
         "workers_used": workers_used(
-            config.workers,
-            max((int(config[key]) for key in ROW_KEYS.get(config.experiment, ())), default=0),
+            config["workers"],
+            max((config[key] for key in ROW_KEYS.get(experiment, ())), default=0),
         ),
         "result_files": [Path(p).name for p in written],
         "summary": summary,

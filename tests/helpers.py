@@ -9,7 +9,7 @@ import numpy as np
 from scipy import stats
 
 from atomreadout.experiments import CycleConfig
-from atomreadout.readout import ADAPTIVE_STOP, ReadoutOutcome, ReadoutPolicy
+from atomreadout.readout import ReadoutOutcome
 
 
 def poisson_chisquare_pvalue(counts, mean: float, min_expected: float = 5.0) -> float:
@@ -124,19 +124,19 @@ def stop_rule(
     scatter_times: np.ndarray,
     detection_times: np.ndarray,
     depump_time: float,
-    policy: ReadoutPolicy,
+    cfg: CycleConfig,
 ) -> ReadoutOutcome:
     """Classify a probe from its bright-phase scatters and all its detections.
 
     ``scatter_times`` holds every scattering event while the atom was bright,
     the depumping event included; ``depump_time`` is inf for an atom that
-    stayed bright. The adaptive rule stops at the ``threshold_counts``-th
-    detection; the fixed window always runs to ``max_duration``.
+    stayed bright. The adaptive rule stops at the ``n_d``-th detection; the
+    fixed window always runs to the end of ``window``.
     """
-    threshold = policy.threshold_counts
+    threshold = cfg.n_d
     counts = int(detection_times.size)
-    elapsed = policy.max_duration
-    if policy.kind == ADAPTIVE_STOP and counts >= threshold:
+    elapsed = cfg.window
+    if cfg.adaptive and counts >= threshold:
         counts = threshold
         elapsed = float(detection_times[threshold - 1])
     scatters = int(np.count_nonzero(scatter_times <= elapsed))
@@ -145,20 +145,20 @@ def stop_rule(
 
 def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutOutcome:
     """One probe of a prepared atom, drawn event by event (an oracle for the kernel)."""
-    window = cfg.policy.max_duration
-    background = poisson_times(cfg.probe.background_mean_per_window / window, window, rng)
+    window = cfg.window
+    background = poisson_times(cfg.background_mean / window, window, rng)
     scatters = np.empty(0)
     signal = np.empty(0)
     depump_time = math.inf
     if in_f2:
-        scatters = poisson_times(cfg.probe.scatter_rate, window, rng)
+        scatters = poisson_times(cfg.scatter_rate, window, rng)
         signal, undetected = thin(scatters, cfg.net_efficiency, rng)
         depumps, _ = thin(undetected, cfg.depump_hazard, rng)
         if depumps.size:
             depump_time = float(depumps[0])
             scatters = scatters[scatters <= depump_time]
             signal = signal[signal < depump_time]
-    return stop_rule(scatters, merge(signal, background), depump_time, cfg.policy)
+    return stop_rule(scatters, merge(signal, background), depump_time, cfg)
 
 
 def binomial_3se(p: float, n: int) -> float:

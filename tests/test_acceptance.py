@@ -26,7 +26,7 @@ from atomreadout.physics import (
     heating_for_scatters,
     misdetection_probability,
 )
-from atomreadout.readout import FIXED_WINDOW, analytic_f2_error
+from atomreadout.readout import analytic_f2_error
 from atomreadout.runner import run
 from helpers import binomial_3se, markov_f2_error, poisson_chisquare_pvalue, survival_cells
 
@@ -216,11 +216,9 @@ def test_criterion_7_determinism(tmp_path):
 def test_criterion_8_distributional_oracles(ref_cfg):
     # the production probe kernel, fixed window, no depumping: a dark atom counts
     # background only, a bright atom counts 21 signal plus 0.3 background
-    cfg = replace(
-        ref_cfg, depump_hazard=0.0, policy=replace(ref_cfg.policy, kind=FIXED_WINDOW)
-    )
-    background = cfg.probe.background_mean_per_window
-    signal = cfg.probe.scatter_rate * cfg.net_efficiency * cfg.policy.max_duration
+    cfg = replace(ref_cfg, depump_hazard=0.0, adaptive=False)
+    background = cfg.background_mean
+    signal = cfg.scatter_rate * cfg.net_efficiency * cfg.window
     rng = np.random.default_rng(2024)
     samples = 100_000
 

@@ -61,6 +61,31 @@ PINNED_TABLES = {
             "_summary.csv": "758c13fcc6ece9e2e7958445b2f5dae5ca5e35c88800a376bd47c1cd93bb3f40",
         },
     ),
+    # the fixed window, with the per-state losses of configs/single-shot-loss.cfg
+    "histogram-fixed-per-state-loss": (
+        {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
+         "readout.mode": "fixed", "loss.f1_per_cycle": 0.009, "loss.f2_per_cycle": 0.0105},
+        {
+            ".csv": "ae185c4d584e89a332987bf412fe48384409ddb5dd8346504416bb12efab70d6",
+            "_histogram.csv": "da1d02df95959ec8d05549fabd4f48f9606c7b24ce001b39371b3068d6c41e82",
+            "_summary.csv": "478254c8aad923647c5dbfe9cb0a34b1284a827c8e113f5a600c6f2bd158495b",
+        },
+    ),
+    # no cooling and no background loss: recoil heating ejects every atom
+    # (survivor fraction 0.0, fitted lifetime 52.2 cycles)
+    "survival-heating": (
+        {"experiment": "survival", "survival.atoms": 30, "survival.cycles": 60,
+         "cooling.reset": False, "loss.background_per_cycle": 0.0},
+        {
+            ".csv": "0857cc212ab302e5ba465eb7a7f4de25b2b92ea913d3b2d584ff9c4df753f90c",
+            "_curve.csv": "5a9f8182f46196032c203a5d2b5154e2cc920345789b9903987c29e12d6e5f9e",
+            "_summary.csv": "56001deefc5092dacfbca361513f687602407eaf8580bea8307370dd4f97f2e9",
+        },
+    ),
+    "budget": (
+        {"experiment": "budget"},
+        {".csv": "a2642c938f847797a8504b3dbf3adc38ac69028587f683117a7d66d3b40d67ef"},
+    ),
 }
 
 
@@ -147,41 +172,32 @@ class TestParsing:
 
 class TestDomainBuilders:
     def test_cycle_config_matches_reference_profile(self):
-        # every field of the reference cycle, and the key whose default feeds it
-        feeds = {
-            "species": {"linewidth_gamma": "species.linewidth",
-                        "excited_splitting_delta23": "species.excited_splitting",
-                        "recoil_temperature": "species.recoil_temperature"},
-            "probe": {"scatter_rate": "probe.scatter_rate",
-                      "background_mean_per_window": "probe.background_mean"},
-            "policy": {"threshold_counts": "readout.nd", "max_duration": "probe.max_duration"},
-            "trap": {"depth": "trap.depth", "baseline_energy": "trap.baseline_energy"},
-        }
-        plain = {"net_efficiency": "detector.efficiency",
+        # every field of the reference cycle but the species, and the one key that feeds it
+        feeds = {"scatter_rate": "probe.scatter_rate",
+                 "background_mean": "probe.background_mean",
+                 "adaptive": "readout.mode",
+                 "n_d": "readout.nd",
+                 "window": "probe.max_duration",
+                 "net_efficiency": "detector.efficiency",
                  "depump_hazard": "readout.depump_hazard",
+                 "depth": "trap.depth",
+                 "baseline_energy": "trap.baseline_energy",
                  "background_loss": "loss.background_per_cycle",
                  "cooling_reset": "cooling.reset"}
         from atomreadout.physics import RB87_D2
-        from atomreadout.readout import ADAPTIVE_STOP
 
         cfg = reference_cycle_config()
-        assert {f.name for f in dataclasses.fields(cfg)} == set(feeds) | set(plain)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["species", *feeds]
+        assert len(set(feeds.values())) == len(feeds)
         assert cfg.species == RB87_D2
-        assert SCHEMA["readout.mode"].default == "adaptive" and cfg.policy.kind == ADAPTIVE_STOP
-        for name, key in plain.items():
-            assert getattr(cfg, name) == SCHEMA[key].default, key
-        for part, fields in feeds.items():
-            obj = getattr(cfg, part)
-            names = {f.name for f in dataclasses.fields(obj)} - {"kind"}
-            assert names == set(fields), part
-            for name, key in fields.items():
-                assert getattr(obj, name) == SCHEMA[key].default, key
+        assert SCHEMA["readout.mode"].default == "adaptive" and cfg.adaptive is True
+        for name, key in feeds.items():
+            if name != "adaptive":
+                assert getattr(cfg, name) == SCHEMA[key].default, key
 
     def test_fixed_mode_policy(self):
-        from atomreadout.readout import FIXED_WINDOW
-
         config = parse_config("readout.mode = fixed\n")
-        assert config.policy().kind == FIXED_WINDOW
+        assert config.cycle_config().adaptive is False
 
     def test_rabi_grid_from_keys(self):
         config = parse_config("rabi.points = 8\nrabi.span = 1e-3\n")
@@ -206,14 +222,14 @@ class TestCliOverrides:
     def test_flag_overrides_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("readout.nd = 2\n")
-        args = self.parse_args(["--config", str(path), "--nd", "3"])
+        args = self.parse_args(["--config", str(path), "--set", "readout.nd=3"])
         assert load_config(args)["readout.nd"] == 3
 
     def test_set_overrides(self):
         args = self.parse_args(["--set", "probe.background_mean=0.4", "--seed", "9"])
         config = load_config(args)
         assert config["probe.background_mean"] == 0.4
-        assert config.master_seed == 9
+        assert config["seed"] == 9
 
     def test_set_rejects_unknown_key(self):
         args = self.parse_args(["--set", "nope=1"])

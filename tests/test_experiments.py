@@ -25,7 +25,7 @@ from atomreadout.experiments import (
     uniform_pulse_grid,
 )
 from atomreadout.physics import F1, F2, Atoms
-from atomreadout.readout import ADAPTIVE_STOP, FIXED_WINDOW, analytic_f2_error
+from atomreadout.readout import analytic_f2_error
 from atomreadout.seeding import derive_substream
 from helpers import (
     binomial_3se,
@@ -54,20 +54,27 @@ def atoms_in(bright, energy=0.0, in_mf0=False, present=True, n=1):
 
 def cycle_block(state, trials, cfg, rng):
     """One cycle of ``trials`` fresh atoms prepared in ``state``: the block kernel's step."""
-    atoms = prepare_state(state, np.full(trials, cfg.trap.baseline_energy), rng)
+    atoms = prepare_state(state, np.full(trials, cfg.baseline_energy), rng)
     return atoms, _cycle(atoms, cfg, rng)
 
 
-def quiet(cfg, hazard=None, background=None, loss=None):
-    """Variant of a cycle config with selected noise channels altered."""
-    out = cfg
-    if hazard is not None:
-        out = replace(out, depump_hazard=hazard)
-    if background is not None:
-        out = replace(out, probe=replace(out.probe, background_mean_per_window=background))
-    if loss is not None:
-        out = replace(out, background_loss=loss)
-    return out
+class TestCycleConfig:
+    @pytest.mark.parametrize("changes,message", [
+        pytest.param({"scatter_rate": 0.0}, "scatter_rate", id="scatter-rate-0"),
+        pytest.param({"background_mean": -0.1}, "background_mean", id="negative-background"),
+        pytest.param({"n_d": 0}, "n_d", id="threshold-0"),
+        pytest.param({"window": 0.0}, "window", id="window-0"),
+        pytest.param({"baseline_energy": -1e-6}, "baseline_energy", id="negative-baseline"),
+        pytest.param({"depth": 1e-6, "baseline_energy": 1e-6}, "depth", id="depth-at-baseline"),
+        pytest.param({"net_efficiency": 0.0}, "net_efficiency", id="efficiency-0"),
+        pytest.param({"net_efficiency": 1.5}, "net_efficiency", id="efficiency-above-1"),
+        pytest.param({"depump_hazard": 1.0}, "depump_hazard", id="hazard-1"),
+        pytest.param({"background_loss": 1.0}, "background_loss", id="loss-1"),
+        pytest.param({"background_loss": -0.01}, "background_loss", id="negative-loss"),
+    ])
+    def test_rejects_out_of_range(self, ref_cfg, changes, message):
+        with pytest.raises(ValueError, match=message):
+            replace(ref_cfg, **changes)
 
 
 class TestPrepareState:
@@ -99,16 +106,16 @@ class TestPrepareState:
 
 class TestDetectionCycle:
     def test_dark_atom_zero_background(self, ref_cfg):
-        cfg = quiet(ref_cfg, background=0.0, loss=0.0)
+        cfg = replace(ref_cfg, background_mean=0.0, background_loss=0.0)
         _, outcome = run_detection_cycle(F1, cfg, np.random.default_rng(1))
         assert not outcome.called_bright[0]
         assert outcome.detected_counts[0] == 0
-        assert outcome.elapsed[0] == cfg.policy.max_duration
+        assert outcome.elapsed[0] == cfg.window
         assert outcome.scatters[0] == 0
 
     def test_prepared_dark_atom_false_positive_rate(self, ref_cfg):
         # background 0.3 drives the measured dark-state error to the Poisson tail
-        cfg = quiet(ref_cfg, loss=0.0)
+        cfg = replace(ref_cfg, background_loss=0.0)
         trials = 10_000
         _, outcome = cycle_block(F1, trials, cfg, derive_substream(77, (0,)))
         errors = np.count_nonzero(outcome.called_bright)
@@ -118,7 +125,7 @@ class TestDetectionCycle:
 
     def test_bright_error_matches_race_formula_without_background(self, ref_cfg):
         # isolates the depump race; background rescues are checked separately
-        cfg = quiet(ref_cfg, background=0.0, loss=0.0)
+        cfg = replace(ref_cfg, background_mean=0.0, background_loss=0.0)
         trials = 100_000
         _, outcome = cycle_block(F2, trials, cfg, derive_substream(78, (1,)))
         errors = np.count_nonzero(~outcome.called_bright)
@@ -126,11 +133,9 @@ class TestDetectionCycle:
 
     @pytest.mark.parametrize("eta,hazard,nd", [(0.01, 1e-4, 1), (0.02, 6e-4, 2), (0.05, 2e-3, 3)])
     def test_bright_error_grid_against_analytic(self, ref_cfg, eta, hazard, nd):
-        cfg = quiet(ref_cfg, hazard=hazard, background=0.0, loss=0.0)
         cfg = replace(
-            cfg,
-            net_efficiency=eta,
-            policy=replace(cfg.policy, threshold_counts=nd),
+            ref_cfg, depump_hazard=hazard, background_mean=0.0, background_loss=0.0,
+            net_efficiency=eta, n_d=nd,
         )
         expected = analytic_f2_error(eta, hazard, nd)
         trials = 20_000
@@ -141,10 +146,9 @@ class TestDetectionCycle:
 
     def test_fixed_window_signal_mean(self, ref_cfg):
         # signal channel alone delivers the calibrated 21 counts per full window
-        from atomreadout.readout import FIXED_WINDOW, ReadoutPolicy
-
-        cfg = quiet(ref_cfg, hazard=0.0, background=0.0, loss=0.0)
-        cfg = replace(cfg, policy=ReadoutPolicy(FIXED_WINDOW, 2, 300e-6))
+        cfg = replace(
+            ref_cfg, depump_hazard=0.0, background_mean=0.0, background_loss=0.0, adaptive=False
+        )
         trials = 100_000
         _, outcome = cycle_block(F2, trials, cfg, derive_substream(80, (2,)))
         counts = outcome.detected_counts
@@ -152,27 +156,24 @@ class TestDetectionCycle:
 
     def test_mean_scatters_per_bright_cycle(self, ref_cfg):
         # adaptive stop at 2 counts costs about nd/eta = 100 scattering events
-        cfg = quiet(ref_cfg, background=0.0, loss=0.0)
+        cfg = replace(ref_cfg, background_mean=0.0, background_loss=0.0)
         trials = 20_000
         _, outcome = cycle_block(F2, trials, cfg, derive_substream(81, (3,)))
         assert abs(outcome.scatters.mean() - 100.0) / 100.0 < 0.05
 
     def test_heating_and_cooling_bookkeeping(self, ref_cfg):
-        cfg = quiet(ref_cfg, loss=0.0)
+        cfg = replace(ref_cfg, background_loss=0.0, baseline_energy=1e-4)
         after, outcome = run_detection_cycle(F2, cfg, derive_substream(82, (0,)))
-        # cooling reset leaves the atom at the baseline regardless of scatters
+        # cooling reset leaves the atom at the (nonzero) baseline regardless of scatters
         assert outcome.scatters[0] > 0
-        assert after.energy[0] == cfg.trap.baseline_energy
+        assert after.energy[0] == cfg.baseline_energy
 
     def test_hot_probe_loses_the_atom(self, ref_cfg):
         # a full 300 us bright window scatters ~1,050 photons (~760 uK) in a
         # 50 uK trap; the loss check sees that heat before cooling resets it
-        cfg = quiet(ref_cfg, hazard=0.0, loss=0.0)
         cfg = replace(
-            cfg,
-            policy=replace(cfg.policy, kind=FIXED_WINDOW, threshold_counts=2, max_duration=300e-6),
-            trap=replace(cfg.trap, depth=50e-6, baseline_energy=0.0),
-            cooling_reset=True,
+            ref_cfg, depump_hazard=0.0, background_loss=0.0, adaptive=False, n_d=2, window=300e-6,
+            depth=50e-6, baseline_energy=0.0, cooling_reset=True,
         )
         after, outcome = run_detection_cycle(F2, cfg, derive_substream(83, (0,)))
         assert outcome.scatters[0] > 1000
@@ -188,10 +189,10 @@ class TestKernelAgainstEventOracle:
     law of (classification, counts) and the same mean scatters and elapsed time.
     """
 
-    @pytest.mark.parametrize("kind", [ADAPTIVE_STOP, FIXED_WINDOW])
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive-stop", "fixed-window"])
     @pytest.mark.parametrize("state", [F1, F2])
-    def test_matches_event_oracle(self, ref_cfg, kind, state):
-        cfg = replace(ref_cfg, policy=replace(ref_cfg.policy, kind=kind))
+    def test_matches_event_oracle(self, ref_cfg, adaptive, state):
+        cfg = replace(ref_cfg, adaptive=adaptive)
         trials = 20_000
         kernel = _simulate_probe(np.full(trials, state == F2), cfg, np.random.default_rng(91))
         oracle_rng = np.random.default_rng(92)
@@ -208,14 +209,14 @@ class TestKernelAgainstEventOracle:
             se = math.sqrt(a.var(ddof=1) / trials + b.var(ddof=1) / trials)
             assert abs(a.mean() - b.mean()) <= 3.0 * se, field
 
-    @pytest.mark.parametrize("kind", [ADAPTIVE_STOP, FIXED_WINDOW])
-    def test_scatters_match_rate_times_elapsed(self, ref_cfg, kind):
+    @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive-stop", "fixed-window"])
+    def test_scatters_match_rate_times_elapsed(self, ref_cfg, adaptive):
         # optional stopping: E[scatters] = R * E[min(elapsed, tau)], and tau is
         # infinite at hazard 0, so each atom's scatters minus R * elapsed has mean 0
-        cfg = replace(ref_cfg, depump_hazard=0.0, policy=replace(ref_cfg.policy, kind=kind))
+        cfg = replace(ref_cfg, depump_hazard=0.0, adaptive=adaptive)
         trials = 100_000
         outcome = _simulate_probe(np.ones(trials, dtype=bool), cfg, np.random.default_rng(93))
-        excess = outcome.scatters - cfg.probe.scatter_rate * outcome.elapsed
+        excess = outcome.scatters - cfg.scatter_rate * outcome.elapsed
         assert abs(excess.mean()) <= 3.0 * excess.std(ddof=1) / math.sqrt(trials)
 
 
@@ -255,7 +256,7 @@ class TestHistogramExperiment:
         assert table_column(tables, "_histogram", "counts")[bright].tolist() == [0, 1, 2]
 
     def test_dark_histogram_matches_background_pmf(self, ref_cfg):
-        cfg = quiet(ref_cfg, loss=0.0)
+        cfg = replace(ref_cfg, background_loss=0.0)
         trials = 30_000
         tables, _ = experiment_histogram(trials, 10, cfg, master_seed=6)
         dark = table_column(tables, "_histogram", "prepared_state") == F1
@@ -292,7 +293,7 @@ class TestHistogramExperiment:
 
 class TestSurvivalExperiment:
     def test_zero_loss_keeps_every_atom(self, ref_cfg):
-        cfg = quiet(ref_cfg, loss=0.0)
+        cfg = replace(ref_cfg, background_loss=0.0)
         tables, summary = experiment_survival(20, 30, cfg, master_seed=11)
         assert CELL_LOST not in survival_cells(tables)
         assert summary["survivor_fraction_final"] == 1.0
@@ -349,7 +350,7 @@ class TestSurvivalExperiment:
         assert same_result(capped, serial)
 
     def test_cells_label_classification(self, ref_cfg):
-        cfg = quiet(ref_cfg, loss=0.0, background=0.0, hazard=0.0)
+        cfg = replace(ref_cfg, depump_hazard=0.0, background_mean=0.0, background_loss=0.0)
         tables, _ = experiment_survival(10, 20, cfg, master_seed=14)
         # noiseless bright cycles always classify bright
         assert (survival_cells(tables) == CELL_F2).all()
@@ -398,7 +399,7 @@ class TestRabiExperiment:
         )
 
     def test_lost_atoms_leave_rows_unmeasured(self, ref_cfg):
-        cfg = quiet(ref_cfg, loss=0.2)
+        cfg = replace(ref_cfg, background_loss=0.2)
         tables, _ = experiment_rabi(40, rabi_scan(20, 3.0e-3), cfg, master_seed=16)
         unmeasured = np.ones((40, 20), dtype=bool)
         unmeasured[table_column(tables, "", "atom"), table_column(tables, "", "point")] = False

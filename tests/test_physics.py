@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from atomreadout.physics import (
     RB87_D2,
     Atoms,
-    ProbeConfig,
     SpeciesConstants,
     depump_hazard_per_scatter,
     depump_suppression,
@@ -159,10 +158,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             SpeciesConstants(linewidth_gamma=6e6, excited_splitting_delta23=5e6,
                              recoil_temperature=361.96e-9)
-
-    def test_probe_config_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            ProbeConfig(scatter_rate=0.0, background_mean_per_window=0.3)
 
     def test_atom_state_negative_energy_rejected(self):
         with pytest.raises(ValueError):

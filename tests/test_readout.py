@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atomreadout import reference_cycle_config
 from atomreadout.experiments import _simulate_probe
 from atomreadout.physics import depump_hazard_per_scatter, depump_suppression
 from atomreadout.readout import (
-    ADAPTIVE_STOP,
-    FIXED_WINDOW,
-    ReadoutPolicy,
     analytic_f1_error,
     analytic_f2_error,
     calibrate_depump,
@@ -18,8 +16,8 @@ from atomreadout.readout import (
 )
 from helpers import markov_f2_error, stop_rule
 
-ADAPTIVE = ReadoutPolicy(ADAPTIVE_STOP, 2, 300e-6)
-FIXED = ReadoutPolicy(FIXED_WINDOW, 2, 300e-6)
+ADAPTIVE = reference_cycle_config()   # stop at the 2nd count, 300 us window
+FIXED = replace(ADAPTIVE, adaptive=False)
 
 HAZARD_GRID = [
     (eta, q, nd)
@@ -29,36 +27,26 @@ HAZARD_GRID = [
 ]
 
 
-class TestPolicy:
-    def test_threshold_at_least_one(self):
-        with pytest.raises(ValueError):
-            ReadoutPolicy(ADAPTIVE_STOP, 0, 1e-3)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ReadoutPolicy("mystery", 2, 1e-3)
-
-
 def counts_at(*times):
     return np.asarray(times, dtype=float)
 
 
-def resolve(detections, policy):
+def resolve(detections, cfg):
     """The oracle's stop rule on given detection times of an atom that never depumps."""
-    outcome = stop_rule(counts_at(), detections, math.inf, policy)
+    outcome = stop_rule(counts_at(), detections, math.inf, cfg)
     return outcome.called_bright, outcome.detected_counts, outcome.elapsed
 
 
 class TestClassifyFixed:
     def test_zero_counts_is_dark(self):
-        assert resolve(counts_at(), FIXED) == (False, 0, FIXED.max_duration)
+        assert resolve(counts_at(), FIXED) == (False, 0, FIXED.window)
 
     def test_boundary_inclusive(self):
         assert resolve(counts_at(10e-6, 250e-6), FIXED)[0]
 
     def test_typical_bright_signal(self):
         called, counts, elapsed = resolve(np.linspace(1e-6, 290e-6, 21), FIXED)
-        assert (called, counts, elapsed) == (True, 21, FIXED.max_duration)
+        assert (called, counts, elapsed) == (True, 21, FIXED.window)
 
 
 class TestRunAdaptive:
@@ -66,7 +54,7 @@ class TestRunAdaptive:
         called, counts, elapsed = resolve(counts_at(), ADAPTIVE)
         assert not called
         assert counts == 0
-        assert elapsed == ADAPTIVE.max_duration
+        assert elapsed == ADAPTIVE.window
 
     def test_stops_at_second_count(self):
         called, counts, elapsed = resolve(counts_at(10e-6, 40e-6, 200e-6), ADAPTIVE)
@@ -77,7 +65,7 @@ class TestRunAdaptive:
     def test_scatter_and_depump_tally(self):
         # event oracle: a silent scatter, the depumping scatter, then a background count
         outcome = stop_rule(
-            counts_at(5e-6, 8e-6), counts_at(20e-6), 8e-6, ReadoutPolicy(ADAPTIVE_STOP, 1, 300e-6)
+            counts_at(5e-6, 8e-6), counts_at(20e-6), 8e-6, replace(ADAPTIVE, n_d=1)
         )
         assert outcome.scatters == 2
         assert outcome.depumped
@@ -86,10 +74,8 @@ class TestRunAdaptive:
 
     def test_mean_stop_time_is_second_arrival(self, ref_cfg):
         # signal mean 21 per 300 us -> detection rate 70 kHz, Erlang-2 mean 28.6 us
-        cfg = replace(
-            ref_cfg, depump_hazard=0.0, probe=replace(ref_cfg.probe, background_mean_per_window=0.0)
-        )
-        assert cfg.probe.scatter_rate * cfg.net_efficiency == pytest.approx(70_000.0)
+        cfg = replace(ref_cfg, depump_hazard=0.0, background_mean=0.0)
+        assert cfg.scatter_rate * cfg.net_efficiency == pytest.approx(70_000.0)
         trials = 100_000
         rng = np.random.default_rng(7)
         elapsed = _simulate_probe(np.ones(trials, dtype=bool), cfg, rng).elapsed
@@ -102,18 +88,16 @@ class TestRunAdaptive:
         eta = ref_cfg.net_efficiency
         bright = np.ones(50, dtype=bool)
         for _ in range(200):
-            probe = replace(ref_cfg.probe, scatter_rate=rng.uniform(1e3, 3e4) / eta)
+            cfg = replace(ref_cfg, scatter_rate=rng.uniform(1e3, 3e4) / eta)
             seed = int(rng.integers(2**63))
-            adaptive = _simulate_probe(
-                bright, replace(ref_cfg, probe=probe, policy=ADAPTIVE), np.random.default_rng(seed)
-            )
+            adaptive = _simulate_probe(bright, cfg, np.random.default_rng(seed))
             fixed = _simulate_probe(
-                bright, replace(ref_cfg, probe=probe, policy=FIXED), np.random.default_rng(seed)
+                bright, replace(cfg, adaptive=False), np.random.default_rng(seed)
             )
-            reached = fixed.detected_counts >= FIXED.threshold_counts
+            reached = fixed.detected_counts >= cfg.n_d
             assert np.array_equal(adaptive.called_bright, fixed.called_bright)
             assert np.array_equal(adaptive.called_bright, reached)
-            assert np.all(adaptive.detected_counts[reached] == ADAPTIVE.threshold_counts)
+            assert np.all(adaptive.detected_counts[reached] == cfg.n_d)
             assert np.all(adaptive.elapsed[reached] <= fixed.elapsed[reached])
             missed = ~reached
             assert np.array_equal(adaptive.detected_counts[missed], fixed.detected_counts[missed])
@@ -122,16 +106,15 @@ class TestRunAdaptive:
 
 class TestAnalyticF1Error:
     def test_reference_background(self):
-        assert analytic_f1_error(ADAPTIVE, 0.3) == pytest.approx(
+        assert analytic_f1_error(2, 0.3) == pytest.approx(
             3.693631311376678e-2, rel=1e-12
         )
 
     def test_zero_background(self):
-        assert analytic_f1_error(ADAPTIVE, 0.0) == 0.0
+        assert analytic_f1_error(2, 0.0) == 0.0
 
     def test_single_count_threshold(self):
-        policy = ReadoutPolicy(ADAPTIVE_STOP, 1, 300e-6)
-        assert analytic_f1_error(policy, 0.3) == pytest.approx(0.2591817793182821, rel=1e-12)
+        assert analytic_f1_error(1, 0.3) == pytest.approx(0.2591817793182821, rel=1e-12)
 
 
 class TestAnalyticF2Error:
