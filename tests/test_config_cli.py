@@ -23,7 +23,7 @@ from atomreadout.config import (
     reference_cycle_config,
     validate_value,
 )
-from atomreadout.physics import depump_suppression
+from atomreadout.physics import depump_suppression, heating_per_scatter
 from atomreadout.runner import _write_table, run
 
 # config updates -> SHA-256 of each result table, keyed by file suffix
@@ -85,6 +85,26 @@ PINNED_TABLES = {
     "budget": (
         {"experiment": "budget"},
         {".csv": "a2642c938f847797a8504b3dbf3adc38ac69028587f683117a7d66d3b40d67ef"},
+    ),
+    # JSON, so the float pulse-length labels pass through the JSON cell format
+    "rabi-lossy-json": (
+        {"experiment": "rabi", "rabi.atoms": 20, "loss.background_per_cycle": 0.05,
+         "output.format": "json"},
+        {
+            ".json": "b19808c4c4d2b06852d700ee8a0458513a85517290a811ef11388670b9219179",
+            "_curve.json": "0b17bfe409140c09a317294fd51685365e233cb019d6153bdbbb3aaf9005b8c4",
+            "_summary.json": "9f001067c65c449764df73d562ff3dbb84ac9620ca19ec46cbfc4823fb72dd61",
+        },
+    ),
+    # 80,000 record rows: more than one write chunk of the CSV
+    "histogram-chunks": (
+        {"experiment": "histogram", "histogram.trials_f1": 40000,
+         "histogram.trials_f2": 40000},
+        {
+            ".csv": "f35cbf5ac731ca4a49ef635438657e4b1ba34eb8dd23dbb2745abe5484478a1b",
+            "_histogram.csv": "94a663c4cac1eca87fa4c87c2e2994eb9809d8b90f617a46c57306f94fe0b4d6",
+            "_summary.csv": "fbd07a4ee19af917003516a43e6a09a976314eec0c1c60d49fe05c64ff1ebb64",
+        },
     ),
 }
 
@@ -384,6 +404,19 @@ class TestRunnerOutput:
             tables.append({Path(p).name: Path(p).read_bytes() for p in out.result_files})
         assert tables[0] == tables[1]
 
+    def test_budget_fills_the_configured_trap_depth(self, tmp_path):
+        # the row reads trap.depth, not the default depth it is pinned at
+        rows = {}
+        for depth in (2e-3, 1e-3):
+            config = default_config().with_updates(
+                {"experiment": "budget", "trap.depth": depth,
+                 "output.path": str(tmp_path / str(depth))}
+            )
+            rows[depth] = run(config).summary["scatters_to_fill_trap_depth"]
+        species = default_config().cycle_config().species
+        assert rows[1e-3] == math.ceil(1e-3 / heating_per_scatter(species))
+        assert rows[1e-3] != rows[2e-3]
+
     def test_budget_is_seed_independent(self, tmp_path):
         for seed, name in ((1, "a"), (999, "b")):
             config = default_config().with_updates(
@@ -535,9 +568,10 @@ class TestRunnerOutput:
         # Digests of the tables as the block kernel and its (1, state, block) /
         # (2, block, cycle) / (3, block, cycle) substream layout realise them. A
         # change that means to alter the realised samples updates these and says so.
+        # A case writes CSV unless it sets output.format.
         updates, digests = PINNED_TABLES[case]
         config = default_config().with_updates(
-            {**updates, "seed": 1, "workers": 1, "output.format": "csv",
+            {"seed": 1, "workers": 1, "output.format": "csv", **updates,
              "output.path": str(tmp_path / "t")}
         )
         out = run(config)
