@@ -27,9 +27,10 @@ identical results.
 
 Each experiment builds its result tables straight from the row driver's
 columns and returns ``(tables, summary)``: the tables keyed by file-name
-suffix (``""`` for the records), each a header and one column per name, and
-the summary dict, which is also the last table, ``_summary``. The runner
-writes them as they are.
+suffix (``""`` for the records), each a header and one column per name (a
+label column as ``Coded`` integer codes into its labels), and the summary
+dict, which is also the last table, ``_summary``. The runner writes them as
+they are.
 """
 
 from __future__ import annotations
@@ -292,7 +293,25 @@ def _map_rows(n_rows: int, workers: int, *args) -> tuple[np.ndarray, ...]:
 # result tables: every experiment returns (tables, summary) as they are written
 # ---------------------------------------------------------------------------
 
-Column = np.ndarray | list
+@dataclass(frozen=True)
+class Coded:
+    """A label column held as integer codes into its few labels: cell i is ``labels[codes[i]]``."""
+
+    codes: np.ndarray
+    labels: tuple
+
+    def __post_init__(self) -> None:
+        # a bool array would index as a mask, not gather
+        if not isinstance(self.codes, np.ndarray) or self.codes.dtype.kind not in "iu":
+            raise TypeError("codes must be an integer array")
+        if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() < len(self.labels):
+            raise ValueError("codes must index the labels")
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+Column = np.ndarray | list | Coded
 Table = tuple[tuple[str, ...], tuple[Column, ...]]   # header, one column per name
 
 
@@ -363,9 +382,9 @@ def experiment_histogram(
         ("trial", "prepared_state", "counts", "classified", "lost"),
         (
             np.concatenate([np.arange(trials_f1), np.arange(trials_f2)]),
-            np.repeat([F1, F2], [trials_f1, trials_f2]),
+            Coded(np.repeat(np.arange(2, dtype=np.int8), [trials_f1, trials_f2]), (F1, F2)),
             counts,
-            np.where(called, F2, F1),
+            Coded(called.view(np.int8), (F1, F2)),
             lost,
         ),
     )
@@ -399,7 +418,8 @@ def experiment_survival(
         n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, (0.0,) * n_cycles, None
     )
     lengths = np.count_nonzero(present, axis=1)  # completed cycles: loss is absorbing
-    cells = np.where(present, 1 + called, 0)[np.argsort(-lengths, kind="stable")]  # CELLS codes
+    cells = np.where(present, 1 + called.view(np.int8), 0)  # CELLS codes
+    cells = cells[np.argsort(-lengths, kind="stable")]
     fraction = [float(np.mean(lengths >= k)) for k in range(n_cycles + 1)]
     ks = np.arange(n_cycles + 1, dtype=float)
     ys = np.asarray(fraction)
@@ -413,7 +433,7 @@ def experiment_survival(
         (
             np.repeat(np.arange(n_atoms), n_cycles),
             np.tile(np.arange(n_cycles), n_atoms),
-            np.asarray(CELLS)[cells.ravel()],
+            Coded(cells.ravel(), CELLS),
         ),
     )
     curve = (("cycle", "fraction_alive"), (list(range(n_cycles + 1)), fraction))
@@ -521,7 +541,12 @@ def experiment_rabi(
     atom, point = (index.astype(np.int32) for index in np.nonzero(present))
     records = (
         ("atom", "point", "pulse_length", "outcome"),
-        (atom, point, times[point], np.where(called[present], F2, F1)),
+        (
+            atom,
+            point,
+            Coded(point, rabi.pulse_lengths),
+            Coded(called[present].view(np.int8), (F1, F2)),
+        ),
     )
     curve = (
         ("point", "pulse_length", "n_measured", "f2_fraction"),

@@ -9,14 +9,18 @@ independent of worker count; the manifest additionally records wall time and
 the number of processes that ran, and is therefore the one output not covered by
 the byte-identity contract.
 
-Tables are held as columns up to the write, which turns each chunk of
-``WRITE_CHUNK`` rows into one byte matrix and one ``write``, with no Python
-call per row. Each column becomes a (rows, width) matrix of its cells' UTF-8
-text, NUL-padded on the right: integers by digit arithmetic, bools by a
-two-entry lookup, and any other array by formatting each distinct value once
-and gathering. The columns sit between constant separator columns (``,`` and
-``\\n`` for CSV; the sorted ``{"key": `` pieces for JSON), and one boolean
-compaction drops the padding, so a cell's text may not itself contain NUL.
+Tables are held as columns up to the write, a label column as ``Coded``
+integer codes into its few labels. The writer sends the rows through one byte
+matrix of at most ``WRITE_BYTES``, so each chunk of rows is one ``write``
+with no Python call per row; a table's rows per chunk follow from its row
+width. A row is its cells' UTF-8 text, each NUL-padded to its column's width,
+between constant separators (``,`` and ``\\n`` for CSV; the sorted
+``{"key": `` pieces for JSON). Integers are written by digit arithmetic, in
+32 bits when they have at most 9 digits. Every other column is coded (a bool
+array as two codes, any other array by its distinct values, a list by row),
+and its labels are formatted once per table and gathered by code. One
+boolean compaction drops the padding, so a cell's text may not itself
+contain NUL.
 """
 
 from __future__ import annotations
@@ -27,11 +31,13 @@ import time
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .config import ROW_KEYS, RunConfig
 from .experiments import (
+    Coded,
     Column,
     Table,
     _from_rows,
@@ -55,7 +61,7 @@ from .seeding import GENERATOR_NAME
 ARTIFACT_NAME = "atomreadout"
 ARTIFACT_VERSION = "0.2.0"
 
-WRITE_CHUNK = 1024   # table rows formatted and written at a time
+WRITE_BYTES = 1 << 20   # bytes of padded rows formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -107,48 +113,71 @@ def _text(cells: list[str]) -> np.ndarray:
     return np.array(encoded, dtype=bytes)
 
 
-def _digit_bytes(column: np.ndarray) -> np.ndarray:
-    """An integer column as a (rows, width) byte matrix of its decimal text, NUL-padded."""
-    negative = column < 0
-    magnitude = column.astype(np.uint64)
-    magnitude = np.where(negative, ~magnitude + np.uint64(1), magnitude)  # |x|, int64 min too
-    width = len(str(magnitude.max()))
-    digits = np.empty((width + 1, len(column)), np.uint8)  # one row per place, sign first
-    digits[0] = np.where(negative, ord("-"), 0)
-    ten = np.uint64(10)
-    for place in range(width, 0, -1):
-        quotient = magnitude // ten
-        digits[place] = magnitude - quotient * ten + ord("0")
-        if place < width:  # a leading zero is padding; the units digit always shows
-            digits[place] *= magnitude > 0
-        magnitude = quotient
-    return digits.T
+def _fill_digits(out: np.ndarray, column: np.ndarray, places: int, signed: bool) -> None:
+    """Write an integer column's decimal text into ``out``, a (rows, signed + places) byte matrix.
 
-
-def _cell_bytes(column: Column, cell) -> np.ndarray:
-    """A column chunk as a (rows, width) byte matrix of its cells' text, NUL-padded.
-
-    Integers and bools are formatted by array arithmetic; any other array has
-    each distinct value formatted once by ``cell``, and a list every cell.
+    The digits are right-aligned behind the sign byte, and leading zeros are NUL.
     """
-    if not isinstance(column, np.ndarray):
-        text = _text([cell(v) for v in column])
-    elif column.dtype == bool:
-        text = np.where(column, b"true", b"false")
-    elif column.dtype.kind in "iu":
-        return _digit_bytes(column)
-    else:  # floats by their bits, so that -0.0 and 0.0 stay two values
-        key = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        text = _text([cell(v) for v in column[first].tolist()])[inverse]
-    return text.view(np.uint8).reshape(len(text), text.itemsize)
+    unsigned = np.uint32 if places <= 9 else np.uint64  # 9 digits always fit in 32 bits
+    magnitude = column.astype(unsigned)
+    if signed:
+        negative = column < 0
+        magnitude = np.where(negative, ~magnitude + unsigned(1), magnitude)  # |x|, int64 min too
+        out[:, 0] = np.where(negative, ord("-"), 0)
+    ten = unsigned(10)
+    units = signed + places - 1
+    for place in range(units, signed - 1, -1):
+        quotient = magnitude // ten
+        digit = (magnitude - quotient * ten).astype(np.uint8) + np.uint8(ord("0"))
+        if place < units:  # a leading zero is padding; the units digit always shows
+            digit *= magnitude > 0
+        out[:, place] = digit
+        magnitude = quotient
+
+
+def _coded(column: Column) -> np.ndarray | Coded:
+    """An integer array as it is, and any other column as codes into its distinct cells."""
+    if isinstance(column, Coded):
+        return column
+    if not isinstance(column, np.ndarray):  # a small table's list: a label per row
+        return Coded(np.arange(len(column)), tuple(column))
+    if column.dtype.kind in "iu":
+        return column
+    if column.dtype == bool:
+        return Coded(column.view(np.int8), (False, True))
+    # floats by their bits, so that -0.0 and 0.0 stay two values
+    key = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
+    return Coded(codes, tuple(column[first].tolist()))
+
+
+def _cells(column: Column, cell) -> tuple[int, Callable[[np.ndarray, slice], None]]:
+    """A column's cell width in bytes, and a function that writes its ``rows`` into a matrix.
+
+    The matrix is (rows, width) bytes. Integers are written by digit
+    arithmetic, and any other column gathers its labels' text, which ``cell``
+    formats once per table.
+    """
+    column = _coded(column)
+    if isinstance(column, Coded):
+        text = _text([cell(v) for v in column.labels])
+        labels = text.view(f"V{text.itemsize}")  # each label's text as one item
+
+        def fill(out: np.ndarray, rows: slice) -> None:
+            out.view(labels.dtype)[:, 0] = np.take(labels, column.codes[rows])
+
+        return text.itemsize, fill
+    low, high = (int(column.min()), int(column.max())) if column.size else (0, 0)
+    places, signed = len(str(max(high, -low))), low < 0  # of the largest magnitude
+    return signed + places, lambda out, rows: _fill_digits(out, column[rows], places, signed)
 
 
 def _write_table(path: Path, table: Table, fmt: str) -> None:
     """Write a table as CSV, or as a compact JSON list of objects with sorted keys.
 
-    Each ``WRITE_CHUNK`` rows become one byte matrix: the columns' cell bytes
-    between constant separator columns, NUL padding dropped, written at once.
+    The rows are written in chunks through one byte matrix of at most
+    ``WRITE_BYTES`` (and at least one row): each row the columns' cells
+    between constant separators, NUL padding dropped, one ``write`` a chunk.
     """
     header, columns = table
     n_rows = len(columns[0]) if columns else 0
@@ -162,17 +191,22 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
         keys = [json.dumps(header[i]) + ": " for i in order]
         seps = [(", " if j else ", {") + key for j, key in enumerate(keys)] + ["}"]
     seps = [np.frombuffer(sep.encode(), np.uint8) for sep in seps]
+    cells = [_cells(columns[i], cell) for i in order]
+    sizes = [seps[0].size]
+    for (width, _), sep in zip(cells, seps[1:]):
+        sizes += [width, sep.size]
+    edges = [0, *accumulate(sizes)]  # a row: separator, column, separator, ..., separator
+    step = max(1, WRITE_BYTES // edges[-1])  # rows per chunk
+    matrix = np.empty((min(step, n_rows), edges[-1]), np.uint8)
+    for sep, start in zip(seps, edges[::2]):
+        matrix[:, start:start + sep.size] = sep  # broadcast down the rows, once per table
     with path.open("wb") as out:
         out.write(head.encode())
-        for lo in range(0, n_rows, WRITE_CHUNK):
-            rows = min(WRITE_CHUNK, n_rows - lo)
-            parts = [seps[0]]
-            for i, sep in zip(order, seps[1:]):
-                parts += [_cell_bytes(columns[i][lo:lo + rows], cell), sep]
-            edges = [0, *accumulate(part.shape[-1] for part in parts)]
-            chunk = np.empty((rows, edges[-1]), np.uint8)
-            for part, start, stop in zip(parts, edges, edges[1:]):
-                chunk[:, start:stop] = part  # a separator broadcasts down the rows
+        for lo in range(0, n_rows, step):
+            rows = slice(lo, min(lo + step, n_rows))
+            chunk = matrix[:rows.stop - lo]
+            for (_, fill), start, stop in zip(cells, edges[1::2], edges[2::2]):
+                fill(chunk[:, start:stop], rows)
             chunk = chunk.ravel()
             out.write(chunk[chunk != 0][0 if lo else skip:])
         out.write(tail.encode())

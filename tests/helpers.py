@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
-from atomreadout.experiments import CycleConfig
+from atomreadout.experiments import Coded, CycleConfig
 from atomreadout.readout import ReadoutOutcome
 
 
@@ -168,6 +168,12 @@ def binomial_3se(p: float, n: int) -> float:
 
 def _same_cells(a, b) -> bool:
     """Equal table columns or summary values: same types, and a nan equals a nan."""
+    if isinstance(a, Coded):
+        return (
+            isinstance(b, Coded)
+            and _same_cells(a.codes, b.codes)
+            and _same_cells(list(a.labels), list(b.labels))
+        )
     if isinstance(a, np.ndarray):
         return (
             isinstance(b, np.ndarray)
@@ -198,9 +204,12 @@ def same_result(a, b) -> bool:
 
 
 def table_column(tables, suffix: str, name: str) -> np.ndarray:
-    """One named column of an experiment's table, as an array."""
+    """One named column of an experiment's table, as an array; a coded column as its labels."""
     header, columns = tables[suffix]
-    return np.asarray(columns[header.index(name)])
+    column = columns[header.index(name)]
+    if isinstance(column, Coded):
+        return np.asarray(column.labels)[column.codes]
+    return np.asarray(column)
 
 
 def survival_cells(tables) -> np.ndarray:

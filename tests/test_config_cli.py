@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from atomreadout.config import (
     reference_cycle_config,
     validate_value,
 )
+from atomreadout.experiments import Coded
 from atomreadout.physics import depump_suppression, heating_per_scatter
 from atomreadout.runner import _write_table, run
 
@@ -317,6 +320,9 @@ def writer_columns(n_rows):
     patterns = (
         np.array([0, -7, big.min, big.max, 42, -1, 10, 100000]),
         np.array([2**64 - 1, 2**63, 0, 9], dtype=np.uint64),
+        # either side of 9 digits, the most that the 32-bit digit loop formats
+        np.array([999_999_999, 1_000_000_000, 2**32 - 1, 2**32, -999_999_999, -(2**32)]),
+        np.array([999_999_999, -999_999_999, 0, 7], dtype=np.int32),
         np.array([-128, 127, 0, 2, -1], dtype=np.int8),
         np.array([True, False, False, True, False]),
         np.array(["F1", "", "\u00b5s", 'say "hi"', "lost", "\u65e5\u672c", "F2"]),
@@ -324,29 +330,84 @@ def writer_columns(n_rows):
         np.array([0.5, 0.25], dtype=np.float32),
         [1, 0.1, True, "x", math.inf, -0.0, math.nan],
         ['say "hi"', "\u00b5s", "", "a b", "F1-detected"],
+        Coded(np.array([2, 0, 1, 3, 0, 2], dtype=np.int8),
+              ("", "\u00b5s\u65e5", 'say "hi"', "F2-detected")),
+        Coded(np.array([0, 4, 1, 2, 3, 1, 5]), (math.nan, -0.0, 0.0, math.inf, -math.inf, 1e-05)),
     )
-    header = ("trial", "u64", "code", "lost", "label", "pulse", "f32", "value", "note")
+    header = ("trial", "u64", "wide", "narrow", "code", "lost", "label", "pulse", "f32",
+              "value", "note", "cell", "length")
     columns = tuple(
-        np.resize(p, n_rows) if isinstance(p, np.ndarray) else (p * n_rows)[:n_rows]
+        np.resize(p, n_rows) if isinstance(p, np.ndarray)
+        else Coded(np.resize(p.codes, n_rows), p.labels) if isinstance(p, Coded)
+        else (p * n_rows)[:n_rows]
         for p in patterns
     )
-    rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    rows = list(zip(*(
+        c.tolist() if isinstance(c, np.ndarray)
+        else [c.labels[k] for k in c.codes.tolist()] if isinstance(c, Coded)
+        else c
+        for c in columns
+    )))
     return header, columns, rows
+
+
+class RecordedPath:
+    """Stands in for a table's path, and keeps each write made to its file."""
+
+    def __init__(self):
+        self.writes = []
+
+    def open(self, mode):
+        assert mode == "wb"
+        return contextlib.nullcontext(SimpleNamespace(write=self.writes.append))
 
 
 class TestRunnerOutput:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    # the last size fills three chunks and part of a fourth at either chunk size
-    @pytest.mark.parametrize("n_rows", [0, 5, 3 * runner.WRITE_CHUNK + 1])
-    @pytest.mark.parametrize("chunk", [2, runner.WRITE_CHUNK])
-    def test_column_writer_matches_row_writer(self, fmt, n_rows, chunk, tmp_path, monkeypatch):
-        monkeypatch.setattr(runner, "WRITE_CHUNK", chunk)
+    @pytest.mark.parametrize("n_rows", [0, 5, 3073])
+    # byte budgets below one row (a row per chunk) and of a few rows
+    @pytest.mark.parametrize("budget", [2, 1024])
+    def test_column_writer_matches_row_writer(self, fmt, n_rows, budget, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "WRITE_BYTES", budget)
         header, columns, rows = writer_columns(n_rows)
         _write_table(tmp_path / "columns", (header, columns), fmt)
         row_writer(tmp_path / "rows", header, rows, fmt)
         assert (tmp_path / "columns").read_bytes() == (tmp_path / "rows").read_bytes()
 
-    @pytest.mark.parametrize("column", [np.array(["a", "b\0c"]), ["a", "b\0c"]])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_writes_keep_to_the_byte_budget(self, fmt, tmp_path):
+        header, columns, rows = writer_columns(20_000)
+        path = RecordedPath()
+        _write_table(path, (header, columns), fmt)
+        chunks = path.writes[1:-1]  # between the head and the tail
+        assert len(chunks) >= 3
+        assert max(len(chunk) for chunk in chunks) <= runner.WRITE_BYTES
+        row_writer(tmp_path / "rows", header, rows, fmt)
+        assert b"".join(map(bytes, path.writes)) == (tmp_path / "rows").read_bytes()
+
+    def test_a_row_wider_than_the_budget_is_written_alone(self, monkeypatch):
+        monkeypatch.setattr(runner, "WRITE_BYTES", 4)
+        path = RecordedPath()
+        _write_table(path, (("label", "n"), (["a long label"] * 3, np.arange(3))), "csv")
+        assert [bytes(chunk) for chunk in path.writes] == [
+            b"label,n\n", b"a long label,0\n", b"a long label,1\n", b"a long label,2\n", b"",
+        ]
+
+    @pytest.mark.parametrize("codes", [np.array([True, False]), np.array([0.0, 1.0])])
+    def test_coded_gathers_by_integer_codes_only(self, codes):
+        # a bool array would select as a mask, and a float array cannot index
+        with pytest.raises(TypeError, match="integer"):
+            Coded(codes, ("a", "b"))
+
+    @pytest.mark.parametrize("codes", [[-1, 0], [0, 2]])
+    def test_coded_codes_index_the_labels(self, codes):
+        with pytest.raises(ValueError, match="index the labels"):
+            Coded(np.array(codes), ("a", "b"))
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.array(["a", "b\0c"]), ["a", "b\0c"], Coded(np.array([0, 1], np.int8), ("a", "b\0c"))],
+    )
     def test_writer_refuses_a_nul_it_would_drop(self, column, tmp_path):
         # the writer drops NUL padding, so a CSV cell holding NUL would be cut short
         table = (("label",), (column,))
