@@ -537,6 +537,7 @@ def experiment_rabi(
         fit = fit_damped_sinusoid(times[mask], fraction[mask])
     except ValueError:
         fit = None
+    lengths = tuple(times.tolist())  # Python floats, whatever the config held
     # int32 halves the index columns, which the table holds through its write
     atom, point = (index.astype(np.int32) for index in np.nonzero(present))
     records = (
@@ -544,13 +545,13 @@ def experiment_rabi(
         (
             atom,
             point,
-            Coded(point, rabi.pulse_lengths),
+            Coded(point, lengths),
             Coded(called[present].view(np.int8), (F1, F2)),
         ),
     )
     curve = (
         ("point", "pulse_length", "n_measured", "f2_fraction"),
-        (list(range(times.size)), list(rabi.pulse_lengths), measured.tolist(), fraction.tolist()),
+        (list(range(times.size)), list(lengths), measured.tolist(), fraction.tolist()),
     )
     summary: dict[str, object] = {"atoms": n_atoms, "points": times.size}
     if fit is None:

@@ -408,6 +408,14 @@ class TestRabiExperiment:
         assert n_measured.tolist() == np.count_nonzero(~unmeasured, axis=0).tolist()
         assert n_measured[-1] < n_measured[0]
 
+    def test_pulse_lengths_reach_the_tables_as_python_floats(self, ref_cfg):
+        # numpy scalars would be written as "np.float64(...)"
+        rabi = rabi_scan(8, 1e-3)
+        numpy_rabi = replace(rabi, pulse_lengths=tuple(np.asarray(rabi.pulse_lengths)))
+        a = experiment_rabi(5, rabi, ref_cfg, master_seed=18)
+        b = experiment_rabi(5, numpy_rabi, ref_cfg, master_seed=18)
+        assert same_result(a, b)
+
     def test_grid_helpers(self):
         grid = uniform_pulse_grid(5, 1e-3)
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(1e-3)
