@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Check that this checkout writes the same outputs as another source tree.
+
+Usage: python3 scripts/compare_outputs.py PARENT_SRC
+
+Runs every invocation of the benchmark's workloads (``perfbench/workloads.py``)
+at seed 1, in CSV and in JSON, at one and at two workers, once with this
+checkout's ``src/`` and once with ``PARENT_SRC`` (the ``src/`` directory of the
+tree to compare against). Every result table must match byte for byte; the
+manifests must match once ``wall_time_s`` and the ``output.path`` config entry
+are left out, as those name the run rather than its results. Prints each file
+that differs and exits 1 if any does, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 1
+
+
+def _workloads():
+    """perfbench's workloads module, imported without writing bytecode beside it."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module.workloads()
+
+
+def _invocations() -> list:
+    """Each distinct workload invocation in both formats at one and two workers."""
+    found = []
+    for workload in _workloads().values():
+        for inv in workload.invocations:
+            for fmt in ("csv", "json"):
+                for workers in (1, 2):
+                    variant = replace(inv, fmt=fmt, workers=workers)
+                    if variant not in found:
+                        found.append(variant)
+    return found
+
+
+def _run(src: Path, argv: list[str], cwd: Path) -> str | None:
+    """Run the CLI from ``src``; None on success, else the exit code and last stderr line."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-m", "atomreadout", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+    if result.returncode == 0:
+        return None
+    tail = result.stderr.strip().splitlines()[-1:]
+    return f"exit code {result.returncode} {' '.join(tail)}".strip()
+
+
+def _manifest(path: Path) -> dict:
+    manifest = json.loads(path.read_text())
+    manifest.pop("wall_time_s", None)
+    manifest.get("config", {}).pop("output.path", None)
+    return manifest
+
+
+def _differences(ours: Path, theirs: Path) -> list[str]:
+    """Names of the files that differ between two output directories, or exist in one only."""
+    names = sorted({p.name for p in ours.iterdir()} | {p.name for p in theirs.iterdir()})
+    differ = []
+    for name in names:
+        a, b = ours / name, theirs / name
+        if not (a.is_file() and b.is_file()):
+            differ.append(f"{name} (written by one side only)")
+        elif name.endswith("_manifest.json"):
+            if _manifest(a) != _manifest(b):
+                differ.append(name)
+        elif a.read_bytes() != b.read_bytes():
+            differ.append(name)
+    return differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or args[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    sides = {"this": ROOT / "src", "parent": Path(args[0]).resolve()}
+    if not (sides["parent"] / "atomreadout" / "cli.py").is_file():
+        print(f"no atomreadout package under {sides['parent']}", file=sys.stderr)
+        return 2
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, inv in enumerate(_invocations()):
+            label = f"{inv.experiment} {dict(inv.sizes)} {inv.fmt} workers={inv.workers}"
+            dirs, errors = {}, []
+            for side, src in sides.items():
+                dirs[side] = Path(tmp) / f"{side}{n}"
+                dirs[side].mkdir()
+                error = _run(src, inv.argv(SEED, dirs[side] / inv.experiment), dirs[side])
+                if error:
+                    errors.append(f"{side} failed: {error}")
+            errors += [f"{name} differs" for name in _differences(dirs["this"], dirs["parent"])]
+            for error in errors or ["identical"]:
+                print(f"{label}: {error}")
+            failed |= bool(errors)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

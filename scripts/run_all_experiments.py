@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the four reference experiments and print their headline numbers.
 
-Writes CSV tables plus manifests under --outdir (default ./results) using the
-default calibrated profile, then summarizes: feasibility budget, dark/bright
+Writes CSV tables plus manifests under --outdir (default ./results) at the
+calibrated reference operating point, then summarizes: feasibility budget, dark/bright
 misclassification rates, trap lifetime, and the fitted Rabi curve.
 """
 

@@ -10,10 +10,15 @@ from .config import (
     parse_config,
     reference_cycle_config,
 )
-from .detection import poisson_tail_at_least
 from .experiments import (
+    Atoms,
     CycleConfig,
     RabiConfig,
+    ReadoutOutcome,
+    apply_heating,
+    check_loss,
+    cool,
+    derive_substream,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
@@ -33,26 +38,21 @@ from .fitting import (
 from .physics import (
     F1,
     F2,
-    Atoms,
     RB87_D2,
     SpeciesConstants,
+    analytic_f1_error,
+    analytic_f2_error,
+    calibrate_depump,
     depump_hazard_per_scatter,
     depump_suppression,
     heating_for_scatters,
     heating_per_scatter,
+    implied_effective_detuning,
     misdetection_probability,
+    poisson_tail_at_least,
     required_mean_photons,
     scatters_for_detected,
 )
-from .readout import (
-    ReadoutOutcome,
-    analytic_f1_error,
-    analytic_f2_error,
-    calibrate_depump,
-    implied_effective_detuning,
-)
 from .runner import ARTIFACT_VERSION, RunOutput, run
-from .seeding import derive_substream
-from .trap import apply_heating, check_loss, cool
 
 __version__ = ARTIFACT_VERSION

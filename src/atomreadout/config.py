@@ -1,9 +1,10 @@
 """Run configuration: the key table, strict line-oriented parsing, domain builders.
 
 Config files are ``section.key = value`` lines with ``#`` comments. Parsing is
-strict: unknown keys, malformed lines, and out-of-range values are errors that
-name the offending line and key. The defaults in ``SCHEMA`` are the calibrated
-reference operating point, written nowhere else; an empty file yields it.
+strict: unknown keys, keys set twice, malformed lines, and out-of-range values
+are errors that name the offending line and key. The defaults in ``SCHEMA``
+are the calibrated reference operating point, written nowhere else; an empty
+file yields it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .experiments import CycleConfig, RabiConfig, uniform_pulse_grid
-from .physics import RB87_D2, SpeciesConstants
-from .readout import calibrate_depump
+from .physics import RB87_D2, SpeciesConstants, calibrate_depump
 
 DEFAULT_SEED = 1
 
@@ -262,6 +262,7 @@ def reference_cycle_config() -> CycleConfig:
 def parse_config(text: str) -> RunConfig:
     """Parse file contents on top of the defaults; strict about everything."""
     values = dict(default_config().values)
+    set_on: dict[str, int] = {}   # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -270,6 +271,9 @@ def parse_config(text: str) -> RunConfig:
         if not sep:
             raise ConfigError("expected 'key = value'", lineno)
         key = key.strip()
+        if key in set_on:
+            raise ConfigError(f"already set on line {set_on[key]}", lineno, key)
+        set_on[key] = lineno
         values[key] = parse_value(key, val.strip(), lineno)
     return RunConfig(values)
 

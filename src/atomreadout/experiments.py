@@ -1,25 +1,32 @@
-"""Detection cycles and the four headline experiments.
+"""The Monte Carlo model: detection cycles and the four headline experiments.
 
-One cycle is prepare -> probe -> classify -> heat -> loss check -> cool, and it
-steps a whole block of atoms at once. The probe draws its detections exactly,
-by a time change. A bright atom falls dark at its depumping time tau, the
-first event of the depumping stream (rate ``scatter_rate * (1-eta) * q``); a
-dark atom is dark from time 0. Detections arrive at rate lam_s + lam_b before
-tau (signal ``scatter_rate * eta`` plus background) and at lam_b after it, so
-their cumulative intensity is Lambda(t) = (lam_s + lam_b) t before tau and
-lam_s tau + lam_b t after it. The first n_d arrivals are cumulated Exp(1) gaps
-mapped through the inverse of Lambda; an arrival before tau is signal with
-probability lam_s / (lam_s + lam_b). The adaptive stop ends the probe at the
-n_d-th arrival; the fixed window adds the Poisson count of the rest of the
-window, so both policies share the first n_d arrivals and call an atom the
-same way from the same draws. Silent scatters are Poisson over the bright time the probe saw, and a
-depump is one more scatter. The tests check this law against an
+One cycle is prepare -> probe -> classify -> heat -> loss check -> cool, and
+it steps a whole block of atoms at once, held in arrays (``Atoms``). The probe
+draws its detections exactly, by a time change. A bright atom falls dark at
+its depumping time tau, the first event of the depumping stream (rate
+``scatter_rate * (1-eta) * q``); a dark atom is dark from time 0. Detections
+arrive at rate lam_s + lam_b before tau (signal ``scatter_rate * eta`` plus
+background) and at lam_b after it, so their cumulative intensity is
+Lambda(t) = (lam_s + lam_b) t before tau and lam_s tau + lam_b t after it.
+The first n_d arrivals are cumulated Exp(1) gaps mapped through the inverse
+of Lambda; an arrival before tau is signal with probability
+lam_s / (lam_s + lam_b). The adaptive stop ends the probe at the n_d-th
+arrival; the fixed window adds the Poisson count of the rest of the window,
+so both policies share the first n_d arrivals and call an atom the same way
+from the same draws. Event times are continuous and no detector dead time is
+modelled. Silent scatters are Poisson over the bright time the probe saw, and
+a depump is one more scatter. The tests check this law against an
 event-by-event oracle.
+
+Heating is deterministic mean-energy accounting, two recoil temperatures per
+scatter. Loss is a hard threshold on the accumulated energy against the trap
+depth, plus an independent per-cycle background Bernoulli that stands in for
+collisions and every other non-thermal loss.
 
 Every experiment runs the same row driver. A row is one atom stepped through
 its cycles until they run out or the atom is lost, and a histogram trial is a
 row of one cycle. Rows run in fixed blocks of ``BLOCK`` atoms, and each block
-draws from its own substream of the master seed: path
+draws from its own substream of the master seed (``GENERATOR_NAME``): path
 ``(experiment, state, block)`` for histogram trials and
 ``(experiment, block, cycle)`` for survival and Rabi rows. A process pool
 splits the rows only at block boundaries, so any execution order gives
@@ -39,14 +46,26 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .fitting import binomial_interval, build_histogram, fit_damped_sinusoid, fit_exponential
-from .physics import F1, F2, Atoms, SpeciesConstants, heating_per_scatter
-from .readout import ReadoutOutcome, analytic_f1_error, analytic_f2_error
-from .seeding import BLOCK, derive_substream
-from .trap import apply_heating, check_loss, cool
+from .physics import (
+    F1,
+    F2,
+    SpeciesConstants,
+    analytic_f1_error,
+    analytic_f2_error,
+    heating_per_scatter,
+)
+
+BLOCK = 4096   # atoms per substream; fixed, so that no result depends on the worker count
+
+GENERATOR_NAME = (
+    "numpy.random.PCG64 seeded via SeedSequence(master_seed, spawn_key=path), "
+    f"one path per block of {BLOCK} atoms"
+)
 
 EXP_HISTOGRAM = 1
 EXP_SURVIVAL = 2
@@ -57,6 +76,60 @@ CELL_F2 = "F2-detected"
 CELL_F1 = "F1-detected"
 CELL_LOST = "lost"
 CELLS = (CELL_LOST, CELL_F1, CELL_F2)   # the labels of cell codes 0, 1 and 2
+
+
+def derive_substream(master_seed: int, indices: Sequence[int]) -> np.random.Generator:
+    """Independent generator for one (seed, index-path) pair."""
+    if master_seed < 0 or master_seed >= 2**64:
+        raise ValueError("master_seed must be an unsigned 64-bit integer")
+    seq = np.random.SeedSequence(
+        entropy=int(master_seed), spawn_key=tuple(int(i) for i in indices)
+    )
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+@dataclass
+class Atoms:
+    """A block of simulated atoms, one array entry per atom.
+
+    ``bright`` marks the atoms in F=2. ``in_mf0`` marks the clock sublevel
+    mF=0 of an F=1 atom, the one Zeeman sublevel anything reads (the microwave
+    drive); no other sublevel is tracked. ``energy`` is the motional energy in
+    kelvin and ``present`` is False once the atom is lost. The functions that
+    step atoms (the microwave pulse, heating, the loss check, cooling) update
+    these arrays in place.
+    """
+
+    bright: np.ndarray
+    in_mf0: np.ndarray
+    energy: np.ndarray
+    present: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.any(self.energy < 0):
+            raise ValueError("motional energy must be nonnegative")
+
+    def __len__(self) -> int:
+        return self.energy.size
+
+    def take(self, keep: np.ndarray) -> "Atoms":
+        """The atoms selected by the boolean mask ``keep``, as a new block."""
+        return Atoms(self.bright[keep], self.in_mf0[keep], self.energy[keep], self.present[keep])
+
+    def require_present(self, action: str) -> None:
+        if not self.present.all():
+            raise ValueError(f"cannot {action} an absent atom")
+
+
+@dataclass(frozen=True)
+class ReadoutOutcome:
+    """Probe results for a block of atoms, one array entry per atom."""
+
+    called_bright: np.ndarray     # classified F2
+    detected_counts: np.ndarray
+    elapsed: np.ndarray           # probe-on time, s
+    scatters: np.ndarray          # scattering events while bright, the depumping one included
+    depumped: np.ndarray          # fell dark during the probe
 
 
 @dataclass(frozen=True)
@@ -164,6 +237,32 @@ def _simulate_probe(
     return ReadoutOutcome(called, counts, elapsed, scatters, depumped)
 
 
+def apply_heating(atoms: Atoms, scatters: np.ndarray, energy_per_scatter: float) -> None:
+    """Add ``energy_per_scatter`` (K) for each of each atom's ``scatters`` scattering events."""
+    atoms.require_present("heat")
+    atoms.energy += scatters * energy_per_scatter
+
+
+def check_loss(
+    atoms: Atoms, depth: float, background_loss: float, rng: np.random.Generator
+) -> None:
+    """Mark atoms absent whose energy reaches ``depth``, or on a background-loss draw."""
+    atoms.require_present("re-check")
+    lost = atoms.energy >= depth
+    if background_loss > 0.0:
+        lost |= rng.random(len(atoms)) < background_loss
+    atoms.present &= ~lost
+
+
+def cool(atoms: Atoms, reset: bool, baseline_energy: float) -> None:
+    """Cooling pulse: restores ``baseline_energy`` when ``reset`` is set.
+
+    Lost atoms are cooled too; no later step reads them.
+    """
+    if reset:
+        atoms.energy.fill(baseline_energy)
+
+
 def _cycle(atoms: Atoms, cfg: CycleConfig, rng: np.random.Generator) -> ReadoutOutcome:
     """Probe, classify, heat, loss-check and cool a block of prepared atoms in place.
 
@@ -205,11 +304,11 @@ def _run_block(
     Each row is one atom that starts at the baseline energy. Before each
     cycle it is re-prepared in ``state`` and, when ``rabi`` is given, driven
     for that cycle's pulse length. A row ends when its cycles run out or its
-    atom is lost. With ``pulse_lengths=None`` each row is a single-shot trial
-    and the block draws from substream ``(*key, block)``; otherwise cycle
-    ``c`` draws from ``(*key, block, c)``. Returns (rows, cycles) arrays of
-    the detected counts, the bright calls and whether the atom is present
-    after the cycle; the cycles after an atom's loss read (0, False, False).
+    atom is lost. With ``pulse_lengths=None`` each row is a single-shot trial.
+    ``key`` is the experiment's prefix of the substream paths in the module
+    docstring. Returns (rows, cycles) arrays of the detected counts, the
+    bright calls and whether the atom is present after the cycle; the cycles
+    after an atom's loss read (0, False, False).
     """
     lo = block * BLOCK
     n = min(n_rows - lo, BLOCK)

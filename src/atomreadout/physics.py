@@ -1,12 +1,15 @@
-"""Atomic constants and closed-form feasibility estimates for fluorescence readout.
+"""The analytic model: species constants and the closed forms of the error budget.
 
 The detection scheme drives the quasi-cycling F=2 -> F'=3 optical transition and
-counts collected photons; an atom left in F=1 stays dark. This module holds the
-species constants and the back-of-the-envelope formulas that set the operating
-point: how many detected photons a given error target needs, how strongly the
-off-resonant F'=2 channel (the "depump" route into F=1) is suppressed, and how
-much recoil heating a readout costs. The probe's operating point, like every
-other input of a detection cycle, is a field of ``experiments.CycleConfig``.
+counts collected photons; an atom left in F=1 stays dark. Scattered photons
+become detector counts by Bernoulli thinning at the net collection+quantum
+efficiency, and the background (stray light and detector dark counts together)
+is one homogeneous Poisson process. This module holds the species constants
+and the closed forms that set the operating point: how many detected photons
+a given error target needs, how strongly the off-resonant F'=2 channel (the
+"depump" route into F=1) is suppressed, how much recoil heating a readout
+costs, and the dark- and bright-state errors of calling an atom bright at its
+n_d-th count, with the inversion that calibrates the depump hazard.
 
 Conventions: frequencies in Hz, times in seconds, motional energies in
 temperature units (kelvin).
@@ -16,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 F1 = "F1"
 F2 = "F2"
@@ -44,39 +45,6 @@ class SpeciesConstants:
 
 
 RB87_D2 = SpeciesConstants(6.0e6, 266.0e6, 361.96e-9)
-
-
-@dataclass
-class Atoms:
-    """A block of simulated atoms, one array entry per atom.
-
-    ``bright`` marks the atoms in F=2. ``in_mf0`` marks the clock sublevel
-    mF=0 of an F=1 atom, the one Zeeman sublevel anything reads (the microwave
-    drive); no other sublevel is tracked. ``energy`` is the motional energy in
-    kelvin and ``present`` is False once the atom is lost. The functions that
-    step atoms (the microwave pulse, heating, the loss check, cooling) update
-    these arrays in place.
-    """
-
-    bright: np.ndarray
-    in_mf0: np.ndarray
-    energy: np.ndarray
-    present: np.ndarray
-
-    def __post_init__(self) -> None:
-        if np.any(self.energy < 0):
-            raise ValueError("motional energy must be nonnegative")
-
-    def __len__(self) -> int:
-        return self.energy.size
-
-    def take(self, keep: np.ndarray) -> "Atoms":
-        """The atoms selected by the boolean mask ``keep``, as a new block."""
-        return Atoms(self.bright[keep], self.in_mf0[keep], self.energy[keep], self.present[keep])
-
-    def require_present(self, action: str) -> None:
-        if not self.present.all():
-            raise ValueError(f"cannot {action} an absent atom")
 
 
 def misdetection_probability(mean_detected: float) -> float:
@@ -134,3 +102,112 @@ def scatters_for_detected(mean_detected: float, efficiency: float) -> float:
     if mean_detected < 0:
         raise ValueError("mean_detected must be nonnegative")
     return mean_detected / efficiency
+
+
+def poisson_tail_at_least(k: int, mean: float) -> float:
+    """P(X >= k) for X ~ Poisson(mean), by direct partial summation.
+
+    For k > mean the tail is summed upward from k (terms only decrease, no
+    cancellation); otherwise the complement P(X < k) is small enough to
+    subtract safely. Accurate to ~1e-15 relative either way.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if mean < 0:
+        raise ValueError("mean must be nonnegative")
+    if k == 0:
+        return 1.0
+    if mean == 0.0:
+        return 0.0
+    if k > mean:
+        term = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+        total = term
+        i = k
+        while term > total * 1e-18:
+            i += 1
+            term *= mean / i
+            total += term
+        return min(total, 1.0)
+    # k <= mean: tail is order unity, 1 - CDF(k-1) loses nothing
+    term = math.exp(-mean)
+    below = term
+    for i in range(1, k):
+        term *= mean / i
+        below += term
+    return 1.0 - below
+
+
+def analytic_f1_error(n_d: int, background_mean: float) -> float:
+    """P(a dark atom is called bright): P(at least n_d background counts in the window)."""
+    return poisson_tail_at_least(n_d, background_mean)
+
+
+def _p_detect_first(efficiency: float, hazard: float) -> float:
+    return efficiency / (efficiency + hazard - efficiency * hazard)
+
+
+def analytic_f2_error(efficiency: float, hazard: float, n_d: int) -> float:
+    """P(a bright atom fails to reach n_d counts) under the per-event race model.
+
+    Each scattering event races detection (probability ``efficiency``, eta)
+    against depumping into the dark F=1 state (probability ``hazard``, q).
+    Within one event the emitted photon is credited before the depump can
+    act: a detected photon's event cannot also dump the atom. So the chance
+    that one more count arrives while the atom is still bright is
+    p1 = eta / (eta + q - eta*q), and n_d counts arrive with probability
+    p1**n_d exactly.
+
+    This is the limit of no background counts and an unbounded window. The
+    Monte Carlo has both: background counts help a bright atom that depumps
+    early reach n_d, so at the reference point it gives about 4.7%, not 5.5%.
+    The 5.5% is the race value as the background goes to 0.
+    """
+    if not 0.0 < efficiency <= 1.0:
+        raise ValueError("efficiency must lie in (0, 1]")
+    if not 0.0 <= hazard < 1.0:
+        raise ValueError("hazard must lie in [0, 1)")
+    if n_d < 1:
+        raise ValueError("n_d must be at least 1")
+    if hazard == 0.0:
+        return 0.0
+    return 1.0 - _p_detect_first(efficiency, hazard) ** n_d
+
+
+def calibrate_depump(target_f2_error: float, efficiency: float, n_d: int) -> float:
+    """Invert the race formula: the per-scatter hazard that yields a target error."""
+    if not 0.0 <= target_f2_error < 1.0:
+        raise ValueError("target_f2_error must lie in [0, 1)")
+    if not 0.0 < efficiency <= 1.0:
+        raise ValueError("efficiency must lie in (0, 1]")
+    if n_d < 1:
+        raise ValueError("n_d must be at least 1")
+    if target_f2_error == 0.0:
+        return 0.0
+    if efficiency == 1.0:
+        raise ValueError("a perfect detector never misses: only target 0 is reachable")
+    p1 = (1.0 - target_f2_error) ** (1.0 / n_d)
+    hazard = efficiency * (1.0 / p1 - 1.0) / (1.0 - efficiency)
+    if hazard >= 1.0:
+        raise ValueError("target error is not reachable by any hazard below 1")
+    return hazard
+
+
+def implied_effective_detuning(
+    hazard: float,
+    branching_to_F1: float,
+    constants: SpeciesConstants = RB87_D2,
+) -> float:
+    """Probe detuning whose depump suppression would produce the given hazard.
+
+    The detuning includes the trap's differential light shift. It exists only
+    when the hazard and branching are positive and branching/hazard does not
+    exceed the on-resonance suppression; otherwise this raises ValueError.
+    """
+    if hazard <= 0 or branching_to_F1 <= 0:
+        raise ValueError("hazard and branching must be positive")
+    implied_suppression = branching_to_F1 / hazard
+    on_resonance = depump_suppression(0.0, constants)
+    if implied_suppression > on_resonance:
+        raise ValueError("hazard is below the on-resonance floor for this branching")
+    g = constants.linewidth_gamma
+    return 0.5 * g * math.sqrt(on_resonance / implied_suppression - 1.0)

@@ -37,6 +37,7 @@ import numpy as np
 
 from .config import ROW_KEYS, RunConfig
 from .experiments import (
+    GENERATOR_NAME,
     Coded,
     Column,
     Table,
@@ -47,16 +48,17 @@ from .experiments import (
     workers_used,
 )
 from .physics import (
+    analytic_f1_error,
+    analytic_f2_error,
     depump_hazard_per_scatter,
     depump_suppression,
     heating_for_scatters,
     heating_per_scatter,
+    implied_effective_detuning,
     misdetection_probability,
     required_mean_photons,
     scatters_for_detected,
 )
-from .readout import analytic_f1_error, analytic_f2_error, implied_effective_detuning
-from .seeding import GENERATOR_NAME
 
 ARTIFACT_NAME = "atomreadout"
 ARTIFACT_VERSION = "0.2.0"
@@ -88,15 +90,6 @@ def _json_safe(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
-
-
-def _dump_json(payload: object, indent: int | None) -> str:
-    # indent=None keeps json.dumps on its C encoder, which large tables need
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
-    except ValueError:  # a non-finite float; the rare case pays for the rewrite
-        text = json.dumps(_json_safe(payload), sort_keys=True, indent=indent, allow_nan=False)
-    return text + "\n"
 
 
 def _json_cell(value: object) -> str:
@@ -338,5 +331,7 @@ def run(config: RunConfig) -> RunOutput:
         "wall_time_s": time.time() - start,
     }
     manifest_path = stem.with_name(stem.name + "_manifest.json")
-    manifest_path.write_text(_dump_json(manifest, 2))
+    manifest_path.write_text(
+        json.dumps(_json_safe(manifest), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    )
     return RunOutput(tuple(written), str(manifest_path), summary)

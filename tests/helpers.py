@@ -8,8 +8,7 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
-from atomreadout.experiments import Coded, CycleConfig
-from atomreadout.readout import ReadoutOutcome
+from atomreadout.experiments import Coded, CycleConfig, ReadoutOutcome
 
 
 def poisson_chisquare_pvalue(counts, mean: float, min_expected: float = 5.0) -> float:

@@ -1,8 +1,8 @@
 """Acceptance suite: every release criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
-All stochastic criteria run on the shipped default profile and master seed,
-so the whole suite is deterministic.
+All stochastic criteria run at the calibrated reference operating point and
+the default master seed, so the whole suite is deterministic.
 """
 
 import math
@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from atomreadout.config import DEFAULT_SEED, default_config
-from atomreadout.detection import poisson_tail_at_least
 from atomreadout.experiments import (
     CELL_LOST,
     _simulate_probe,
@@ -22,11 +21,12 @@ from atomreadout.experiments import (
 )
 from atomreadout.fitting import fit_damped_sinusoid, fit_exponential
 from atomreadout.physics import (
+    analytic_f2_error,
     depump_suppression,
     heating_for_scatters,
     misdetection_probability,
+    poisson_tail_at_least,
 )
-from atomreadout.readout import analytic_f2_error
 from atomreadout.runner import run
 from helpers import binomial_3se, markov_f2_error, poisson_chisquare_pvalue, survival_cells
 

@@ -165,6 +165,13 @@ class TestParsing:
             assert err.value.key == key
             assert err.value.line == 1
 
+    def test_key_set_twice_names_second_line(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("readout.nd = 2\nprobe.scatter_rate = 1e6\nreadout.nd = 3\n")
+        assert err.value.line == 3
+        assert err.value.key == "readout.nd"
+        assert "line 1" in str(err.value)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("just some words\n")
@@ -757,6 +764,15 @@ class TestCliProcess:
         code = main(["--set", "detector.efficiency=nan", "--out", str(tmp_path / "y")])
         assert code == 2
         assert not (tmp_path / "y.csv").exists()
+
+    def test_key_set_twice_exit_code(self, tmp_path, capsys):
+        twice = tmp_path / "twice.cfg"
+        twice.write_text("readout.nd = 2\nreadout.nd = 3\n")
+        out = str(tmp_path / "b")
+        code = main(["--config", str(twice), "--experiment", "budget", "--out", out])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
         blocker = tmp_path / "file"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from atomreadout.detection import poisson_tail_at_least
+from atomreadout.physics import poisson_tail_at_least
 from helpers import merge, poisson_chisquare_pvalue, poisson_times, thin
 
 

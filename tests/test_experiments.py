@@ -11,9 +11,11 @@ from atomreadout.config import default_config
 from atomreadout.experiments import (
     CELL_F2,
     CELL_LOST,
+    Atoms,
     RabiConfig,
     _cycle,
     _simulate_probe,
+    derive_substream,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
@@ -24,9 +26,7 @@ from atomreadout.experiments import (
     transfer_probability,
     uniform_pulse_grid,
 )
-from atomreadout.physics import F1, F2, Atoms
-from atomreadout.readout import analytic_f2_error
-from atomreadout.seeding import derive_substream
+from atomreadout.physics import F1, F2, analytic_f2_error
 from helpers import (
     binomial_3se,
     event_probe,

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from atomreadout.experiments import Atoms
 from atomreadout.physics import (
     RB87_D2,
-    Atoms,
     SpeciesConstants,
     depump_hazard_per_scatter,
     depump_suppression,

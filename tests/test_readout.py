@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from atomreadout import reference_cycle_config
 from atomreadout.experiments import _simulate_probe
-from atomreadout.physics import depump_hazard_per_scatter, depump_suppression
-from atomreadout.readout import (
+from atomreadout.physics import (
     analytic_f1_error,
     analytic_f2_error,
     calibrate_depump,
+    depump_hazard_per_scatter,
+    depump_suppression,
     implied_effective_detuning,
 )
 from helpers import markov_f2_error, stop_rule

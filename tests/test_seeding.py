@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from atomreadout.seeding import derive_substream
+from atomreadout.experiments import derive_substream
 
 
 def test_same_path_reproduces_stream():

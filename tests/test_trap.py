@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from atomreadout import reference_cycle_config
-from atomreadout.physics import Atoms, heating_per_scatter
-from atomreadout.trap import apply_heating, check_loss, cool
+from atomreadout.experiments import Atoms, apply_heating, check_loss, cool
+from atomreadout.physics import heating_per_scatter
 
 REF = reference_cycle_config()
 KICK = heating_per_scatter()   # K per scattering event
