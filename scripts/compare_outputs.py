@@ -4,12 +4,14 @@
 Usage: python3 scripts/compare_outputs.py PARENT_SRC
 
 Runs every invocation of the benchmark's workloads (``perfbench/workloads.py``)
-at seed 1, in CSV and in JSON, at one and at two workers, once with this
-checkout's ``src/`` and once with ``PARENT_SRC`` (the ``src/`` directory of the
-tree to compare against). Every result table must match byte for byte; the
-manifests must match once ``wall_time_s`` and the ``output.path`` config entry
-are left out, as those name the run rather than its results. Prints each file
-that differs and exits 1 if any does, 0 otherwise.
+at seed 1, in CSV and in JSON, at one and at two workers, and each
+``configs/*.cfg`` file through ``--config`` at seed 1, in CSV, at one worker.
+Each run is made once with this checkout's ``src/`` and once with
+``PARENT_SRC`` (the ``src/`` directory of the tree to compare against). Every
+result table must match byte for byte; the manifests must match once
+``wall_time_s`` and the ``output.path`` config entry are left out, as those
+name the run rather than its results. Prints each file that differs and exits
+1 if any does, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -39,16 +41,23 @@ def _workloads():
     return module.workloads()
 
 
-def _invocations() -> list:
-    """Each distinct workload invocation in both formats at one and two workers."""
+def _runs() -> list[tuple[str, list[str]]]:
+    """(label, CLI arguments) of each run, writing the stem ``out`` in its working directory:
+    each distinct workload invocation in both formats at one and two workers, then each
+    config file."""
     found = []
     for workload in _workloads().values():
         for inv in workload.invocations:
             for fmt in ("csv", "json"):
                 for workers in (1, 2):
-                    variant = replace(inv, fmt=fmt, workers=workers)
-                    if variant not in found:
-                        found.append(variant)
+                    label = f"{inv.experiment} {dict(inv.sizes)} {fmt} workers={workers}"
+                    run = (label, replace(inv, fmt=fmt, workers=workers).argv(SEED, Path("out")))
+                    if run not in found:
+                        found.append(run)
+    for config in sorted((ROOT / "configs").glob("*.cfg")):
+        argv = ["--config", str(config), "--seed", str(SEED), "--format", "csv",
+                "--workers", "1", "--out", "out"]
+        found.append((f"{config.name} csv workers=1", argv))
     return found
 
 
@@ -99,13 +108,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        for n, inv in enumerate(_invocations()):
-            label = f"{inv.experiment} {dict(inv.sizes)} {inv.fmt} workers={inv.workers}"
+        for n, (label, argv) in enumerate(_runs()):
             dirs, errors = {}, []
             for side, src in sides.items():
                 dirs[side] = Path(tmp) / f"{side}{n}"
                 dirs[side].mkdir()
-                error = _run(src, inv.argv(SEED, dirs[side] / inv.experiment), dirs[side])
+                error = _run(src, argv, dirs[side])
                 if error:
                     errors.append(f"{side} failed: {error}")
             errors += [f"{name} differs" for name in _differences(dirs["this"], dirs["parent"])]

@@ -16,9 +16,13 @@ from .config import (
     RunConfig,
     config_reference,
     parse_config,
-    parse_value,
+    parse_entries,
 )
 from .runner import run
+
+# each named flag and the one key it sets; --trials sets the experiment's ROW_KEYS
+FLAG_KEYS = {"--experiment": "experiment", "--seed": "seed", "--out": "output.path",
+             "--format": "output.format", "--workers": "workers"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,16 +33,13 @@ def build_parser() -> argparse.ArgumentParser:
             "qubits and write machine-readable result tables."
         ),
     )
-    parser.add_argument("--experiment", choices=SCHEMA["experiment"].choices,
-                        help="experiment to run (overrides the config file)")
     parser.add_argument("--config", metavar="PATH", help="config file (section.key = value lines)")
-    parser.add_argument("--seed", type=int, help="master seed, unsigned 64-bit")
-    parser.add_argument("--trials", type=int,
+    for flag, key in FLAG_KEYS.items():
+        choices = f", one of {', '.join(SCHEMA[key].choices)}" if SCHEMA[key].choices else ""
+        parser.add_argument(flag, action="append", dest=key,
+                            help=f"set {key}: {SCHEMA[key].help}{choices}")
+    parser.add_argument("--trials", action="append",
                         help="trial count override (both histogram states / atoms)")
-    parser.add_argument("--out", metavar="PATH", help="output file stem")
-    parser.add_argument("--format", choices=SCHEMA["output.format"].choices,
-                        help="result table format")
-    parser.add_argument("--workers", type=int, help="process-pool workers")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key (repeatable)")
     parser.add_argument("--list-keys", action="store_true",
@@ -47,34 +48,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    text = Path(args.config).read_text() if args.config else ""
+    """The config file overridden by the command line, each parsed as one source."""
+    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
     config = parse_config(text)
-
-    overrides: dict[str, object] = {}
-    for item in args.set:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError("expected KEY=VALUE", key="--set")
-        key = key.strip()
-        overrides[key] = parse_value(key, value.strip())
-    if args.experiment:
-        overrides["experiment"] = args.experiment
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output.path"] = args.out
-    if args.format is not None:
-        overrides["output.format"] = args.format
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    config = config.with_updates(overrides)
-
-    if args.trials is not None:
-        experiment = config["experiment"]
+    entries = [*args.set, *(f"{key}={value}" for key in FLAG_KEYS.values()
+                            for value in vars(args)[key] or ())]
+    if args.trials:
+        experiment = parse_entries((None, entry) for entry in entries).get(
+            "experiment", config["experiment"])
         if experiment not in ROW_KEYS:
             raise ConfigError(f"the {experiment} experiment takes no trial count", key="--trials")
-        config = config.with_updates(dict.fromkeys(ROW_KEYS[experiment], args.trials))
-    return config
+        entries += [f"{key}={trials}" for trials in args.trials for key in ROW_KEYS[experiment]]
+    return config.with_updates(parse_entries((None, entry) for entry in entries))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -88,14 +73,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
         output = run(config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - surface anything as a runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,10 @@
 """Run configuration: the key table, strict line-oriented parsing, domain builders.
 
-Config files are ``section.key = value`` lines with ``#`` comments. Parsing is
-strict: unknown keys, keys set twice, malformed lines, and out-of-range values
-are errors that name the offending line and key. The defaults in ``SCHEMA``
+Config files are ``section.key = value`` lines with ``#`` comments; the command
+line's ``--set`` items and flags are entries of the same form, parsed by the same
+``parse_entries``. Parsing is strict for both: unknown keys, a key set twice
+within one source, malformed entries, and out-of-range values are errors that
+name the offending key, and in a file its line. The defaults in ``SCHEMA``
 are the calibrated reference operating point, written nowhere else; an empty
 file yields it.
 """
@@ -10,6 +12,7 @@ file yields it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .experiments import CycleConfig, RabiConfig, uniform_pulse_grid
@@ -259,23 +262,29 @@ def reference_cycle_config() -> CycleConfig:
     return default_config().cycle_config()
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse file contents on top of the defaults; strict about everything."""
-    values = dict(default_config().values)
-    set_on: dict[str, int] = {}   # the line that set each key
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
+def parse_entries(entries: Iterable[tuple[int | None, str]]) -> dict[str, object]:
+    """Typed values from one source's ``key = value`` entries, each with its line
+    number (None off a file). A key may be given once per source."""
+    values: dict[str, object] = {}
+    set_on: dict[str, int | None] = {}   # the line that set each key
+    for lineno, entry in entries:
+        key, sep, val = entry.partition("=")
         if not sep:
-            raise ConfigError("expected 'key = value'", lineno)
+            raise ConfigError(f"expected 'key = value', got {entry.strip()!r}", lineno)
         key = key.strip()
         if key in set_on:
-            raise ConfigError(f"already set on line {set_on[key]}", lineno, key)
+            twice = "given twice" if lineno is None else f"already set on line {set_on[key]}"
+            raise ConfigError(twice, lineno, key)
         set_on[key] = lineno
         values[key] = parse_value(key, val.strip(), lineno)
-    return RunConfig(values)
+    return values
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse file contents on top of the defaults; strict about everything."""
+    lines = enumerate((raw.split("#", 1)[0] for raw in text.splitlines()), start=1)
+    return default_config().with_updates(parse_entries((n, line) for n, line in lines
+                                                       if line.strip()))
 
 
 def config_reference() -> str:

@@ -1,10 +1,11 @@
-"""The package's public names, and the README's library example run as written."""
+"""The package's public names and CLI options, and the README's library example run as written."""
 
 import re
 import types
 from pathlib import Path
 
 import atomreadout
+from atomreadout.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,6 +30,17 @@ def test_package_exports_the_public_names():
         if not name.startswith("__") and not isinstance(value, types.ModuleType)
     }
     assert exported == PUBLIC_NAMES
+
+
+CLI_OPTIONS = {
+    "-h", "--help", "--config", "--experiment", "--seed", "--out", "--format", "--workers",
+    "--trials", "--set", "--list-keys",
+}
+
+
+def test_cli_accepts_exactly_the_pinned_options():
+    parser = build_parser()
+    assert {option for action in parser._actions for option in action.option_strings} == CLI_OPTIONS
 
 
 def test_readme_library_example_runs():

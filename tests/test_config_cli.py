@@ -245,6 +245,18 @@ class TestDomainBuilders:
         assert summary["f2_losses"] == 0
 
 
+# command lines that give one key twice, and the key each repeats
+REPEATED_KEY_ARGV = [
+    pytest.param(["--set", "readout.nd=2", "--set", "readout.nd=3"], "readout.nd", id="set-set"),
+    pytest.param(["--seed", "3", "--set", "seed=4"], "seed", id="flag-set"),
+    pytest.param(["--seed", "3", "--seed", "4"], "seed", id="flag-flag"),
+    pytest.param(["--experiment", "rabi", "--set", "experiment=budget"], "experiment",
+                 id="experiment-set"),
+    pytest.param(["--trials", "5", "--set", "histogram.trials_f1=3"], "histogram.trials_f1",
+                 id="trials-set"),
+]
+
+
 class TestCliOverrides:
     def parse_args(self, argv):
         return build_parser().parse_args(argv)
@@ -286,6 +298,18 @@ class TestCliOverrides:
         assert code == 2
         assert "--trials" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("argv, key", REPEATED_KEY_ARGV)
+    def test_key_given_twice_on_the_command_line(self, argv, key):
+        with pytest.raises(ConfigError) as err:
+            load_config(self.parse_args(argv))
+        assert err.value.key == key
+
+    def test_trials_follow_the_file_experiment(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = survival\n")
+        args = self.parse_args(["--config", str(path), "--trials", "7"])
+        assert load_config(args)["survival.atoms"] == 7
 
 
 def json_safe(value):
@@ -772,6 +796,19 @@ class TestCliProcess:
         code = main(["--config", str(twice), "--experiment", "budget", "--out", out])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("argv, key", REPEATED_KEY_ARGV)
+    def test_key_given_twice_exit_code(self, argv, key, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_not_utf8_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"experiment = budget\n\xff\n")
+        assert main(["--config", str(bad), "--out", str(tmp_path / "b")]) == 2
+        assert "cannot read config" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
 
     def test_runtime_error_exit_code(self, tmp_path):
