@@ -5,9 +5,11 @@ Usage: python3 scripts/compare_outputs.py PARENT_SRC
 
 Runs every invocation of the benchmark's workloads (``perfbench/workloads.py``)
 at seed 1, in CSV and in JSON, at one and at two workers, and each
-``configs/*.cfg`` file through ``--config`` at seed 1, in CSV, at one worker.
-Each run is made once with this checkout's ``src/`` and once with
-``PARENT_SRC`` (the ``src/`` directory of the tree to compare against). Every
+``configs/*.cfg`` file through ``--config`` at seed 1, in CSV, at one worker,
+and each stochastic experiment at a small size in each of the probe kernel's
+corners (``CORNERS``) at seed 1, in CSV, at one worker. Each run is made once
+with this checkout's ``src/`` and once with ``PARENT_SRC`` (the ``src/``
+directory of the tree to compare against). Every
 result table must match byte for byte; the manifests must match once
 ``wall_time_s`` and the ``output.path`` config entry are left out, as those
 name the run rather than its results. Prints each file that differs and exits
@@ -28,6 +30,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 1
 
+# settings that take the probe kernel off the reference operating point: n_d other
+# than 2, the fixed window, no background (the adaptive stop then ends at the
+# window) and no depumping (tau is infinite)
+CORNERS = {
+    "nd=1": ["readout.nd=1"],
+    "nd=5": ["readout.nd=5"],
+    "fixed nd=4": ["readout.mode=fixed", "readout.nd=4"],
+    "no background": ["probe.background_mean=0"],
+    "fixed no background": ["readout.mode=fixed", "probe.background_mean=0"],
+    "no depump": ["readout.depump_hazard=0"],
+    "fixed no depump": ["readout.mode=fixed", "readout.depump_hazard=0"],
+}
+# small sizes for the corner runs of each stochastic experiment
+CORNER_SIZES = {
+    "histogram": ["--trials", "5000"],
+    "survival": ["--trials", "100", "--set", "survival.cycles=50"],
+    "rabi": ["--trials", "300"],
+}
+
 
 def _workloads():
     """perfbench's workloads module, imported without writing bytecode beside it."""
@@ -43,8 +64,8 @@ def _workloads():
 
 def _runs() -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of each run, writing the stem ``out`` in its working directory:
-    each distinct workload invocation in both formats at one and two workers, then each
-    config file."""
+    each distinct workload invocation in both formats at one and two workers, each
+    config file, then each experiment in each kernel corner."""
     found = []
     for workload in _workloads().values():
         for inv in workload.invocations:
@@ -58,6 +79,12 @@ def _runs() -> list[tuple[str, list[str]]]:
         argv = ["--config", str(config), "--seed", str(SEED), "--format", "csv",
                 "--workers", "1", "--out", "out"]
         found.append((f"{config.name} csv workers=1", argv))
+    for experiment, sizes in CORNER_SIZES.items():
+        for corner, settings in CORNERS.items():
+            argv = ["--experiment", experiment, *sizes, "--seed", str(SEED), "--format", "csv",
+                    "--workers", "1", "--out", "out"]
+            argv += [arg for setting in settings for arg in ("--set", setting)]
+            found.append((f"{experiment} {corner} csv workers=1", argv))
     return found
 
 

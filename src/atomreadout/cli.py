@@ -33,7 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
             "qubits and write machine-readable result tables."
         ),
     )
-    parser.add_argument("--config", metavar="PATH", help="config file (section.key = value lines)")
+    parser.add_argument("--config", action="append", metavar="PATH",
+                        help="config file (section.key = value lines)")
     for flag, key in FLAG_KEYS.items():
         choices = f", one of {', '.join(SCHEMA[key].choices)}" if SCHEMA[key].choices else ""
         parser.add_argument(flag, action="append", dest=key,
@@ -49,7 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """The config file overridden by the command line, each parsed as one source."""
-    text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    if args.config and len(args.config) > 1:
+        raise ConfigError("give at most one config file", key="--config")
+    text = Path(args.config[0]).read_text(encoding="utf-8") if args.config else ""
     config = parse_config(text)
     entries = [*args.set, *(f"{key}={value}" for key in FLAG_KEYS.values()
                             for value in vars(args)[key] or ())]

@@ -99,6 +99,55 @@ PINNED_TABLES = {
             "_summary.json": "9f001067c65c449764df73d562ff3dbb84ac9620ca19ec46cbfc4823fb72dd61",
         },
     ),
+    # the kernel's corners: one count calls bright, n_d = 4 in the fixed window, no
+    # background (the adaptive stop then ends at the window) and no depumping (tau = inf);
+    # digests taken before the probe kernel drew only its nonzero Poisson means and
+    # binomial counts and cumulated its arrivals column by column
+    "histogram-nd1": (
+        {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
+         "readout.nd": 1},
+        {
+            ".csv": "d648dd9bfc0743a3a6bafbdb392bf578bf76e4e92cc02826773dcaf675ac6dbf",
+            "_histogram.csv": "71af179ae46346fa46f133a28c271b80724f7414d5ef57e32b09e260cbc1214a",
+            "_summary.csv": "a621453eb0f4c2a3eca0026797e15783d1a067a3f53c0ae28043bb60937e236a",
+        },
+    ),
+    "histogram-fixed-nd4": (
+        {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
+         "readout.mode": "fixed", "readout.nd": 4},
+        {
+            ".csv": "7bc5f746eb6ad0ca0e6f53d7cdcb07fc06e4cf74b90db2d88d9ffbf741efcb97",
+            "_histogram.csv": "b38d41583988c7ec482e201a3d7f97b3a18e17e3c25498e5b5a30dbe9e706851",
+            "_summary.csv": "c016025f7ca970cea51af1b20d0cc005113057311fdb4b4b2704ece82c973559",
+        },
+    ),
+    "histogram-no-background": (
+        {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
+         "probe.background_mean": 0.0},
+        {
+            ".csv": "8c4a215127a1f7ce5fef9d27d88b3e3ec02983c1c2f59ad247ba4e9c61ddcbf4",
+            "_histogram.csv": "1bd8bb7a65b57b34399d85a1ec3ba42f36a1344d18a5e3565a424429c3848eac",
+            "_summary.csv": "02a4e47327353a0e0df386e29e6217bf1bfe3b22d0b576f85a31695e88a7739b",
+        },
+    ),
+    "histogram-fixed-no-background": (
+        {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
+         "readout.mode": "fixed", "probe.background_mean": 0.0},
+        {
+            ".csv": "731ce44570abf82a68206c0993ca8f33b7373a37e25edb4bfe014b195ddd0485",
+            "_histogram.csv": "3f2d6ca1de8a75ab72bb3e517bd23e38e7251f2e3b19cda046ba848d8f4bf749",
+            "_summary.csv": "a6d281caa8199e1be53731d292716930ea0646c7e8f88149a1c8fc4c28f976b6",
+        },
+    ),
+    "histogram-no-depump": (
+        {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
+         "readout.depump_hazard": 0.0},
+        {
+            ".csv": "72771eecc5878a7b78e80147f0e685ebfeb62c5e64a2c589b2672ec0cc07c291",
+            "_histogram.csv": "ee71b6cb480ca9aa1a0f0800b12eeffd1e2741cb366cfad8d6a5feec784dacfa",
+            "_summary.csv": "507f52536f7b332320221b3e675570a7621147c78b2984d84311c607e88f125b",
+        },
+    ),
     # 80,000 record rows: more than one write chunk of the CSV
     "histogram-chunks": (
         {"experiment": "histogram", "histogram.trials_f1": 40000,
@@ -803,6 +852,19 @@ class TestCliProcess:
         assert main([*argv, "--out", str(tmp_path / "x")]) == 2
         assert repr(key) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_config_given_twice_exit_code(self, tmp_path, capsys):
+        # argparse would keep only the last file and silently drop the first
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("readout.nd = 3\n")
+        second.write_text("readout.nd = 4\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["--experiment", "budget", "--config", str(first), "--config", str(second),
+                "--out", str(out / "b")]
+        assert main(argv) == 2
+        assert "'--config'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_config_not_utf8_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

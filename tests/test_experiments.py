@@ -14,6 +14,7 @@ from atomreadout.experiments import (
     Atoms,
     RabiConfig,
     _cycle,
+    _nonzero_draws,
     _simulate_probe,
     derive_substream,
     experiment_histogram,
@@ -178,6 +179,29 @@ class TestDetectionCycle:
         after, outcome = run_detection_cycle(F2, cfg, derive_substream(83, (0,)))
         assert outcome.scatters[0] > 1000
         assert not after.present[0]
+
+
+class TestNonzeroDraws:
+    """numpy's Generator draws nothing from the stream for a zero Poisson mean or binomial
+    count; the probe relies on it to draw only the nonzero entries."""
+
+    # zeros between means below 10 (the multiplication sampler) and of 10 or more (PTRS),
+    # and between counts on the inversion (n p <= 30) and BTPE (n p > 30) samplers
+    @pytest.mark.parametrize(
+        "draw, param, args",
+        [
+            ("poisson", [0.0, 3.2, 0.0, 0.0, 25.0, 9.99, 0.0, 10.0, 0.5, 140.0], ()),
+            ("binomial", [0, 2, 0, 5, 0, 0, 200, 1, 0, 3], (0.3,)),
+            ("binomial", [0, 2, 0, 5, 0, 0, 200, 1, 0, 3], (0.98,)),
+        ],
+        ids=["poisson", "binomial-low-p", "binomial-high-p"],
+    )
+    def test_same_samples_and_stream_state(self, draw, param, args):
+        param = np.tile(np.asarray(param), 50)
+        masked, plain = derive_substream(1, (0,)), derive_substream(1, (0,))
+        got = _nonzero_draws(getattr(masked, draw), param, *args)
+        np.testing.assert_array_equal(got, getattr(plain, draw)(param, *args))
+        assert masked.bit_generator.state == plain.bit_generator.state
 
 
 class TestKernelAgainstEventOracle:
