@@ -9,7 +9,7 @@ misclassification rates, trap lifetime, and the fitted Rabi curve.
 import argparse
 from pathlib import Path
 
-from atomreadout.config import default_config
+from atomreadout.config import ConfigError, default_config
 from atomreadout.runner import run
 
 
@@ -21,17 +21,23 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
+    overrides = {"workers": args.workers}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    try:
+        # every setting is checked before the first run writes anything
+        configs = [
+            default_config().with_updates(
+                {**overrides, "experiment": experiment, "output.path": str(outdir / experiment)}
+            )
+            for experiment in ("budget", "histogram", "survival", "rabi")
+        ]
+    except ConfigError as exc:
+        parser.error(str(exc))
     summaries = {}
-    for experiment in ("budget", "histogram", "survival", "rabi"):
-        overrides = {
-            "experiment": experiment,
-            "output.path": str(outdir / experiment),
-            "workers": args.workers,
-        }
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        output = run(default_config().with_updates(overrides))
-        summaries[experiment] = output.summary
+    for config in configs:
+        output = run(config)
+        summaries[config["experiment"]] = output.summary
         print(f"wrote {', '.join(output.result_files)}")
 
     budget = summaries["budget"]

@@ -236,7 +236,7 @@ def _simulate_probe(
         before_tau += last < at_tau
     called = last <= at_end
     if cfg.adaptive:
-        after_tau = span + (last - at_tau) / lam_b if lam_b > 0.0 else window
+        after_tau = span + (last - at_tau) / lam_b if lam_b > 0.0 else span
         stop = np.where(last < at_tau, last / (lam_s + lam_b), after_tau)
         elapsed = np.where(called, stop, window)
     else:

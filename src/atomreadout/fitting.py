@@ -10,7 +10,7 @@ history is non-increasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,37 +60,32 @@ class FitResult:
 
 def _relative_gradient(jac: np.ndarray, r: np.ndarray) -> float:
     """Stationarity measure: largest cosine between the residual and a Jacobian column."""
-    rnorm = float(np.linalg.norm(r))
-    if rnorm == 0.0:
-        return 0.0
     col_norms = np.linalg.norm(jac, axis=0)
     grad = np.abs(jac.T @ r)
     safe = np.where(col_norms > 0.0, col_norms, 1.0)
-    return float(np.max(grad / (safe * rnorm)))
+    return float(np.max(grad / (safe * np.linalg.norm(r))))
 
 
 def _levenberg_marquardt(
+    names: tuple[str, ...],
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
-    accept: Callable[[np.ndarray], bool] | None = None,
-) -> tuple[np.ndarray, float, bool, int, list[float], float, np.ndarray]:
+    accept: Callable[[np.ndarray], bool],
+) -> FitResult:
+    """Refine ``p0``; ``accept`` rejects candidate steps outside the model's domain."""
     p = np.asarray(p0, dtype=float)
     r = residual(p)
     cost = float(r @ r)
     history = [math.sqrt(cost)]
     lam = 1e-3
-    stationary = False
+    stationary = perfect = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
         jac = jacobian(p)
         jtj = jac.T @ jac
         grad = jac.T @ r
         stepped = False
-        step = np.zeros_like(p)
-        cand = p
-        r_new = r
-        cost_new = cost
         for _ in range(60):
             damping = lam * np.diag(np.clip(np.diag(jtj), 1e-12, None))
             try:
@@ -99,7 +94,7 @@ def _levenberg_marquardt(
                 lam *= 10.0
                 continue
             cand = p + step
-            if accept is not None and not accept(cand):
+            if not accept(cand):
                 lam *= 10.0
                 continue
             r_new = residual(cand)
@@ -119,25 +114,24 @@ def _levenberg_marquardt(
         p, r, cost = cand, r_new, cost_new
         history.append(math.sqrt(cost))
         lam = max(lam * 0.2, 1e-12)
-        if math.sqrt(cost) <= 1e-12 * max(history[0], 1e-300):
-            # residuals at the rounding floor of the data: a perfect fit
-            stationary = True
-            break
-        if rel_step < RELATIVE_PARAMETER_TOL or improvement <= 1e-12 * max(cost, 1e-300):
+        # residuals at the rounding floor of the data: a perfect fit
+        perfect = math.sqrt(cost) <= 1e-12 * max(history[0], 1e-300)
+        if perfect or rel_step < RELATIVE_PARAMETER_TOL or improvement <= 1e-12 * max(cost, 1e-300):
             stationary = True
             break
     jac = jacobian(p)
-    grad_measure = _relative_gradient(jac, residual(p))
-    if math.sqrt(cost) <= 1e-12 * max(history[0], 1e-300):
-        grad_measure = 0.0
-    converged = stationary and grad_measure <= 1e-6
-    dof = r.size - p.size
-    if dof > 0:
-        sigma2 = cost / dof
-        cov_diag = np.maximum(np.diag(np.linalg.pinv(jac.T @ jac)) * sigma2, 0.0)
-    else:
-        cov_diag = np.full(p.size, float("nan"))
-    return p, cost, converged, iterations, history, grad_measure, cov_diag
+    grad_measure = 0.0 if perfect else _relative_gradient(jac, r)
+    sigma2 = cost / (r.size - p.size)
+    cov = np.maximum(np.diag(np.linalg.pinv(jac.T @ jac)) * sigma2, 0.0)
+    return FitResult(
+        dict(zip(names, (float(v) for v in p))),
+        math.sqrt(cost),
+        stationary and grad_measure <= 1e-6,
+        iterations,
+        dict(zip(names, (float(v) for v in cov))),
+        tuple(history),
+        grad_measure,
+    )
 
 
 def fit_exponential(x: Sequence[float], y: Sequence[float]) -> FitResult:
@@ -175,15 +169,13 @@ def fit_exponential(x: Sequence[float], y: Sequence[float]) -> FitResult:
     def accept(p: np.ndarray) -> bool:
         return p[0] > 0
 
-    p, cost, converged, iterations, history, grad_norm, cov = _levenberg_marquardt(
-        residual, jacobian, p0, accept
-    )
-    lifetime, lifetime_var = float(p[0]), float(cov[0])
+    fit = _levenberg_marquardt(("lifetime",), residual, jacobian, p0, accept)
+    lifetime, lifetime_var = fit.parameters["lifetime"], fit.covariance_diag["lifetime"]
     dloss_dL = -math.exp(-1.0 / lifetime) / lifetime**2
-    params = {"lifetime": lifetime, "loss_per_cycle": 1.0 - math.exp(-1.0 / lifetime)}
-    cov_diag = {"lifetime": lifetime_var, "loss_per_cycle": dloss_dL**2 * lifetime_var}
-    return FitResult(
-        params, math.sqrt(cost), converged, iterations, cov_diag, tuple(history), grad_norm
+    return replace(
+        fit,
+        parameters={**fit.parameters, "loss_per_cycle": 1.0 - math.exp(-1.0 / lifetime)},
+        covariance_diag={**fit.covariance_diag, "loss_per_cycle": dloss_dL**2 * lifetime_var},
     )
 
 
@@ -265,16 +257,5 @@ def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     def accept(q: np.ndarray) -> bool:
         return q[2] > 0 and q[3] > 0
 
-    pfit, cost, converged, iterations, history, grad_norm, cov = _levenberg_marquardt(
-        residual, jacobian, p0, accept
-    )
     names = ("offset", "amplitude", "frequency", "decoherence_time")
-    return FitResult(
-        dict(zip(names, (float(v) for v in pfit))),
-        math.sqrt(cost),
-        converged,
-        iterations,
-        dict(zip(names, (float(v) for v in cov))),
-        tuple(history),
-        grad_norm,
-    )
+    return _levenberg_marquardt(names, residual, jacobian, p0, accept)

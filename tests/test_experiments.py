@@ -181,6 +181,32 @@ class TestDetectionCycle:
         assert not after.present[0]
 
 
+    def test_no_background_arrival_at_depump_time_stops_there(self, ref_cfg):
+        # with no background the count rate falls to zero at tau, so an n_d-th
+        # arrival exactly at Lambda(tau) stops the probe at tau, not at the window's end
+        class FixedStream:
+            """Depump time ``tau``, arrival gaps ``gap`` and no extra counts."""
+
+            def __init__(self, tau, gap):
+                self.tau, self.gap = tau, gap
+
+            def exponential(self, scale=1.0, size=None):
+                return np.full(size, self.gap if isinstance(size, tuple) else self.tau)
+
+            def poisson(self, lam):
+                return np.zeros(np.shape(lam), dtype=np.int64)
+
+            def binomial(self, n, p):
+                return np.zeros(np.shape(n), dtype=np.int64)
+
+        cfg = replace(ref_cfg, background_mean=0.0, n_d=1, window=300e-6, adaptive=True)
+        tau = 75e-6
+        gap = cfg.scatter_rate * cfg.net_efficiency * tau
+        outcome = _simulate_probe(np.ones(1, dtype=bool), cfg, FixedStream(tau, gap))
+        assert outcome.called_bright[0]
+        assert outcome.depumped[0]
+        assert outcome.elapsed[0] == tau
+
 class TestNonzeroDraws:
     """numpy's Generator draws nothing from the stream for a zero Poisson mean or binomial
     count; the probe relies on it to draw only the nonzero entries."""

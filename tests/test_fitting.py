@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomreadout.fitting import (
+    FitResult,
     binomial_interval,
     build_histogram,
     fit_damped_sinusoid,
@@ -184,3 +185,163 @@ def test_exponential_round_trip_property(lifetime, amplitude_unused):
     x = np.arange(0, 101, dtype=float)
     fit = fit_exponential(x, np.exp(-x / lifetime))
     assert fit.parameters["lifetime"] == pytest.approx(lifetime, rel=1e-5)
+
+
+def _pinned_fit_inputs():
+    """The fits whose every ``FitResult`` field is pinned, as (fitter, x, y) by case."""
+    x = np.arange(0, 101, dtype=float)
+    noisy_decay = np.clip(
+        np.exp(-x / 86.0) + np.random.default_rng(8).normal(0, 0.02, x.size), 1e-6, 1.0
+    )
+    t = np.linspace(0.0, 3e-3, 50)
+    curve = sinusoid(t, 0.037, 0.3027, 2950.0, 2.2e-3)
+    t8 = np.linspace(0.0, 3e-3, 8)
+    noise8 = np.array([0.01, -0.02, 0.0, 0.015, -0.01, 0.02, -0.005, 0.0])
+    return {
+        "exponential-noise-free": (fit_exponential, x, np.exp(-x / 86.0)),
+        "exponential-noisy": (fit_exponential, x, noisy_decay),
+        "exponential-3-points": (fit_exponential, [0.0, 1.0, 2.0], [1.0, 0.8, 0.7]),
+        "sinusoid-noise-free": (fit_damped_sinusoid, t, curve),
+        "sinusoid-noisy": (
+            fit_damped_sinusoid, t, curve + np.random.default_rng(5).normal(0, 0.02, t.size)
+        ),
+        "sinusoid-constant": (fit_damped_sinusoid, t, np.full(t.size, 0.25)),
+        # the frequency grid reaches 25 cycles per span, past these 8 samples' Nyquist
+        # limit of 3.5, so the fit lands on an alias of 400 Hz that matches them as well
+        "sinusoid-8-points": (
+            fit_damped_sinusoid, t8, sinusoid(t8, 0.03, 0.3, 400.0, 2.2e-3) + noise8
+        ),
+    }
+
+
+# Every field of each fit, as the solver computes it on this platform's numpy. The
+# table digests see only the parameters, ``converged``, ``residual_norm`` and the
+# lifetime variance; a change that means to alter the solver's steps updates these.
+PINNED_FITS = {
+    "exponential-noise-free": FitResult(
+        parameters={
+            "lifetime": 86.0, "loss_per_cycle": 0.01156056413789841,
+        },
+        covariance_diag={
+            "lifetime": 0.0, "loss_per_cycle": 0.0,
+        },
+        residual_norm=0.0,
+        converged=True,
+        iterations=1,
+        residual_history=(
+            0.0, 0.0,
+        ),
+        gradient_norm=0.0,
+    ),
+    "exponential-noisy": FitResult(
+        parameters={
+            "lifetime": 86.33891693878721, "loss_per_cycle": 0.011515446307937216,
+        },
+        covariance_diag={
+            "lifetime": 0.39463971758715355, "loss_per_cycle": 6.9392763076168144e-09,
+        },
+        residual_norm=0.21681532878938833,
+        converged=True,
+        iterations=3,
+        residual_history=(
+            0.21719331626866203, 0.21681532919468288, 0.2168153287893886,
+            0.21681532878938833,
+        ),
+        gradient_norm=3.6618746140943096e-11,
+    ),
+    "exponential-3-points": FitResult(
+        parameters={
+            "lifetime": 5.26074146376738, "loss_per_cycle": 0.17311303429966862,
+        },
+        covariance_diag={
+            "lifetime": 0.14804606355235575, "loss_per_cycle": 0.0001321603925525239,
+        },
+        residual_norm=0.03142021214510183,
+        converged=True,
+        iterations=4,
+        residual_history=(
+            0.03666002653407552, 0.03143305419633469, 0.03142021379536128,
+            0.03142021214522885, 0.03142021214510183,
+        ),
+        gradient_norm=2.4669457147972944e-08,
+    ),
+    "sinusoid-noise-free": FitResult(
+        parameters={
+            "offset": 0.037000000000003794, "amplitude": 0.3026999999999926,
+            "frequency": 2950.0, "decoherence_time": 0.002200000000000082,
+        },
+        covariance_diag={
+            "offset": 3.1831212212969984e-31, "amplitude": 1.2097075186784094e-30,
+            "frequency": 1.1473116717214107e-25, "decoherence_time": 2.462540696698801e-34,
+        },
+        residual_norm=7.376109496082925e-15,
+        converged=True,
+        iterations=5,
+        residual_history=(
+            0.04222659356808053, 0.028977003598638803, 0.0014061667943534386,
+            1.63045755843383e-06, 1.594662791116892e-10, 7.376109496082925e-15,
+        ),
+        gradient_norm=0.0,
+    ),
+    "sinusoid-noisy": FitResult(
+        parameters={
+            "offset": 0.009799615300117116, "amplitude": 0.34468160368717676,
+            "frequency": 2952.378067607843, "decoherence_time": 0.0018979599485982913,
+        },
+        covariance_diag={
+            "offset": 8.157352895017251e-05, "amplitude": 0.0003114132017705479,
+            "frequency": 27.881245315327597, "decoherence_time": 3.148237180902433e-08,
+        },
+        residual_norm=0.11434582567534719,
+        converged=True,
+        iterations=7,
+        residual_history=(
+            0.135201874228412, 0.12280010086201787, 0.11534938211257872,
+            0.11436064867809208, 0.11434583371863621, 0.11434582569100275,
+            0.1143458256753988, 0.11434582567534719,
+        ),
+        gradient_norm=4.586050950498894e-08,
+    ),
+    "sinusoid-constant": FitResult(
+        parameters={
+            "offset": 0.25, "amplitude": -6.021768649680458e-18,
+            "frequency": 688.2527150275789, "decoherence_time": 0.003000000000000001,
+        },
+        covariance_diag={
+            "offset": 0.0, "amplitude": 0.0, "frequency": 0.0, "decoherence_time": 0.0,
+        },
+        residual_norm=0.0,
+        converged=True,
+        iterations=1,
+        residual_history=(
+            3.925231146709438e-16, 0.0,
+        ),
+        gradient_norm=0.0,
+    ),
+    "sinusoid-8-points": FitResult(
+        parameters={
+            "offset": 0.03176994235445468, "amplitude": 0.29952401130634315,
+            "frequency": 6607.798765153955, "decoherence_time": 0.002291842698959634,
+        },
+        covariance_diag={
+            "offset": 0.00024402387838647646, "amplitude": 0.0009980451075010742,
+            "frequency": 168.57597108424872, "decoherence_time": 2.932085867463314e-07,
+        },
+        residual_norm=0.033494315217834136,
+        converged=True,
+        iterations=6,
+        residual_history=(
+            0.03797488630940809, 0.03474053775467189, 0.03349763845793982,
+            0.0334943187872187, 0.033494315229138226, 0.03349431521787354,
+            0.033494315217834136,
+        ),
+        gradient_norm=6.290299672886627e-08,
+    ),
+}
+
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FITS))
+def test_fit_result_is_pinned(case):
+    fitter, x, y = _pinned_fit_inputs()[case]
+    assert fitter(x, y) == PINNED_FITS[case]
