@@ -188,6 +188,12 @@ def _cross_validate(values: dict[str, object]) -> None:
     if values["trap.baseline_energy"] >= values["trap.depth"]:
         raise ConfigError("baseline energy must be below the trap depth",
                           key="trap.baseline_energy")
+    # a uniform scan cannot tell a frequency at or above its Nyquist limit from an alias
+    nyquist = (values["rabi.points"] - 1) / (2.0 * values["rabi.span"])
+    if values["rabi.frequency"] >= nyquist:
+        raise ConfigError(f"rabi.frequency must be below the scan's Nyquist limit "
+                          f"(rabi.points - 1) / (2 rabi.span) = {nyquist:g} Hz",
+                          key="rabi.frequency")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Count histograms, Wilson intervals, and the two nonlinear least-squares fits.
 
 Both fitters use a damped normal-equations (Levenberg-Marquardt) refinement
-with analytic Jacobians; the damped-sinusoid fit is seeded by a coarse grid
-search over frequency so the refinement never starts in the wrong fringe.
-Steps that would increase the residual are rejected, so the recorded residual
-history is non-increasing by construction.
+with analytic Jacobians; the damped-sinusoid fit takes its frequency seed from
+the peak of the data's spectrum, at or below the scan's Nyquist limit, so the
+refinement starts neither in the wrong fringe nor on an alias. Steps that would
+increase the residual are rejected, so the recorded residual history is
+non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -184,25 +185,16 @@ def _sinusoid_model(p: np.ndarray, ts: np.ndarray) -> np.ndarray:
     return c + 0.5 * a * (1.0 - np.cos(2.0 * math.pi * f * ts) * np.exp(-ts / tau))
 
 
-def _sinusoid_linear_fit(
-    ts: np.ndarray, ys: np.ndarray, f: float, tau: float
-) -> tuple[float, float, float]:
-    """Best (offset-like, fringe) coefficients at fixed frequency and damping."""
-    basis = np.column_stack(
-        (np.ones_like(ts), -np.cos(2.0 * math.pi * f * ts) * np.exp(-ts / tau))
-    )
-    coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
-    resid = ys - basis @ coef
-    return float(coef[0]), float(coef[1]), float(resid @ resid)
-
-
 def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     """Fit p(t) = C + A/2 * (1 - cos(2 pi f t) exp(-t/tau)), phase fixed at zero.
 
-    Times are anchored at the first sample, so a uniform shift of the scan
-    leaves the fitted parameters unchanged. A 20-point frequency grid, a
-    golden-section polish of the winning candidate, and a final four-parameter
-    refinement avoid the usual wrong-fringe local minima.
+    Times must be evenly spaced, and are anchored at the first sample, so a
+    uniform shift of the scan leaves the fitted parameters unchanged. The
+    frequency is seeded from the largest nonzero-frequency bin of the data's
+    spectrum, zero-padded 64-fold; every bin lies at or below the scan's
+    Nyquist limit 1/(2 dt), above which a frequency is indistinguishable from
+    its alias. C and A are then the linear least-squares coefficients at that
+    frequency and tau = span, and a four-parameter refinement follows.
     """
     traw = np.asarray(t, dtype=float)
     ys = np.asarray(p, dtype=float)
@@ -214,31 +206,16 @@ def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     span = float(ts[-1])
     if span <= 0:
         raise ValueError("times must span a positive interval")
+    dt = span / (ts.size - 1)
+    if np.max(np.abs(np.diff(ts) - dt)) > 1e-6 * dt:
+        raise ValueError("times must be evenly spaced")
 
-    tau0 = span
-    f_grid = np.linspace(0.2 / span, 25.0 / span, 20)
-    scored = [(_sinusoid_linear_fit(ts, ys, f, tau0)[2], f) for f in f_grid]
-    best_f = min(scored)[1]
-
-    # golden-section polish of the frequency within one grid cell each side
-    delta = float(f_grid[1] - f_grid[0])
-    lo, hi = max(best_f - delta, 1e-12), best_f + delta
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_pt, b_pt = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    fa = _sinusoid_linear_fit(ts, ys, a_pt, tau0)[2]
-    fb = _sinusoid_linear_fit(ts, ys, b_pt, tau0)[2]
-    for _ in range(48):
-        if fa <= fb:
-            hi, b_pt, fb = b_pt, a_pt, fa
-            a_pt = hi - invphi * (hi - lo)
-            fa = _sinusoid_linear_fit(ts, ys, a_pt, tau0)[2]
-        else:
-            lo, a_pt, fa = a_pt, b_pt, fb
-            b_pt = lo + invphi * (hi - lo)
-            fb = _sinusoid_linear_fit(ts, ys, b_pt, tau0)[2]
-    f_seed = 0.5 * (lo + hi)
-    b0, b1, _ = _sinusoid_linear_fit(ts, ys, f_seed, tau0)
-    p0 = np.array([b0 - b1, 2.0 * b1, f_seed, tau0])
+    pad = 64 * ts.size
+    spectrum = np.abs(np.fft.rfft(ys - ys.mean(), pad))
+    f_seed = (1 + int(np.argmax(spectrum[1:]))) / (pad * dt)
+    fringe = -np.cos(2.0 * math.pi * f_seed * ts) * np.exp(-ts / span)
+    (b0, b1), *_ = np.linalg.lstsq(np.column_stack((np.ones_like(ts), fringe)), ys, rcond=None)
+    p0 = np.array([b0 - b1, 2.0 * b1, f_seed, span])
 
     def residual(q: np.ndarray) -> np.ndarray:
         return ys - _sinusoid_model(q, ts)

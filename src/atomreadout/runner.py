@@ -61,7 +61,7 @@ from .physics import (
 )
 
 ARTIFACT_NAME = "atomreadout"
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 WRITE_BYTES = 1 << 20   # bytes of padded rows formatted and written at a time
 

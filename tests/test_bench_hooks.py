@@ -98,7 +98,7 @@ def test_wrapped_names_are_called_through_their_modules(tmp_path, monkeypatch):
     for experiment, sizes in (
         ("histogram", {"histogram.trials_f1": 20, "histogram.trials_f2": 20}),
         ("survival", {"survival.atoms": 20, "survival.cycles": 30}),
-        ("rabi", {"rabi.atoms": 20, "rabi.points": 8}),
+        ("rabi", {"rabi.atoms": 20, "rabi.points": 20}),
     ):
         runner.run(default_config().with_updates({
             "experiment": experiment, **sizes, "output.path": str(tmp_path / experiment),

@@ -61,7 +61,7 @@ PINNED_TABLES = {
         {
             ".csv": "219166dec861950afb52e735a4c2399773bdca9430b7a6e9830f675301f71f3b",
             "_curve.csv": "2bbf369a5869f22fce38f9e8b44dd8172c474f655e17d4eaccc914fdd4ad0dde",
-            "_summary.csv": "758c13fcc6ece9e2e7958445b2f5dae5ca5e35c88800a376bd47c1cd93bb3f40",
+            "_summary.csv": "0bd1fbe9b4f889d2b15597a6c6f9e45a0cab2619dc84e03d1ffbd6a00aa27883",
         },
     ),
     # the fixed window, with the per-state losses of configs/single-shot-loss.cfg
@@ -96,7 +96,7 @@ PINNED_TABLES = {
         {
             ".json": "b19808c4c4d2b06852d700ee8a0458513a85517290a811ef11388670b9219179",
             "_curve.json": "0b17bfe409140c09a317294fd51685365e233cb019d6153bdbbb3aaf9005b8c4",
-            "_summary.json": "9f001067c65c449764df73d562ff3dbb84ac9620ca19ec46cbfc4823fb72dd61",
+            "_summary.json": "3ea6082ff298d00a0aba7d56dc29d6839fa9c4acb345974bc284667310c30229",
         },
     ),
     # the kernel's corners: one count calls bright, n_d = 4 in the fixed window, no
@@ -238,6 +238,17 @@ class TestParsing:
     def test_cross_field_validation(self):
         with pytest.raises(ConfigError):
             parse_config("trap.baseline_energy = 5e-3\n")  # above the 2 mK depth
+
+    def test_rabi_frequency_must_be_below_the_scan_nyquist_limit(self):
+        # 12 points over 3 ms resolve at most 1,833 Hz, below the 2,950 Hz drive
+        with pytest.raises(ConfigError) as err:
+            parse_config("rabi.points = 12\n")
+        assert err.value.key == "rabi.frequency"
+        assert "rabi.points" in str(err.value) and "rabi.span" in str(err.value)
+        limit = 19 / (2 * 3e-3)  # 20 points over the default 3 ms span
+        with pytest.raises(ConfigError):
+            parse_config(f"rabi.points = 20\nrabi.frequency = {limit!r}\n")
+        parse_config(f"rabi.points = 20\nrabi.frequency = {limit * (1 - 1e-12)!r}\n")
 
     def test_every_default_is_valid(self):
         for key, spec in SCHEMA.items():
@@ -507,7 +518,7 @@ class TestRunnerOutput:
             "histogram": {"histogram.trials_f1": 2 * block + 17,
                           "histogram.trials_f2": 2 * block + 17},
             "survival": {"survival.atoms": block + 5, "survival.cycles": 3},
-            "rabi": {"rabi.atoms": block + 5, "rabi.points": 8},
+            "rabi": {"rabi.atoms": block + 5, "rabi.points": 20},
         }
         records = {"histogram": 4 * block + 34, "survival": 3 * (block + 5)}
         for experiment, sizes in cases.items():
@@ -537,7 +548,7 @@ class TestRunnerOutput:
             if workers == 2:
                 monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
             config = default_config().with_updates({
-                "experiment": "rabi", "rabi.atoms": experiments.BLOCK, "rabi.points": 8,
+                "experiment": "rabi", "rabi.atoms": experiments.BLOCK, "rabi.points": 20,
                 "workers": workers, "output.path": str(tmp_path / f"w{workers}" / "run"),
             })
             out = run(config)
@@ -741,7 +752,7 @@ class TestRunnerOutput:
 # the budget (all but experiment, seed, workers and output.*) a perturbed value
 LIVENESS_SIZES = {"histogram.trials_f1": 200, "histogram.trials_f2": 200,
                   "survival.atoms": 10, "survival.cycles": 40,
-                  "rabi.atoms": 20, "rabi.points": 8}
+                  "rabi.atoms": 20, "rabi.points": 20}
 PERTURBED = {
     "species.linewidth": 5.0e6,
     "species.excited_splitting": 200e6,
@@ -837,6 +848,13 @@ class TestCliProcess:
         code = main(["--set", "detector.efficiency=nan", "--out", str(tmp_path / "y")])
         assert code == 2
         assert not (tmp_path / "y.csv").exists()
+
+    def test_undersampled_rabi_scan_exit_code(self, tmp_path, capsys):
+        argv = ["--experiment", "rabi", "--set", "rabi.points=12", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "rabi.frequency" in err and "rabi.points" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_key_set_twice_exit_code(self, tmp_path, capsys):
         twice = tmp_path / "twice.cfg"

@@ -27,6 +27,7 @@ from atomreadout.experiments import (
     transfer_probability,
     uniform_pulse_grid,
 )
+from atomreadout.fitting import fit_damped_sinusoid
 from atomreadout.physics import F1, F2, analytic_f2_error
 from helpers import (
     binomial_3se,
@@ -465,6 +466,19 @@ class TestRabiExperiment:
         a = experiment_rabi(5, rabi, ref_cfg, master_seed=18)
         b = experiment_rabi(5, numpy_rabi, ref_cfg, master_seed=18)
         assert same_result(a, b)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_twenty_point_scan_fits_the_drive_not_its_alias(self, ref_cfg, seed):
+        # 20 points over 3 ms resolve up to 3,167 Hz; they sample the 2,950 Hz
+        # drive exactly as they sample its alias at 1/dt - 2,950 = 3,383 Hz, where
+        # a frequency search that runs past the Nyquist limit can settle
+        tables, summary = experiment_rabi(3000, rabi_scan(20, 3.0e-3), ref_cfg, master_seed=seed)
+        times = table_column(tables, "_curve", "pulse_length")
+        fit = fit_damped_sinusoid(times, table_column(tables, "_curve", "f2_fraction"))
+        assert fit.parameters["frequency"] == summary["fit_frequency_hz"]
+        assert summary["fit_converged"]
+        sigma = math.sqrt(fit.covariance_diag["frequency"])
+        assert abs(summary["fit_frequency_hz"] - REF_RABI.rabi_frequency) <= 3.0 * sigma
 
     def test_grid_helpers(self):
         grid = uniform_pulse_grid(5, 1e-3)

@@ -175,6 +175,13 @@ class TestFitDampedSinusoid:
         with pytest.raises(ValueError):
             fit_damped_sinusoid([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
 
+    def test_unevenly_spaced_times_rejected(self):
+        # the frequency seed is a spectrum, which needs a uniform grid
+        t = np.linspace(0.0, 3e-3, 50)
+        t[10] += 1e-6
+        with pytest.raises(ValueError, match="evenly spaced"):
+            fit_damped_sinusoid(t, sinusoid(t, 0.0, 1.0 / 3.0, 2950.0, 2.2e-3))
+
 
 @settings(max_examples=25, deadline=None)
 @given(
@@ -206,8 +213,8 @@ def _pinned_fit_inputs():
             fit_damped_sinusoid, t, curve + np.random.default_rng(5).normal(0, 0.02, t.size)
         ),
         "sinusoid-constant": (fit_damped_sinusoid, t, np.full(t.size, 0.25)),
-        # the frequency grid reaches 25 cycles per span, past these 8 samples' Nyquist
-        # limit of 3.5, so the fit lands on an alias of 400 Hz that matches them as well
+        # 8 samples over 3 ms resolve up to 3.5 cycles per span (1,167 Hz): the fit finds
+        # 392 Hz, not the 6,608 Hz alias (3/dt - 392 Hz) that leaves the same residual
         "sinusoid-8-points": (
             fit_damped_sinusoid, t8, sinusoid(t8, 0.03, 0.3, 400.0, 2.2e-3) + noise8
         ),
@@ -267,45 +274,45 @@ PINNED_FITS = {
     ),
     "sinusoid-noise-free": FitResult(
         parameters={
-            "offset": 0.037000000000003794, "amplitude": 0.3026999999999926,
-            "frequency": 2950.0, "decoherence_time": 0.002200000000000082,
+            "offset": 0.03700000000000426, "amplitude": 0.30269999999999164,
+            "frequency": 2950.0, "decoherence_time": 0.002200000000000093,
         },
         covariance_diag={
-            "offset": 3.1831212212969984e-31, "amplitude": 1.2097075186784094e-30,
-            "frequency": 1.1473116717214107e-25, "decoherence_time": 2.462540696698801e-34,
+            "offset": 4.061217701865521e-31, "amplitude": 1.5434176857816343e-30,
+            "frequency": 1.4638093075367347e-25, "decoherence_time": 3.1418576842395825e-34,
         },
-        residual_norm=7.376109496082925e-15,
+        residual_norm=8.331609400744001e-15,
         converged=True,
         iterations=5,
         residual_history=(
-            0.04222659356808053, 0.028977003598638803, 0.0014061667943534386,
-            1.63045755843383e-06, 1.594662791116892e-10, 7.376109496082925e-15,
+            0.04622638655616031, 0.03017096005652437, 0.0015766892004061776,
+            2.4765398671317892e-06, 1.802193503023599e-10, 8.331609400744001e-15,
         ),
         gradient_norm=0.0,
     ),
     "sinusoid-noisy": FitResult(
         parameters={
-            "offset": 0.009799615300117116, "amplitude": 0.34468160368717676,
-            "frequency": 2952.378067607843, "decoherence_time": 0.0018979599485982913,
+            "offset": 0.009799617140244857, "amplitude": 0.34468159990697667,
+            "frequency": 2952.37806587041, "decoherence_time": 0.0018979600005699195,
         },
         covariance_diag={
-            "offset": 8.157352895017251e-05, "amplitude": 0.0003114132017705479,
-            "frequency": 27.881245315327597, "decoherence_time": 3.148237180902433e-08,
+            "offset": 8.157352792746879e-05, "amplitude": 0.00031141319766190884,
+            "frequency": 27.88124443656721, "decoherence_time": 3.14823745976864e-08,
         },
-        residual_norm=0.11434582567534719,
+        residual_norm=0.11434582567534714,
         converged=True,
-        iterations=7,
+        iterations=8,
         residual_history=(
-            0.135201874228412, 0.12280010086201787, 0.11534938211257872,
-            0.11436064867809208, 0.11434583371863621, 0.11434582569100275,
-            0.1143458256753988, 0.11434582567534719,
+            0.14827483641358358, 0.1410617986525948, 0.11481605897621519,
+            0.11434688249386692, 0.11434582949182868, 0.1143458256926288,
+            0.11434582567543027, 0.11434582567534739, 0.11434582567534714,
         ),
-        gradient_norm=4.586050950498894e-08,
+        gradient_norm=3.649267898074132e-09,
     ),
     "sinusoid-constant": FitResult(
         parameters={
-            "offset": 0.25, "amplitude": -6.021768649680458e-18,
-            "frequency": 688.2527150275789, "decoherence_time": 0.003000000000000001,
+            "offset": 0.25, "amplitude": 6.961353441499857e-17,
+            "frequency": 5.104166666666667, "decoherence_time": 0.0030000000000001024,
         },
         covariance_diag={
             "offset": 0.0, "amplitude": 0.0, "frequency": 0.0, "decoherence_time": 0.0,
@@ -314,28 +321,28 @@ PINNED_FITS = {
         converged=True,
         iterations=1,
         residual_history=(
-            3.925231146709438e-16, 0.0,
+            9.534353327576943e-16, 0.0,
         ),
         gradient_norm=0.0,
     ),
     "sinusoid-8-points": FitResult(
         parameters={
-            "offset": 0.03176994235445468, "amplitude": 0.29952401130634315,
-            "frequency": 6607.798765153955, "decoherence_time": 0.002291842698959634,
+            "offset": 0.0317699421294295, "amplitude": 0.29952401176632504,
+            "frequency": 392.2012349983114, "decoherence_time": 0.0022918426859031135,
         },
         covariance_diag={
-            "offset": 0.00024402387838647646, "amplitude": 0.0009980451075010742,
-            "frequency": 168.57597108424872, "decoherence_time": 2.932085867463314e-07,
+            "offset": 0.00024402387853778853, "amplitude": 0.0009980451087911082,
+            "frequency": 168.57597213511653, "decoherence_time": 2.932085816196779e-07,
         },
-        residual_norm=0.033494315217834136,
+        residual_norm=0.03349431521783408,
         converged=True,
         iterations=6,
         residual_history=(
-            0.03797488630940809, 0.03474053775467189, 0.03349763845793982,
-            0.0334943187872187, 0.033494315229138226, 0.03349431521787354,
-            0.033494315217834136,
+            0.03808363362722113, 0.034736682651844424, 0.03349746752065965,
+            0.03349431801324178, 0.033494315226429, 0.03349431521786309,
+            0.03349431521783408,
         ),
-        gradient_norm=6.290299672886627e-08,
+        gradient_norm=5.458461072433276e-08,
     ),
 }
 
