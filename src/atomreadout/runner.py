@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -166,6 +167,22 @@ def _cells(column: Column, cell) -> tuple[int, Callable[[np.ndarray, slice], Non
 
 
 def _write_table(path: Path, table: Table, fmt: str) -> None:
+    """Write a table to ``path`` whole or not at all.
+
+    The bytes go to a temporary sibling, which replaces ``path`` once it is
+    complete. On any error the sibling is removed and ``path`` keeps what it held.
+    """
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("wb") as out:
+            _write_rows(out, table, fmt)
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _write_rows(out: BinaryIO, table: Table, fmt: str) -> None:
     """Write a table as CSV, or as a compact JSON list of objects with sorted keys.
 
     The rows are written in chunks through one byte matrix of at most
@@ -193,16 +210,15 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
     matrix = np.empty((min(step, n_rows), edges[-1]), np.uint8)
     for sep, start in zip(seps, edges[::2]):
         matrix[:, start:start + sep.size] = sep  # broadcast down the rows, once per table
-    with path.open("wb") as out:
-        out.write(head.encode())
-        for lo in range(0, n_rows, step):
-            rows = slice(lo, min(lo + step, n_rows))
-            chunk = matrix[:rows.stop - lo]
-            for (_, fill), start, stop in zip(cells, edges[1::2], edges[2::2]):
-                fill(chunk[:, start:stop], rows)
-            chunk = chunk.ravel()
-            out.write(chunk[chunk != 0][0 if lo else skip:])
-        out.write(tail.encode())
+    out.write(head.encode())
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, min(lo + step, n_rows))
+        chunk = matrix[:rows.stop - lo]
+        for (_, fill), start, stop in zip(cells, edges[1::2], edges[2::2]):
+            fill(chunk[:, start:stop], rows)
+        chunk = chunk.ravel()
+        out.write(chunk[chunk != 0][0 if lo else skip:])
+    out.write(tail.encode())
 
 
 def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
@@ -302,7 +318,7 @@ _BUILDERS = {
 
 def run(config: RunConfig) -> RunOutput:
     """Execute the configured experiment and write its result files."""
-    start = time.time()
+    start = time.perf_counter()
     experiment, fmt = config["experiment"], config["output.format"]
     tables, summary = _BUILDERS[experiment](config)
 
@@ -328,7 +344,7 @@ def run(config: RunConfig) -> RunOutput:
         ),
         "result_files": [Path(p).name for p in written],
         "summary": summary,
-        "wall_time_s": time.time() - start,
+        "wall_time_s": time.perf_counter() - start,
     }
     manifest_path = stem.with_name(stem.name + "_manifest.json")
     manifest_path.write_text(

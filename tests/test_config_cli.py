@@ -1,5 +1,5 @@
-import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from atomreadout.config import (
 )
 from atomreadout.experiments import Coded
 from atomreadout.physics import depump_suppression, heating_per_scatter
-from atomreadout.runner import _write_table, run
+from atomreadout.runner import _write_rows, _write_table, run
 
 # config updates -> SHA-256 of each result table, keyed by file suffix
 PINNED_TABLES = {
@@ -442,15 +441,14 @@ def writer_columns(n_rows):
     return header, columns, rows
 
 
-class RecordedPath:
-    """Stands in for a table's path, and keeps each write made to its file."""
+class RecordedFile:
+    """Stands in for a table's open file, and keeps each write made to it."""
 
     def __init__(self):
         self.writes = []
 
-    def open(self, mode):
-        assert mode == "wb"
-        return contextlib.nullcontext(SimpleNamespace(write=self.writes.append))
+    def write(self, data) -> None:
+        self.writes.append(data)
 
 
 class TestRunnerOutput:
@@ -468,21 +466,50 @@ class TestRunnerOutput:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_writes_keep_to_the_byte_budget(self, fmt, tmp_path):
         header, columns, rows = writer_columns(20_000)
-        path = RecordedPath()
-        _write_table(path, (header, columns), fmt)
-        chunks = path.writes[1:-1]  # between the head and the tail
+        out = RecordedFile()
+        _write_rows(out, (header, columns), fmt)
+        chunks = out.writes[1:-1]  # between the head and the tail
         assert len(chunks) >= 3
         assert max(len(chunk) for chunk in chunks) <= runner.WRITE_BYTES
         row_writer(tmp_path / "rows", header, rows, fmt)
-        assert b"".join(map(bytes, path.writes)) == (tmp_path / "rows").read_bytes()
+        assert b"".join(map(bytes, out.writes)) == (tmp_path / "rows").read_bytes()
 
     def test_a_row_wider_than_the_budget_is_written_alone(self, monkeypatch):
         monkeypatch.setattr(runner, "WRITE_BYTES", 4)
-        path = RecordedPath()
-        _write_table(path, (("label", "n"), (["a long label"] * 3, np.arange(3))), "csv")
-        assert [bytes(chunk) for chunk in path.writes] == [
+        out = RecordedFile()
+        _write_rows(out, (("label", "n"), (["a long label"] * 3, np.arange(3))), "csv")
+        assert [bytes(chunk) for chunk in out.writes] == [
             b"label,n\n", b"a long label,0\n", b"a long label,1\n", b"a long label,2\n", b"",
         ]
+
+    def test_a_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        # chunks of a few rows, the second of which fails while it is filled
+        monkeypatch.setattr(runner, "WRITE_BYTES", 64)
+        fill = runner._fill_digits
+        calls = []
+
+        def failing_fill(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("disk gone")
+            fill(*args)
+
+        monkeypatch.setattr(runner, "_fill_digits", failing_fill)
+        table = (("n",), (np.arange(100),))
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        with pytest.raises(RuntimeError, match="disk gone"):
+            _write_table(fresh / "t.csv", table, "csv")
+        assert list(fresh.iterdir()) == []
+        # a file already at the path keeps its bytes
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "t.csv").write_bytes(b"n\n7\n")
+        calls.clear()
+        with pytest.raises(RuntimeError, match="disk gone"):
+            _write_table(old / "t.csv", table, "csv")
+        assert list(old.iterdir()) == [old / "t.csv"]
+        assert (old / "t.csv").read_bytes() == b"n\n7\n"
 
     @pytest.mark.parametrize("codes", [np.array([True, False]), np.array([0.0, 1.0])])
     def test_coded_gathers_by_integer_codes_only(self, codes):
@@ -608,6 +635,15 @@ class TestRunnerOutput:
         manifest = json.loads(Path(run(config).manifest_file).read_text())
         assert manifest["workers_used"] == 1
         assert manifest["config"]["workers"] == 64
+
+    def test_wall_time_survives_a_clock_step_back(self, tmp_path, monkeypatch):
+        # the wall clock steps back an hour after its first reading
+        clock, steps = runner.time.time, iter([0.0])
+        monkeypatch.setattr(runner.time, "time", lambda: clock() - next(steps, 3600.0))
+        config = default_config().with_updates(
+            {"experiment": "budget", "output.path": str(tmp_path / "b")})
+        manifest = json.loads(Path(run(config).manifest_file).read_text())
+        assert manifest["wall_time_s"] >= 0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         for name in ("x", "y"):
@@ -839,6 +875,26 @@ class TestCliProcess:
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "h_summary.csv").exists()
+
+    def test_heap_is_frozen_at_exit(self, tmp_path):
+        # atexit runs its handlers last in, first out, so a handler registered
+        # before the import sees the heap as the interpreter ends
+        script = (
+            "import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            "from atomreadout.cli import main\n"
+            f"out = {str(tmp_path / 'b')!r}\n"
+            "assert main(['--experiment', 'budget', '--out', out]) == 0\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout.splitlines()[-1]) > 0
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path):
+        # a long-lived caller's objects stay collectable
+        frozen = gc.get_freeze_count()
+        assert main(["--experiment", "histogram", "--trials", "5", "--out", str(tmp_path / "h")]) == 0
+        assert gc.get_freeze_count() == frozen
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
