@@ -82,16 +82,8 @@ SCHEMA: dict[str, _Key] = {
     "trap.depth": _Key("float", 2e-3, "trap depth, K", lo=0, lo_open=True),
     "trap.baseline_energy": _Key("float", 0.0, "post-cooling motional energy, K", lo=0),
     "loss.background_per_cycle": _Key("float", 0.012,
-                                      "non-heating loss probability per cycle of survival "
-                                      "and Rabi runs (histogram runs read loss.f1_per_cycle "
-                                      "and loss.f2_per_cycle)",
+                                      "non-heating loss probability per cycle, either state",
                                       lo=0, hi=1, hi_open=True),
-    "loss.f1_per_cycle": _Key("float", 0.012,
-                              "non-heating loss per cycle of a histogram run's F1 trials",
-                              lo=0, hi=1, hi_open=True),
-    "loss.f2_per_cycle": _Key("float", 0.012,
-                              "non-heating loss per cycle of a histogram run's F2 trials",
-                              lo=0, hi=1, hi_open=True),
     "cooling.reset": _Key("bool", True, "cooling restores the baseline energy"),
     "histogram.trials_f1": _Key("int", 1684, "F1-prepared trials", lo=1),
     "histogram.trials_f2": _Key("int", 2127, "F2-prepared trials", lo=1),

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -457,26 +457,22 @@ def experiment_histogram(
     trials_f2: int,
     cfg: CycleConfig,
     master_seed: int,
-    loss_f1: float | None = None,
-    loss_f2: float | None = None,
     workers: int = 1,
 ) -> tuple[dict[str, Table], dict]:
     """Per-trial records, count histograms and error/loss rates for both prepared states.
 
-    ``loss_f1`` and ``loss_f2``, when given, replace ``cfg.background_loss`` for
-    that state. Tables: the records (one row per trial, F1 trials first), the
-    count histograms ``_histogram`` and ``_summary``.
+    Tables: the records (one row per trial, F1 trials first), the count
+    histograms ``_histogram`` and ``_summary``.
     """
     if trials_f1 <= 0 or trials_f2 <= 0:
         raise ValueError("trial counts must be positive")
     sides = []   # per state: detected counts, called bright, lost
     hist_rows = []
     summary: dict[str, object] = {}
-    for state, trials, loss in ((F1, trials_f1, loss_f1), (F2, trials_f2, loss_f2)):
-        state_cfg = cfg if loss is None else replace(cfg, background_loss=loss)
+    for state, trials in ((F1, trials_f1), (F2, trials_f2)):
         key = (EXP_HISTOGRAM, _STATE_CODE[state])
         counts, called, present = _map_rows(
-            trials, workers, master_seed, key, state_cfg, state, None, None
+            trials, workers, master_seed, key, cfg, state, None, None
         )
         counts, called, lost = counts[:, 0], called[:, 0], ~present[:, 0]
         sides.append((counts, called, lost))

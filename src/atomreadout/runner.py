@@ -62,7 +62,7 @@ from .physics import (
 )
 
 ARTIFACT_NAME = "atomreadout"
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 WRITE_BYTES = 1 << 20   # bytes of padded rows formatted and written at a time
 
@@ -166,8 +166,8 @@ def _cells(column: Column, cell) -> tuple[int, Callable[[np.ndarray, slice], Non
     return signed + places, lambda out, rows: _fill_digits(out, column[rows], places, signed)
 
 
-def _write_table(path: Path, table: Table, fmt: str) -> None:
-    """Write a table to ``path`` whole or not at all.
+def _write_whole(path: Path, write: Callable[[BinaryIO], object]) -> None:
+    """Let ``write`` fill ``path`` whole or not at all.
 
     The bytes go to a temporary sibling, which replaces ``path`` once it is
     complete. On any error the sibling is removed and ``path`` keeps what it held.
@@ -175,11 +175,16 @@ def _write_table(path: Path, table: Table, fmt: str) -> None:
     partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with partial.open("wb") as out:
-            _write_rows(out, table, fmt)
+            write(out)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
+
+
+def _write_table(path: Path, table: Table, fmt: str) -> None:
+    """Write a table to ``path`` whole or not at all."""
+    _write_whole(path, lambda out: _write_rows(out, table, fmt))
 
 
 def _write_rows(out: BinaryIO, table: Table, fmt: str) -> None:
@@ -282,8 +287,6 @@ def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
         config["histogram.trials_f2"],
         config.cycle_config(),
         config["seed"],
-        loss_f1=config["loss.f1_per_cycle"],
-        loss_f2=config["loss.f2_per_cycle"],
         workers=config["workers"],
     )
 
@@ -347,7 +350,6 @@ def run(config: RunConfig) -> RunOutput:
         "wall_time_s": time.perf_counter() - start,
     }
     manifest_path = stem.with_name(stem.name + "_manifest.json")
-    manifest_path.write_text(
-        json.dumps(_json_safe(manifest), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    )
+    text = json.dumps(_json_safe(manifest), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    _write_whole(manifest_path, lambda out: out.write(text.encode()))
     return RunOutput(tuple(written), str(manifest_path), summary)

@@ -63,10 +63,10 @@ PINNED_TABLES = {
             "_summary.csv": "0bd1fbe9b4f889d2b15597a6c6f9e45a0cab2619dc84e03d1ffbd6a00aa27883",
         },
     ),
-    # the fixed window, with the per-state losses of configs/single-shot-loss.cfg
-    "histogram-fixed-per-state-loss": (
+    # the fixed window, with the 1% loss of configs/histogram-1pct-loss.cfg
+    "histogram-fixed-1pct-loss": (
         {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
-         "readout.mode": "fixed", "loss.f1_per_cycle": 0.009, "loss.f2_per_cycle": 0.0105},
+         "readout.mode": "fixed", "loss.background_per_cycle": 0.01},
         {
             ".csv": "ae185c4d584e89a332987bf412fe48384409ddb5dd8346504416bb12efab70d6",
             "_histogram.csv": "da1d02df95959ec8d05549fabd4f48f9606c7b24ce001b39371b3068d6c41e82",
@@ -192,8 +192,10 @@ class TestParsing:
             "detector.dark_rate",
             "probe.effective_detuning",
             "loss.heating_threshold_fraction",
+            "loss.f1_per_cycle",
+            "loss.f2_per_cycle",
         ):
-            with pytest.raises(ConfigError) as err:
+            with pytest.raises(ConfigError, match="unknown key") as err:
                 parse_config(f"probe.scatter_rate = 1e6\n{key} = 1\n")
             assert err.value.line == 2
             assert err.value.key == key
@@ -294,14 +296,17 @@ class TestDomainBuilders:
         assert len(grid) == 8 and grid[-1] == pytest.approx(1e-3)
 
     def test_histogram_loss_models(self, tmp_path):
-        # each per-state key sets the loss of its own state's trials only
-        config = parse_config("loss.f1_per_cycle = 0.9\nloss.f2_per_cycle = 0.0\n").with_updates(
-            {"histogram.trials_f1": 50, "histogram.trials_f2": 50,
-             "output.path": str(tmp_path / "h")}
-        )
-        summary = run(config).summary
-        assert summary["f1_loss_rate"] > 0.7
-        assert summary["f2_losses"] == 0
+        # the one background-loss key sets the loss of both states' trials
+        def summary(loss):
+            config = parse_config(f"loss.background_per_cycle = {loss}\n").with_updates(
+                {"histogram.trials_f1": 50, "histogram.trials_f2": 50,
+                 "output.path": str(tmp_path / str(loss))}
+            )
+            return run(config).summary
+
+        lossy, lossless = summary(0.9), summary(0.0)
+        assert lossy["f1_loss_rate"] > 0.7 and lossy["f2_loss_rate"] > 0.7
+        assert lossless["f1_losses"] == lossless["f2_losses"] == 0
 
 
 # command lines that give one key twice, and the key each repeats
@@ -510,6 +515,24 @@ class TestRunnerOutput:
             _write_table(old / "t.csv", table, "csv")
         assert list(old.iterdir()) == [old / "t.csv"]
         assert (old / "t.csv").read_bytes() == b"n\n7\n"
+
+    def test_a_failed_manifest_replace_keeps_the_old_manifest(self, tmp_path, monkeypatch):
+        stem = tmp_path / "b"
+        config = default_config().with_updates({"experiment": "budget", "output.path": str(stem)})
+        manifest = Path(run(config).manifest_file)
+        before = manifest.read_bytes()
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst) == manifest:
+                raise OSError("disk gone")
+            replace(src, dst)
+
+        monkeypatch.setattr(runner.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk gone"):
+            run(config.with_updates({"seed": 2}))
+        assert manifest.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "b_manifest.json"]
 
     @pytest.mark.parametrize("codes", [np.array([True, False]), np.array([0.0, 1.0])])
     def test_coded_gathers_by_integer_codes_only(self, codes):
@@ -794,8 +817,9 @@ PERTURBED = {
     "species.excited_splitting": 200e6,
     "species.recoil_temperature": 2e-5,
     "detector.efficiency": 0.03,
-    "probe.scatter_rate": 2e6,
-    "probe.max_duration": 200e-6,
+    # far enough from the defaults to change calls that rest mostly on the scatter count
+    "probe.scatter_rate": 5e5,
+    "probe.max_duration": 50e-6,
     "probe.background_mean": 0.5,
     "readout.mode": "fixed",
     "readout.nd": 3,
@@ -804,8 +828,6 @@ PERTURBED = {
     "trap.depth": 1e-4,
     "trap.baseline_energy": 1.99e-3,
     "loss.background_per_cycle": 0.5,
-    "loss.f1_per_cycle": 0.5,
-    "loss.f2_per_cycle": 0.5,
     "cooling.reset": False,
     **{key: size + 1 for key, size in LIVENESS_SIZES.items()},
     "rabi.span": 1e-3,
@@ -813,9 +835,38 @@ PERTURBED = {
     "rabi.decoherence_time": 1e-3,
 }
 
+MONTE_CARLO = ("histogram", "survival", "rabi")
+# the experiments whose tables each perturbed key must change
+READERS = {
+    # the Monte Carlo takes the depump hazard as given, not from the line shape
+    "species.linewidth": ("budget",),
+    "species.excited_splitting": ("budget",),
+    "species.recoil_temperature": ("budget", *MONTE_CARLO),
+    "detector.efficiency": ("budget", *MONTE_CARLO),
+    "probe.scatter_rate": MONTE_CARLO,
+    "probe.max_duration": MONTE_CARLO,
+    "probe.background_mean": ("budget", *MONTE_CARLO),
+    "readout.mode": MONTE_CARLO,
+    "readout.nd": ("budget", *MONTE_CARLO),
+    "readout.depump_hazard": ("budget", *MONTE_CARLO),
+    "readout.branching_to_f1": ("budget",),
+    "trap.depth": ("budget", *MONTE_CARLO),
+    "trap.baseline_energy": MONTE_CARLO,
+    "loss.background_per_cycle": MONTE_CARLO,
+    # not histogram: cooling follows the loss check, so it cannot change a one-cycle trial;
+    # not rabi: 20 pulses of about 100 scatters heat an atom by at most about 1.4 mK on
+    # average, below the 2 mK depth, so without cooling no Rabi atom is lost
+    "cooling.reset": ("survival",),
+    **{key: (key.split(".")[0],) for key in LIVENESS_SIZES},
+    "rabi.span": ("rabi",),
+    "rabi.frequency": ("rabi",),
+    "rabi.decoherence_time": ("rabi",),
+}
+
 
 class TestKeyLiveness:
-    """No config key that changes no output: each input must change a result table."""
+    """No config key that changes no output: each input must change a table of every
+    experiment that reads it."""
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
@@ -834,15 +885,17 @@ class TestKeyLiveness:
     def test_every_input_key_is_perturbed(self):
         inputs = {k for k in SCHEMA if k not in ("experiment", "seed", "workers")
                   and not k.startswith("output.")}
-        assert set(PERTURBED) == inputs
+        assert set(PERTURBED) == set(READERS) == inputs
 
     @pytest.mark.parametrize("key", sorted(PERTURBED))
     def test_key_changes_a_result_table(self, key, runs):
         tables, reference = runs
-        assert any(
-            tables(experiment, {key: PERTURBED[key]}) != unperturbed
-            for experiment, unperturbed in reference.items()
-        ), f"{key} changes no result table"
+        unchanged = [experiment for experiment in READERS[key]
+                     if tables(experiment, {key: PERTURBED[key]}) == reference[experiment]]
+        assert not unchanged, f"{key} changes no table of {unchanged}"
+
+
+EXAMPLE_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 
 class TestCliProcess:
@@ -895,6 +948,10 @@ class TestCliProcess:
         frozen = gc.get_freeze_count()
         assert main(["--experiment", "histogram", "--trials", "5", "--out", str(tmp_path / "h")]) == 0
         assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("path", EXAMPLE_CONFIGS, ids=lambda path: path.name)
+    def test_example_config_runs(self, path, tmp_path):
+        assert main(["--config", str(path), "--trials", "20", "--out", str(tmp_path / "x")]) == 0
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -16,6 +16,9 @@ from atomreadout.experiments import (
     _cycle,
     _nonzero_draws,
     _simulate_probe,
+    apply_heating,
+    check_loss,
+    cool,
     derive_substream,
     experiment_histogram,
     experiment_rabi,
@@ -28,7 +31,7 @@ from atomreadout.experiments import (
     uniform_pulse_grid,
 )
 from atomreadout.fitting import fit_damped_sinusoid
-from atomreadout.physics import F1, F2, analytic_f2_error
+from atomreadout.physics import F1, F2, analytic_f2_error, heating_per_scatter
 from helpers import (
     binomial_3se,
     event_probe,
@@ -39,6 +42,7 @@ from helpers import (
 )
 
 ANALYTIC_F1_ERROR = 3.693631311376678e-2
+KICK = heating_per_scatter()   # K per scattering event
 REF_RABI = default_config().rabi_config()
 
 
@@ -79,6 +83,42 @@ class TestCycleConfig:
             replace(ref_cfg, **changes)
 
 
+class TestDeriveSubstream:
+    def test_same_path_reproduces_stream(self):
+        a = derive_substream(12345, (1, 2, 3)).random(100)
+        b = derive_substream(12345, (1, 2, 3)).random(100)
+        assert np.array_equal(a, b)
+
+    def test_sibling_paths_differ(self):
+        a = derive_substream(12345, (0,)).random(8)
+        b = derive_substream(12345, (1,)).random(8)
+        assert not np.array_equal(a, b)
+
+    def test_path_depth_matters(self):
+        a = derive_substream(7, (1,)).random(8)
+        b = derive_substream(7, (1, 0)).random(8)
+        assert not np.array_equal(a, b)
+
+    def test_seed_matters(self):
+        a = derive_substream(1, (5,)).random(8)
+        b = derive_substream(2, (5,)).random(8)
+        assert not np.array_equal(a, b)
+
+    def test_stream_independence_smoke(self):
+        # adjacent-path streams show no correlation beyond 3 sigma on 1e5 pairs
+        n = 100_000
+        x = derive_substream(99, (0,)).standard_normal(n)
+        y = derive_substream(99, (1,)).standard_normal(n)
+        corr = float(np.corrcoef(x, y)[0, 1])
+        assert abs(corr) < 3.0 / np.sqrt(n)
+
+    def test_out_of_range_seed_rejected(self):
+        with pytest.raises(ValueError):
+            derive_substream(-1, (0,))
+        with pytest.raises(ValueError):
+            derive_substream(2**64, (0,))
+
+
 class TestPrepareState:
     def test_f2_always_f2(self):
         atoms = prepare_state(F2, np.zeros(100), np.random.default_rng(0))
@@ -104,6 +144,90 @@ class TestPrepareState:
     def test_reprepare_absent_rejected(self):
         with pytest.raises(ValueError):
             reprepare(atoms_in(False, present=False), F1, np.random.default_rng(0))
+
+
+class TestHeating:
+    def test_250_scatter_budget(self):
+        atom = atoms_in(True)
+        apply_heating(atom, np.array([250]), KICK)
+        assert atom.energy[0] == pytest.approx(1.8098e-4, rel=1e-12)
+
+    def test_zero_scatters_unchanged(self):
+        atom = atoms_in(True, energy=1e-5)
+        apply_heating(atom, np.array([0]), KICK)
+        assert atom.energy[0] == 1e-5
+
+    def test_absent_atom_rejected(self):
+        with pytest.raises(ValueError):
+            apply_heating(atoms_in(True, present=False), np.array([10]), KICK)
+
+    def test_accumulates(self):
+        atom = atoms_in(True)
+        apply_heating(atom, np.array([100]), KICK)
+        apply_heating(atom, np.array([50]), KICK)
+        assert atom.energy[0] == pytest.approx(150 * KICK, rel=1e-12)
+
+
+class TestLossCheck:
+    def test_cold_atom_survives(self, ref_cfg):
+        atom = atoms_in(True, energy=181e-6)
+        check_loss(atom, ref_cfg.depth, 0.0, np.random.default_rng(0))
+        assert atom.present[0]
+
+    def test_threshold_crossing_lost(self):
+        atom = atoms_in(True, energy=2.1e-3)
+        check_loss(atom, 2e-3, 0.0, np.random.default_rng(0))
+        assert not atom.present[0]
+
+    def test_background_bernoulli_rate(self, ref_cfg):
+        trials = 100_000
+        atoms = atoms_in(True, n=trials)
+        check_loss(atoms, ref_cfg.depth, 0.012, np.random.default_rng(41))
+        expected = 0.988
+        se = math.sqrt(expected * (1 - expected) / trials)
+        assert abs(atoms.present.mean() - expected) < 3 * se
+
+    def test_lost_atom_rejected(self, ref_cfg):
+        with pytest.raises(ValueError):
+            check_loss(atoms_in(True, present=False), ref_cfg.depth, 0.0,
+                       np.random.default_rng(0))
+
+
+class TestCooling:
+    def test_reset_restores_baseline(self):
+        atom = atoms_in(True, energy=181e-6)
+        cool(atom, True, 5e-5)
+        assert atom.energy[0] == 5e-5
+
+    def test_no_reset_keeps_energy(self, ref_cfg):
+        atom = atoms_in(True, energy=181e-6)
+        cool(atom, False, ref_cfg.baseline_energy)
+        assert atom.energy[0] == pytest.approx(181e-6)
+
+    def test_heat_cool_cycle_never_accumulates(self, ref_cfg):
+        atom = atoms_in(True)
+        for _ in range(100):
+            assert atom.energy[0] == ref_cfg.baseline_energy
+            apply_heating(atom, np.array([100]), KICK)
+            cool(atom, True, ref_cfg.baseline_energy)
+        assert atom.energy[0] == ref_cfg.baseline_energy
+
+    def test_without_cooling_loss_cycle_is_deterministic(self, ref_cfg):
+        # 100 scatters/cycle against a 2 mK threshold: lost on cycle ceil(2763/100) = 28
+        scatters_per_cycle = np.array([100])
+        predicted = math.ceil(
+            math.ceil(2e-3 / KICK) / scatters_per_cycle[0]
+        )
+        atom = atoms_in(True)
+        rng = np.random.default_rng(0)
+        lost_at = None
+        for cycle in range(1, 60):
+            apply_heating(atom, scatters_per_cycle, KICK)
+            check_loss(atom, ref_cfg.depth, 0.0, rng)
+            if not atom.present[0]:
+                lost_at = cycle
+                break
+        assert lost_at == predicted == 28
 
 
 class TestDetectionCycle:
@@ -319,16 +443,10 @@ class TestHistogramExperiment:
         tail = 1.0 - fraction[0] - fraction[1]
         assert abs(tail - ANALYTIC_F1_ERROR) < binomial_3se(ANALYTIC_F1_ERROR, trials)
 
-    def test_per_state_loss_overrides(self, ref_cfg):
-        _, summary = experiment_histogram(
-            4000,
-            4000,
-            ref_cfg,
-            master_seed=7,
-            loss_f1=0.009,
-            loss_f2=0.0105,
-        )
-        assert abs(summary["f1_loss_rate"] - 0.009) < binomial_3se(0.009, 4000)
+    def test_background_loss_reaches_both_states(self, ref_cfg):
+        cfg = replace(ref_cfg, background_loss=0.0105)
+        _, summary = experiment_histogram(4000, 4000, cfg, master_seed=7)
+        assert abs(summary["f1_loss_rate"] - 0.0105) < binomial_3se(0.0105, 4000)
         assert abs(summary["f2_loss_rate"] - 0.0105) < binomial_3se(0.0105, 4000)
 
     def test_determinism(self, ref_cfg):
