@@ -12,8 +12,10 @@ with this checkout's ``src/`` and once with ``PARENT_SRC`` (the ``src/``
 directory of the tree to compare against). Every
 result table must match byte for byte; the manifests must match once
 ``wall_time_s`` and the ``output.path`` config entry are left out, as those
-name the run rather than its results. Prints each file that differs and exits
-1 if any does, 0 otherwise.
+name the run rather than its results. Prints each table that differs, and each
+manifest entry that differs by its dotted path with the parent's value and
+this checkout's (``artifact.version: '0.4.0' -> '0.5.0'``), and exits 1 if
+any differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -101,26 +103,44 @@ def _run(src: Path, argv: list[str], cwd: Path) -> str | None:
     return f"exit code {result.returncode} {' '.join(tail)}".strip()
 
 
-def _manifest(path: Path) -> dict:
-    manifest = json.loads(path.read_text())
-    manifest.pop("wall_time_s", None)
-    manifest.get("config", {}).pop("output.path", None)
-    return manifest
+# manifest entries that name the run rather than its results
+RUN_ENTRIES = {"wall_time_s", "config.output.path"}
+
+
+def _entries(value: object, path: str = "") -> dict[str, object]:
+    """Each leaf of a JSON value by its dotted path; a list or an empty object is one leaf."""
+    if not isinstance(value, dict) or not value:
+        return {path: value}
+    found = {}
+    for key, item in value.items():
+        found |= _entries(item, f"{path}.{key}" if path else key)
+    return found
+
+
+def _manifest_differences(ours: Path, theirs: Path) -> list[str]:
+    """The dotted paths of the entries that differ between two manifests, with both values."""
+    sides = [_entries(json.loads(p.read_text())) for p in (theirs, ours)]
+    differ = []
+    for path in sorted((sides[0].keys() | sides[1].keys()) - RUN_ENTRIES):
+        shown = [repr(side[path]) if path in side else "(absent)" for side in sides]
+        if shown[0] != shown[1]:
+            differ.append(f"{path}: {shown[0]} -> {shown[1]}")
+    return differ
 
 
 def _differences(ours: Path, theirs: Path) -> list[str]:
-    """Names of the files that differ between two output directories, or exist in one only."""
+    """What differs between two output directories: each table that differs or exists in one
+    only, and each differing manifest entry."""
     names = sorted({p.name for p in ours.iterdir()} | {p.name for p in theirs.iterdir()})
     differ = []
     for name in names:
         a, b = ours / name, theirs / name
         if not (a.is_file() and b.is_file()):
-            differ.append(f"{name} (written by one side only)")
+            differ.append(f"{name} written by one side only")
         elif name.endswith("_manifest.json"):
-            if _manifest(a) != _manifest(b):
-                differ.append(name)
+            differ += [f"{name} {entry}" for entry in _manifest_differences(a, b)]
         elif a.read_bytes() != b.read_bytes():
-            differ.append(name)
+            differ.append(f"{name} differs")
     return differ
 
 
@@ -143,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                 error = _run(src, argv, dirs[side])
                 if error:
                     errors.append(f"{side} failed: {error}")
-            errors += [f"{name} differs" for name in _differences(dirs["this"], dirs["parent"])]
+            errors += _differences(dirs["this"], dirs["parent"])
             for error in errors or ["identical"]:
                 print(f"{label}: {error}")
             failed |= bool(errors)

@@ -1,5 +1,13 @@
 """Stochastic simulator and analytic error budget for nondestructive
-fluorescence readout of single trapped-atom qubits."""
+fluorescence readout of single trapped-atom qubits.
+
+The public names are the runs (``run`` and the three ``experiment_*``
+functions), their configs, the fits and histogram tools that build the
+summaries, and the closed forms of ``physics``. The steps of the Monte Carlo
+kernel (the atom block, state preparation, heating, the loss check, cooling,
+the microwave pulse, the substream derivation) live in
+``atomreadout.experiments`` with no compatibility promise.
+"""
 
 from .config import (
     ConfigError,
@@ -11,20 +19,11 @@ from .config import (
     reference_cycle_config,
 )
 from .experiments import (
-    Atoms,
     CycleConfig,
     RabiConfig,
-    ReadoutOutcome,
-    apply_heating,
-    check_loss,
-    cool,
-    derive_substream,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
-    microwave_pulse,
-    prepare_state,
-    run_detection_cycle,
     transfer_probability,
     uniform_pulse_grid,
 )
@@ -33,7 +32,6 @@ from .fitting import (
     binomial_interval,
     build_histogram,
     fit_damped_sinusoid,
-    fit_exponential,
 )
 from .physics import (
     F1,

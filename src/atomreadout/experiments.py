@@ -107,20 +107,12 @@ class Atoms:
     energy: np.ndarray
     present: np.ndarray
 
-    def __post_init__(self) -> None:
-        if np.any(self.energy < 0):
-            raise ValueError("motional energy must be nonnegative")
-
     def __len__(self) -> int:
         return self.energy.size
 
     def take(self, keep: np.ndarray) -> "Atoms":
         """The atoms selected by the boolean mask ``keep``, as a new block."""
         return Atoms(self.bright[keep], self.in_mf0[keep], self.energy[keep], self.present[keep])
-
-    def require_present(self, action: str) -> None:
-        if not self.present.all():
-            raise ValueError(f"cannot {action} an absent atom")
 
 
 @dataclass(frozen=True)
@@ -168,24 +160,19 @@ class CycleConfig:
 
 
 def prepare_state(target: str, energy: np.ndarray, rng: np.random.Generator) -> Atoms:
-    """Present atoms at motional ``energy``, freshly pumped into ``target``.
+    """Present atoms at motional ``energy``, freshly pumped into ``target`` (F1 or F2).
 
     Only an F1 atom's Zeeman sublevel is drawn (uniform over mF = -1, 0, 1),
     and only whether it is mF=0 is kept.
     """
     n = energy.size
-    if target == F1:
-        in_mf0 = rng.integers(-1, 2, size=n) == 0
-    elif target == F2:
-        in_mf0 = np.zeros(n, dtype=bool)
-    else:
-        raise ValueError(f"unknown hyperfine target {target!r}")
-    return Atoms(np.full(n, target == F2), in_mf0, energy, np.ones(n, dtype=bool))
+    bright = target == F2
+    in_mf0 = np.zeros(n, dtype=bool) if bright else rng.integers(-1, 2, size=n) == 0
+    return Atoms(np.full(n, bright), in_mf0, energy, np.ones(n, dtype=bool))
 
 
 def reprepare(atoms: Atoms, target: str, rng: np.random.Generator) -> Atoms:
-    """Re-pump atoms that are all present; their motional energy is kept."""
-    atoms.require_present("prepare")
+    """Re-pump present atoms; their motional energy is kept."""
     return prepare_state(target, atoms.energy, rng)
 
 
@@ -261,7 +248,6 @@ def _simulate_probe(
 
 def apply_heating(atoms: Atoms, scatters: np.ndarray, energy_per_scatter: float) -> None:
     """Add ``energy_per_scatter`` (K) for each of each atom's ``scatters`` scattering events."""
-    atoms.require_present("heat")
     atoms.energy += scatters * energy_per_scatter
 
 
@@ -269,7 +255,6 @@ def check_loss(
     atoms: Atoms, depth: float, background_loss: float, rng: np.random.Generator
 ) -> None:
     """Mark atoms absent whose energy reaches ``depth``, or on a background-loss draw."""
-    atoms.require_present("re-check")
     lost = atoms.energy >= depth
     if background_loss > 0.0:
         lost |= rng.random(len(atoms)) < background_loss
@@ -614,9 +599,6 @@ def microwave_pulse(
     atoms: Atoms, duration: float, rabi: RabiConfig, rng: np.random.Generator
 ) -> None:
     """Drive F1 atoms with one microwave pulse; only the atoms in mF=0 respond."""
-    atoms.require_present("drive")
-    if atoms.bright.any():
-        raise ValueError("the drive starts from F1")
     flips = rng.random(np.count_nonzero(atoms.in_mf0)) < transfer_probability(duration, rabi)
     atoms.bright[atoms.in_mf0] = flips
 

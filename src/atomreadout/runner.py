@@ -5,9 +5,10 @@ experiment call, which returns the tables and summary to write; the budget
 builder computes its closed-form rows here.
 
 Result and summary files are byte-identical for identical (config, seed),
-independent of worker count; the manifest additionally records wall time and
-the number of processes that ran, and is therefore the one output not covered by
-the byte-identity contract.
+independent of worker count, for a fixed numpy version; the manifest
+additionally records wall time, the number of processes that ran and the
+environment (Python and numpy versions, CPU count), and is therefore the one
+output not covered by the byte-identity contract.
 
 Tables are held as columns up to the write, a label column as ``Coded``
 integer codes into its few labels. The writer sends the rows through one byte
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import platform
 import time
 from dataclasses import dataclass
 from itertools import accumulate
@@ -62,7 +64,7 @@ from .physics import (
 )
 
 ARTIFACT_NAME = "atomreadout"
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 WRITE_BYTES = 1 << 20   # bytes of padded rows formatted and written at a time
 
@@ -346,6 +348,13 @@ def run(config: RunConfig) -> RunOutput:
             max((config[key] for key in ROW_KEYS.get(experiment, ())), default=0),
         ),
         "result_files": [Path(p).name for p in written],
+        # numpy does not freeze Generator's algorithms across releases, so the tables
+        # are byte-identical per (config, seed) for a fixed numpy version
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        },
         "summary": summary,
         "wall_time_s": time.perf_counter() - start,
     }

@@ -10,17 +10,15 @@ from atomreadout.cli import build_parser
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = {
-    "ARTIFACT_VERSION", "Atoms", "ConfigError", "CycleConfig", "DEFAULT_DEPUMP_HAZARD",
-    "DEFAULT_SEED", "F1", "F2", "FitResult", "RB87_D2", "RabiConfig", "ReadoutOutcome",
-    "RunConfig", "RunOutput", "SpeciesConstants", "analytic_f1_error", "analytic_f2_error",
-    "apply_heating", "binomial_interval", "build_histogram", "calibrate_depump", "check_loss",
-    "cool", "default_config", "depump_hazard_per_scatter", "depump_suppression",
-    "derive_substream", "experiment_histogram", "experiment_rabi", "experiment_survival",
-    "fit_damped_sinusoid", "fit_exponential", "heating_for_scatters", "heating_per_scatter",
-    "implied_effective_detuning", "microwave_pulse", "misdetection_probability",
-    "parse_config", "poisson_tail_at_least", "prepare_state", "reference_cycle_config",
-    "required_mean_photons", "run", "run_detection_cycle", "scatters_for_detected",
-    "transfer_probability", "uniform_pulse_grid",
+    "ARTIFACT_VERSION", "ConfigError", "CycleConfig", "DEFAULT_DEPUMP_HAZARD", "DEFAULT_SEED",
+    "F1", "F2", "FitResult", "RB87_D2", "RabiConfig", "RunConfig", "RunOutput",
+    "SpeciesConstants", "analytic_f1_error", "analytic_f2_error", "binomial_interval",
+    "build_histogram", "calibrate_depump", "default_config", "depump_hazard_per_scatter",
+    "depump_suppression", "experiment_histogram", "experiment_rabi", "experiment_survival",
+    "fit_damped_sinusoid", "heating_for_scatters", "heating_per_scatter",
+    "implied_effective_detuning", "misdetection_probability", "parse_config",
+    "poisson_tail_at_least", "reference_cycle_config", "required_mean_photons", "run",
+    "scatters_for_detected", "transfer_probability", "uniform_pulse_grid",
 }
 
 

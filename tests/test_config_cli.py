@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,8 @@ from atomreadout.experiments import Coded
 from atomreadout.physics import depump_suppression, heating_per_scatter
 from atomreadout.runner import _write_rows, _write_table, run
 
-# config updates -> SHA-256 of each result table, keyed by file suffix
+# config updates -> SHA-256 of each result table, keyed by file suffix, taken under
+# numpy 2.4.6 (another numpy release may realise other samples from the same seed)
 PINNED_TABLES = {
     "histogram": (
         {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000},
@@ -658,6 +660,17 @@ class TestRunnerOutput:
         manifest = json.loads(Path(run(config).manifest_file).read_text())
         assert manifest["workers_used"] == 1
         assert manifest["config"]["workers"] == 64
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        # the tables are byte-identical per (config, seed) only for a fixed numpy version
+        config = default_config().with_updates(
+            {"experiment": "budget", "output.path": str(tmp_path / "b")})
+        manifest = json.loads(Path(run(config).manifest_file).read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+        }
 
     def test_wall_time_survives_a_clock_step_back(self, tmp_path, monkeypatch):
         # the wall clock steps back an hour after its first reading

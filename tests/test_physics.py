@@ -1,11 +1,9 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from atomreadout.experiments import Atoms
 from atomreadout.physics import (
     RB87_D2,
     SpeciesConstants,
@@ -158,7 +156,3 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             SpeciesConstants(linewidth_gamma=6e6, excited_splitting_delta23=5e6,
                              recoil_temperature=361.96e-9)
-
-    def test_atom_state_negative_energy_rejected(self):
-        with pytest.raises(ValueError):
-            Atoms(np.ones(2, bool), np.zeros(2, bool), np.array([0.0, -1e-9]), np.ones(2, bool))
