@@ -27,12 +27,15 @@ collisions and every other non-thermal loss.
 
 Every experiment runs the same row driver. A row is one atom stepped through
 its cycles until they run out or the atom is lost, and a histogram trial is a
-row of one cycle. Rows run in fixed blocks of ``BLOCK`` atoms, and each block
-draws from its own substream of the master seed (``GENERATOR_NAME``): path
+row of one cycle. Rows run in fixed blocks of ``BLOCK`` atoms. A block of
+``n`` rows steps its cycles in chunks of ``max(1, BLOCK // n)`` cycles when
+cooling resets the energy, and of one cycle otherwise; a chunk runs its
+rows x cycles atoms through one pass of the kernel. Each chunk draws from its
+own substream of the master seed (``GENERATOR_NAME``): path
 ``(experiment, state, block)`` for histogram trials and
-``(experiment, block, cycle)`` for survival and Rabi rows. A process pool
-splits the rows only at block boundaries, so any execution order gives
-identical results.
+``(experiment, block, c0)`` for survival and Rabi rows, where ``c0`` is the
+chunk's first cycle. A process pool splits the rows only at block
+boundaries, so any execution order gives identical results.
 
 Each experiment builds its result tables straight from the row driver's
 columns and returns ``(tables, summary)``: the tables keyed by file-name
@@ -66,7 +69,7 @@ BLOCK = 4096   # atoms per substream; fixed, so that no result depends on the wo
 
 GENERATOR_NAME = (
     "numpy.random.PCG64 seeded via SeedSequence(master_seed, spawn_key=path), "
-    f"one path per block of {BLOCK} atoms"
+    f"one path per block of {BLOCK} rows and chunk of its cycles"
 )
 
 EXP_HISTOGRAM = 1
@@ -109,10 +112,6 @@ class Atoms:
 
     def __len__(self) -> int:
         return self.energy.size
-
-    def take(self, keep: np.ndarray) -> "Atoms":
-        """The atoms selected by the boolean mask ``keep``, as a new block."""
-        return Atoms(self.bright[keep], self.in_mf0[keep], self.energy[keep], self.present[keep])
 
 
 @dataclass(frozen=True)
@@ -316,35 +315,49 @@ def _run_block(
     docstring. Returns (rows, cycles) arrays of the detected counts, the
     bright calls and whether the atom is present after the cycle; the cycles
     after an atom's loss read (0, False, False).
+
+    With cooling reset every cycle starts at the baseline energy, so a row's
+    cycles depend on each other only through presence. The cycles then run
+    in chunks of ``BLOCK // n`` for ``n`` rows: one pass of the kernel steps
+    the chunk's rows x cycles atoms, flattened row by row, and each row is
+    masked after its first lost cycle. Without the reset a chunk is one cycle.
     """
     lo = block * BLOCK
     n = min(n_rows - lo, BLOCK)
     lengths = (0.0,) if pulse_lengths is None else pulse_lengths
-    counts = np.zeros((n, len(lengths)), dtype=np.int64)
-    called = np.zeros((n, len(lengths)), dtype=bool)
-    present = np.zeros((n, len(lengths)), dtype=bool)
+    n_cycles = len(lengths)
+    step = max(1, BLOCK // n) if cfg.cooling_reset else 1
+    if rabi is not None:
+        transfer = np.array([transfer_probability(t, rabi) for t in lengths])
+    counts = np.zeros((n, n_cycles), dtype=np.int64)
+    called = np.zeros((n, n_cycles), dtype=bool)
+    present = np.zeros((n, n_cycles), dtype=bool)
     rows = np.arange(n)
-    atoms = Atoms(
-        np.zeros(n, dtype=bool),
-        np.zeros(n, dtype=bool),
-        np.full(n, cfg.baseline_energy),
-        np.ones(n, dtype=bool),
-    )
-    for cycle, duration in enumerate(lengths):
-        if not atoms.present.all():   # a lost atom ends its row
-            rows = rows[atoms.present]
-            atoms = atoms.take(atoms.present)
-            if not rows.size:
-                break
-        path = (*key, block) if pulse_lengths is None else (*key, block, cycle)
+    energy = np.full(n, cfg.baseline_energy)
+    for c0 in range(0, n_cycles, step):
+        k = min(step, n_cycles - c0)
+        path = (*key, block) if pulse_lengths is None else (*key, block, c0)
         rng = derive_substream(master_seed, path)
-        atoms = reprepare(atoms, state, rng)
+        atoms = prepare_state(state, np.repeat(energy, k) if k > 1 else energy, rng)
         if rabi is not None:
-            microwave_pulse(atoms, duration, rabi, rng)
+            microwave_pulse(atoms, np.tile(transfer[c0:c0 + k], rows.size), rng)
         outcome = _cycle(atoms, cfg, rng)
-        counts[rows, cycle] = outcome.detected_counts
-        called[rows, cycle] = outcome.called_bright
-        present[rows, cycle] = atoms.present
+        alive = atoms.present.reshape(-1, k)
+        chunk_counts = outcome.detected_counts.reshape(-1, k)
+        chunk_called = outcome.called_bright.reshape(-1, k)
+        if k > 1:   # mask each row after its first lost cycle
+            alive = np.logical_and.accumulate(alive, axis=1)
+            gone = ~alive[:, :-1]   # the atom was lost before the next cycle began
+            chunk_counts[:, 1:][gone] = 0
+            chunk_called[:, 1:][gone] = False
+        chunk = slice(c0, c0 + k)
+        counts[rows, chunk] = chunk_counts
+        called[rows, chunk] = chunk_called
+        present[rows, chunk] = alive
+        kept = alive[:, -1]   # a lost atom ends its row
+        rows, energy = rows[kept], atoms.energy[k - 1::k][kept]
+        if not rows.size:
+            break
     return counts, called, present
 
 
@@ -522,9 +535,11 @@ def experiment_survival(
     lengths = np.count_nonzero(present, axis=1)  # completed cycles: loss is absorbing
     cells = np.where(present, 1 + called.view(np.int8), 0)  # CELLS codes
     cells = cells[np.argsort(-lengths, kind="stable")]
-    fraction = [float(np.mean(lengths >= k)) for k in range(n_cycles + 1)]
+    # rows that completed at least k cycles, for k = 0..n_cycles
+    alive = np.cumsum(np.bincount(lengths, minlength=n_cycles + 1)[::-1])[::-1]
+    ys = alive / n_atoms
+    fraction = ys.tolist()
     ks = np.arange(n_cycles + 1, dtype=float)
-    ys = np.asarray(fraction)
     keep = ys > 0.0
     try:
         fit = fit_exponential(ks[keep], ys[keep])
@@ -595,12 +610,14 @@ def transfer_probability(duration: float, rabi: RabiConfig) -> float:
     return 0.5 * (1.0 - osc * math.exp(-duration / rabi.decoherence_time))
 
 
-def microwave_pulse(
-    atoms: Atoms, duration: float, rabi: RabiConfig, rng: np.random.Generator
-) -> None:
-    """Drive F1 atoms with one microwave pulse; only the atoms in mF=0 respond."""
-    flips = rng.random(np.count_nonzero(atoms.in_mf0)) < transfer_probability(duration, rabi)
-    atoms.bright[atoms.in_mf0] = flips
+def microwave_pulse(atoms: Atoms, transfer: np.ndarray, rng: np.random.Generator) -> None:
+    """Drive F1 atoms with one microwave pulse each; only the atoms in mF=0 respond.
+
+    ``transfer`` holds each atom's excitation probability, the
+    ``transfer_probability`` of its pulse length.
+    """
+    in_mf0 = atoms.in_mf0
+    atoms.bright[in_mf0] = rng.random(np.count_nonzero(in_mf0)) < transfer[in_mf0]
 
 
 def experiment_rabi(

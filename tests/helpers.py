@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 from scipy import stats
 
+from atomreadout import experiments
 from atomreadout.experiments import Coded, CycleConfig, ReadoutOutcome
 
 
@@ -158,6 +159,43 @@ def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> Read
             scatters = scatters[scatters <= depump_time]
             signal = signal[signal < depump_time]
     return stop_rule(scatters, merge(signal, background), depump_time, cfg)
+
+
+# ---------------------------------------------------------------------------
+# per-cycle row-driver oracle
+#
+# This oracle steps a block of rows one cycle at a time, each cycle from its
+# own (block, cycle) substream, with the kernel's own step functions. Where
+# experiments._run_block steps one cycle per chunk (a block of more than
+# BLOCK // 2 rows, or no cooling reset) the two draw the same samples;
+# elsewhere they agree in law.
+# ---------------------------------------------------------------------------
+
+
+def per_cycle_block(block, n_rows, master_seed, key, cfg, state, pulse_lengths, rabi):
+    """``experiments._run_block``'s (counts, called, present), one cycle at a time."""
+    n = min(n_rows - block * experiments.BLOCK, experiments.BLOCK)
+    lengths = (0.0,) if pulse_lengths is None else pulse_lengths
+    counts = np.zeros((n, len(lengths)), dtype=np.int64)
+    called = np.zeros((n, len(lengths)), dtype=bool)
+    present = np.zeros((n, len(lengths)), dtype=bool)
+    rows = np.arange(n)
+    energy = np.full(n, cfg.baseline_energy)
+    for cycle, duration in enumerate(lengths):
+        path = (*key, block) if pulse_lengths is None else (*key, block, cycle)
+        rng = experiments.derive_substream(master_seed, path)
+        atoms = experiments.prepare_state(state, energy, rng)
+        if rabi is not None:
+            transfer = experiments.transfer_probability(duration, rabi)
+            experiments.microwave_pulse(atoms, np.full(rows.size, transfer), rng)
+        outcome = experiments._cycle(atoms, cfg, rng)
+        counts[rows, cycle] = outcome.detected_counts
+        called[rows, cycle] = outcome.called_bright
+        present[rows, cycle] = atoms.present
+        rows, energy = rows[atoms.present], atoms.energy[atoms.present]
+        if not rows.size:
+            break
+    return counts, called, present
 
 
 def binomial_3se(p: float, n: int) -> float:

@@ -52,17 +52,17 @@ PINNED_TABLES = {
         {"experiment": "survival", "survival.atoms": 30, "survival.cycles": 60,
          "loss.background_per_cycle": 0.05},
         {
-            ".csv": "d10a98c693492554c9d043d87d9b44431aa46f01f6eb18b5f81b82ba8dcab4f7",
-            "_curve.csv": "5c7fb4eb361ef0558540c7951e686e28cc1e4eece3b75e644b98fd66ffbb190a",
-            "_summary.csv": "a38aae9b596045e5671b1a1dfd4054d6564fe8fbbdc18b62eab4a4cfe77a82af",
+            ".csv": "843dbb82d405406947236ed8054763bf8cbdf4c3a8cc16a9d22a7a0a382ab820",
+            "_curve.csv": "7c9e5215b264b2fb78e53105dfcaa46e0205d545f0b3672ec39d770d3d7db3e8",
+            "_summary.csv": "ea50b93ebf1648952577828723e846b622a718c70f0087540124f1e1cfa867f1",
         },
     ),
     "rabi-lossy": (
         {"experiment": "rabi", "rabi.atoms": 20, "loss.background_per_cycle": 0.05},
         {
-            ".csv": "219166dec861950afb52e735a4c2399773bdca9430b7a6e9830f675301f71f3b",
-            "_curve.csv": "2bbf369a5869f22fce38f9e8b44dd8172c474f655e17d4eaccc914fdd4ad0dde",
-            "_summary.csv": "0bd1fbe9b4f889d2b15597a6c6f9e45a0cab2619dc84e03d1ffbd6a00aa27883",
+            ".csv": "72574b6b81fc04740fe96b6c8265ce9c376745175995732ef4443e0d960ed7a7",
+            "_curve.csv": "da6b67f1edae8e424afc8b8c3ea64770ada23fd09ea3291df32d457156a1c9a3",
+            "_summary.csv": "ca747cba34de043806b6adaea95c85f19cb8cca569fbf4bc346902686e84679f",
         },
     ),
     # the fixed window, with the 1% loss of configs/histogram-1pct-loss.cfg
@@ -95,9 +95,9 @@ PINNED_TABLES = {
         {"experiment": "rabi", "rabi.atoms": 20, "loss.background_per_cycle": 0.05,
          "output.format": "json"},
         {
-            ".json": "b19808c4c4d2b06852d700ee8a0458513a85517290a811ef11388670b9219179",
-            "_curve.json": "0b17bfe409140c09a317294fd51685365e233cb019d6153bdbbb3aaf9005b8c4",
-            "_summary.json": "3ea6082ff298d00a0aba7d56dc29d6839fa9c4acb345974bc284667310c30229",
+            ".json": "3298046838814024523945a5c50729284c39bd6f88dd9603ec9d56780c1cf85d",
+            "_curve.json": "57463b037541830bca21d4ca2acdec9f44d90a5fe33fb1d608f6d839e676b34c",
+            "_summary.json": "414e4c603c4b44c2b035c0cdb119b292e964357a1caf64a55b0a8a9cd1ea9d53",
         },
     ),
     # the kernel's corners: one count calls bright, n_d = 4 in the fixed window, no
@@ -790,8 +790,9 @@ class TestRunnerOutput:
     @pytest.mark.parametrize("case", sorted(PINNED_TABLES))
     def test_stream_layout_is_pinned(self, case, tmp_path):
         # Digests of the tables as the block kernel and its (1, state, block) /
-        # (2, block, cycle) / (3, block, cycle) substream layout realise them. A
-        # change that means to alter the realised samples updates these and says so.
+        # (2, block, first cycle of a chunk) / (3, block, first cycle of a chunk)
+        # substream layout realise them. A change that means to alter the realised
+        # samples updates these and says so.
         # A case writes CSV unless it sets output.format.
         updates, digests = PINNED_TABLES[case]
         config = default_config().with_updates(

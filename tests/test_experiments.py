@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from atomreadout import experiments
 from atomreadout.config import default_config
@@ -35,6 +36,7 @@ from atomreadout.physics import F1, F2, analytic_f2_error, heating_per_scatter
 from helpers import (
     binomial_3se,
     event_probe,
+    per_cycle_block,
     same_result,
     survival_cells,
     table_column,
@@ -380,6 +382,91 @@ class TestKernelAgainstEventOracle:
         assert abs(excess.mean()) <= 3.0 * excess.std(ddof=1) / math.sqrt(trials)
 
 
+class TestRowDriverAgainstPerCycleOracle:
+    """The chunked row driver against the per-cycle one in tests/helpers.py.
+
+    A block of more than BLOCK // 2 rows, or one without cooling reset, steps
+    one cycle per chunk and must draw exactly what the oracle draws; a small
+    block steps many cycles per kernel pass and must agree with it in law.
+    """
+
+    @pytest.mark.parametrize("block,n_rows,experiment,cycles,changes", [
+        pytest.param(1, experiments.BLOCK + 2049, "survival", 5, {"background_loss": 0.05},
+                     id="2049-rows"),
+        pytest.param(0, experiments.BLOCK, "rabi", 8, {"background_loss": 0.05},
+                     id="4096-rows-rabi"),
+        pytest.param(0, 100, "survival", 60, {"cooling_reset": False, "background_loss": 0.0},
+                     id="no-cooling-reset"),
+        pytest.param(0, 312, "rabi", 20, {"cooling_reset": False}, id="no-cooling-reset-rabi"),
+    ])
+    def test_one_cycle_chunks_draw_what_the_oracle_draws(
+        self, ref_cfg, block, n_rows, experiment, cycles, changes
+    ):
+        cfg = replace(ref_cfg, **changes)
+        if experiment == "rabi":
+            rabi = rabi_scan(cycles, 3.0e-3)
+            args = (21, (experiments.EXP_RABI,), cfg, F1, rabi.pulse_lengths, rabi)
+        else:
+            args = (21, (experiments.EXP_SURVIVAL,), cfg, F2, (0.0,) * cycles, None)
+        kernel = experiments._run_block(block, n_rows, *args)
+        oracle = per_cycle_block(block, n_rows, *args)
+        for a, b in zip(kernel, oracle):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        present = kernel[2]
+        assert not present[:, -1].all()   # rows were dropped partway
+
+    @pytest.mark.parametrize("experiment,n_rows,cycles,seeds", [
+        pytest.param("survival", 100, 100, range(1, 41), id="survival-100x100"),
+        pytest.param("rabi", 312, 50, range(1, 21), id="rabi-312x50"),
+    ])
+    def test_chunked_blocks_agree_with_the_oracle_in_law(
+        self, ref_cfg, experiment, n_rows, cycles, seeds
+    ):
+        # the lost-cycle histogram of the rows, and the bright and dark calls at each
+        # cycle; the cycles after a row's lost one read (0, False, False)
+        if experiment == "rabi":
+            rabi = rabi_scan(cycles, 3.0e-3)
+            args = ((experiments.EXP_RABI,), ref_cfg, F1, rabi.pulse_lengths, rabi)
+        else:
+            args = ((experiments.EXP_SURVIVAL,), ref_cfg, F2, (0.0,) * cycles, None)
+        assert experiments.BLOCK // n_rows > 1
+        lengths, calls = [], []
+        for driver in (experiments._run_block, per_cycle_block):
+            sides = [driver(0, n_rows, seed, *args) for seed in seeds]
+            counts, called, present = (np.concatenate(parts) for parts in zip(*sides))
+            done = np.count_nonzero(present, axis=1)
+            unmeasured = np.arange(cycles) > done[:, None]
+            assert not counts[unmeasured].any() and not called[unmeasured].any()
+            assert not present[unmeasured].any()
+            lengths.append(done.tolist())
+            calls.append(np.concatenate([
+                np.count_nonzero(called & present, axis=0),
+                np.count_nonzero(~called & present, axis=0),
+            ]))
+        assert two_sample_chisquare_pvalue(*lengths) > 0.001
+        _, pvalue, _, _ = stats.chi2_contingency(np.asarray(calls), correction=False)
+        assert pvalue > 0.001
+
+    def test_paper_size_runs_take_a_few_kernel_calls_of_at_most_a_block(
+        self, ref_cfg, monkeypatch
+    ):
+        sizes = []
+        probe = experiments._simulate_probe
+
+        def counted(bright, cfg, rng):
+            sizes.append(bright.size)
+            return probe(bright, cfg, rng)
+
+        monkeypatch.setattr(experiments, "_simulate_probe", counted)
+        experiment_survival(102, 100, ref_cfg, master_seed=1)
+        assert len(sizes) == 3   # chunks of 40 cycles, in place of 100 calls
+        assert max(sizes) <= experiments.BLOCK
+        sizes.clear()
+        experiment_rabi(312, REF_RABI, ref_cfg, master_seed=1)
+        assert len(sizes) == 4   # chunks of 13 points, in place of 50 calls
+        assert max(sizes) <= experiments.BLOCK
+
+
 class TestHistogramExperiment:
     def test_reference_run(self, ref_cfg):
         _, summary = experiment_histogram(1684, 2127, ref_cfg, master_seed=1)
@@ -513,14 +600,16 @@ class TestSurvivalExperiment:
 class TestMicrowavePulse:
     def test_zero_duration_is_identity(self):
         atoms = atoms_in(False, in_mf0=True, n=100)
-        microwave_pulse(atoms, 0.0, REF_RABI, np.random.default_rng(0))
+        transfer = np.full(100, transfer_probability(0.0, REF_RABI))
+        microwave_pulse(atoms, transfer, np.random.default_rng(0))
         assert not atoms.bright.any()
 
     def test_spectator_sublevels_inert(self):
         rng = np.random.default_rng(0)
         atoms = atoms_in(False, in_mf0=False, n=50)
+        transfer = np.full(50, transfer_probability(1.7e-4, REF_RABI))
         for _ in range(50):
-            microwave_pulse(atoms, 1.7e-4, REF_RABI, rng)
+            microwave_pulse(atoms, transfer, rng)
             assert not atoms.bright.any()
 
     def test_pi_pulse_transfer_probability(self):
@@ -531,7 +620,8 @@ class TestMicrowavePulse:
         assert expected == pytest.approx(0.962926, abs=1e-6)
         trials = 20_000
         atoms = atoms_in(False, in_mf0=True, n=trials)
-        microwave_pulse(atoms, t_pi, rabi, np.random.default_rng(4))
+        transfer = np.full(trials, transfer_probability(t_pi, rabi))
+        microwave_pulse(atoms, transfer, np.random.default_rng(4))
         assert abs(atoms.bright.mean() - expected) < binomial_3se(expected, trials)
 
     def test_long_pulse_dephases_to_half(self):
@@ -541,7 +631,9 @@ class TestMicrowavePulse:
 
 class TestRabiExperiment:
     def test_zero_duration_point_is_false_positive_floor(self, ref_cfg):
-        tables, summary = experiment_rabi(150, REF_RABI, ref_cfg, master_seed=15)
+        # no background loss, so that every row reaches point 0
+        cfg = replace(ref_cfg, background_loss=0.0)
+        tables, summary = experiment_rabi(150, REF_RABI, cfg, master_seed=15)
         n0 = summary["zero_point_n"]
         assert n0 == table_column(tables, "_curve", "n_measured")[0] == 150
         assert abs(summary["zero_point_fraction"] - ANALYTIC_F1_ERROR) < binomial_3se(
