@@ -13,6 +13,13 @@ from atomreadout.config import ConfigError, default_config
 from atomreadout.runner import run
 
 
+def no_fit(summary: dict) -> str:
+    """Why a summary holds no fitted values."""
+    if summary.get("fit_converged") is False:
+        return "fit did not converge"
+    return "too little to fit (degenerate)"
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
@@ -60,13 +67,19 @@ def main(argv: list[str] | None = None) -> None:
     print(f"  bright-state error: {hist['f2_error_rate']:.3%}")
     print(f"  loss per cycle    : {hist['f1_loss_rate']:.2%} (dark) / {hist['f2_loss_rate']:.2%} (bright)")
     print("repeated measurements")
-    print(f"  fitted lifetime   : {surv['lifetime_cycles']:.1f} cycles "
-          f"({surv['loss_per_cycle_fit']:.2%} loss per cycle)")
+    if "lifetime_cycles" in surv:
+        print(f"  fitted lifetime   : {surv['lifetime_cycles']:.1f} cycles "
+              f"({surv['loss_per_cycle_fit']:.2%} loss per cycle)")
+    else:
+        print(f"  fitted lifetime   : {no_fit(surv)}")
     print(f"  full-length runs  : {surv['full_length_rows']} of {surv['atoms']}")
     print("microwave rabi ensemble")
-    print(f"  fitted frequency  : {rabi['fit_frequency_hz']:.1f} Hz")
-    print(f"  decoherence time  : {rabi['fit_decoherence_time_s'] * 1e3:.2f} ms")
-    print(f"  amplitude / offset: {rabi['fit_amplitude']:.3f} / {rabi['fit_offset']:.4f}")
+    if "fit_frequency_hz" in rabi:
+        print(f"  fitted frequency  : {rabi['fit_frequency_hz']:.1f} Hz")
+        print(f"  decoherence time  : {rabi['fit_decoherence_time_s'] * 1e3:.2f} ms")
+        print(f"  amplitude / offset: {rabi['fit_amplitude']:.3f} / {rabi['fit_offset']:.4f}")
+    else:
+        print(f"  fitted frequency  : {no_fit(rabi)}")
 
 
 if __name__ == "__main__":

@@ -34,8 +34,9 @@ rows x cycles atoms through one pass of the kernel. Each chunk draws from its
 own substream of the master seed (``GENERATOR_NAME``): path
 ``(experiment, state, block)`` for histogram trials and
 ``(experiment, block, c0)`` for survival and Rabi rows, where ``c0`` is the
-chunk's first cycle. A process pool splits the rows only at block
-boundaries, so any execution order gives identical results.
+chunk's first cycle. Each block is one call of the row driver, in this
+process or in a pool's worker, so any execution order gives identical
+results.
 
 Each experiment builds its result tables straight from the row driver's
 columns and returns ``(tables, summary)``: the tables keyed by file-name
@@ -51,6 +52,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -302,19 +304,20 @@ def _run_block(
     key: tuple[int, ...],
     cfg: CycleConfig,
     state: str,
-    pulse_lengths: tuple[float, ...] | None,
-    rabi: RabiConfig | None,
+    n_cycles: int | None,
+    transfer: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step the atoms of one block of rows through one cycle per pulse length.
+    """Step the atoms of one block of rows through ``n_cycles`` cycles each.
 
     Each row is one atom that starts at the baseline energy. Before each
-    cycle it is re-prepared in ``state`` and, when ``rabi`` is given, driven
-    for that cycle's pulse length. A row ends when its cycles run out or its
-    atom is lost. With ``pulse_lengths=None`` each row is a single-shot trial.
-    ``key`` is the experiment's prefix of the substream paths in the module
-    docstring. Returns (rows, cycles) arrays of the detected counts, the
-    bright calls and whether the atom is present after the cycle; the cycles
-    after an atom's loss read (0, False, False).
+    cycle it is re-prepared in ``state`` and, when ``transfer`` is given,
+    driven by a microwave pulse that excites it with that cycle's probability
+    ``transfer[cycle]``. A row ends when its cycles run out or its atom is
+    lost. With ``n_cycles=None`` each row is a single-shot trial. ``key`` is
+    the experiment's prefix of the substream paths in the module docstring.
+    Returns (rows, cycles) arrays of the detected counts, the bright calls and
+    whether the atom is present after the cycle; the cycles after an atom's
+    loss read (0, False, False).
 
     With cooling reset every cycle starts at the baseline energy, so a row's
     cycles depend on each other only through presence. The cycles then run
@@ -322,24 +325,20 @@ def _run_block(
     the chunk's rows x cycles atoms, flattened row by row, and each row is
     masked after its first lost cycle. Without the reset a chunk is one cycle.
     """
-    lo = block * BLOCK
-    n = min(n_rows - lo, BLOCK)
-    lengths = (0.0,) if pulse_lengths is None else pulse_lengths
-    n_cycles = len(lengths)
+    n = min(n_rows - block * BLOCK, BLOCK)
+    cycles = 1 if n_cycles is None else n_cycles
     step = max(1, BLOCK // n) if cfg.cooling_reset else 1
-    if rabi is not None:
-        transfer = np.array([transfer_probability(t, rabi) for t in lengths])
-    counts = np.zeros((n, n_cycles), dtype=np.int64)
-    called = np.zeros((n, n_cycles), dtype=bool)
-    present = np.zeros((n, n_cycles), dtype=bool)
+    counts = np.zeros((n, cycles), dtype=np.int64)
+    called = np.zeros((n, cycles), dtype=bool)
+    present = np.zeros((n, cycles), dtype=bool)
     rows = np.arange(n)
     energy = np.full(n, cfg.baseline_energy)
-    for c0 in range(0, n_cycles, step):
-        k = min(step, n_cycles - c0)
-        path = (*key, block) if pulse_lengths is None else (*key, block, c0)
+    for c0 in range(0, cycles, step):
+        k = min(step, cycles - c0)
+        path = (*key, block) if n_cycles is None else (*key, block, c0)
         rng = derive_substream(master_seed, path)
         atoms = prepare_state(state, np.repeat(energy, k) if k > 1 else energy, rng)
-        if rabi is not None:
+        if transfer is not None:
             microwave_pulse(atoms, np.tile(transfer[c0:c0 + k], rows.size), rng)
         outcome = _cycle(atoms, cfg, rng)
         alive = atoms.present.reshape(-1, k)
@@ -359,15 +358,6 @@ def _run_block(
         if not rows.size:
             break
     return counts, called, present
-
-
-def _concat(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    return tuple(np.concatenate(columns) for columns in zip(*parts))
-
-
-def _run_rows(first: int, stop: int, n_rows: int, *args) -> tuple[np.ndarray, ...]:
-    """``_run_block`` over blocks ``first..stop-1``, their rows joined in order."""
-    return _concat([_run_block(block, n_rows, *args) for block in range(first, stop)])
 
 
 def workers_used(requested: int, n_rows: int) -> int:
@@ -390,22 +380,22 @@ def __getattr__(name: str):
 
 
 def _map_rows(n_rows: int, workers: int, *args) -> tuple[np.ndarray, ...]:
-    """``_run_rows`` over rows ``0..n_rows-1``, in-process or over 4 x workers ranges of blocks.
+    """``_run_block`` over each block of rows ``0..n_rows-1``, their rows joined in block order.
 
-    ``workers`` is capped by ``workers_used``; the rows do not depend on it.
+    The blocks run in this process, or, when ``workers_used`` allows more than
+    one worker, are mapped over a pool in one contiguous run of blocks per
+    worker; the rows do not depend on it.
     """
+    blocks = range(math.ceil(n_rows / BLOCK))
     workers = workers_used(workers, n_rows)
-    n_blocks = math.ceil(n_rows / BLOCK)
     if workers == 1:
-        return _run_rows(0, n_blocks, n_rows, *args)
-    size = math.ceil(n_blocks / (4 * workers))
-    executor = sys.modules[__name__].ProcessPoolExecutor  # the module's, or a stand-in set on it
-    with executor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_run_rows, lo, min(lo + size, n_blocks), n_rows, *args)
-            for lo in range(0, n_blocks, size)
-        ]
-        return _concat([future.result() for future in futures])
+        parts = [_run_block(block, n_rows, *args) for block in blocks]
+    else:
+        executor = sys.modules[__name__].ProcessPoolExecutor  # or a stand-in set on the module
+        with executor(max_workers=workers) as pool:  # one contiguous run of blocks per worker
+            parts = list(pool.map(_run_block, blocks, *map(repeat, (n_rows, *args)),
+                                  chunksize=math.ceil(len(blocks) / workers)))
+    return tuple(np.concatenate(columns) for columns in zip(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +514,14 @@ def experiment_survival(
     Tables: the (atom, cycle, cell) records of the cell matrix, its rows
     sorted longest-lived first and its cells labelled from ``CELLS``; the
     survival curve ``_curve`` (index k: the fraction that survived k full
-    cycles); and ``_summary``, which carries the fitted lifetime, or
+    cycles); and ``_summary``, which carries the fitted lifetime, only
+    ``fit_converged: False`` when the fit did not converge, or
     ``lifetime_fit_degenerate`` when nothing decayed.
     """
     if n_atoms <= 0 or n_cycles <= 0:
         raise ValueError("n_atoms and n_cycles must be positive")
     _, called, present = _map_rows(
-        n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, (0.0,) * n_cycles, None
+        n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, n_cycles, None
     )
     lengths = np.count_nonzero(present, axis=1)  # completed cycles: loss is absorbing
     cells = np.where(present, 1 + called.view(np.int8), 0)  # CELLS codes
@@ -562,6 +553,8 @@ def experiment_survival(
     }
     if fit is None:
         summary["lifetime_fit_degenerate"] = True
+    elif not fit.converged:
+        summary["fit_converged"] = False   # its parameters are not a fit
     else:
         summary |= {
             "lifetime_cycles": fit.parameters["lifetime"],
@@ -633,15 +626,17 @@ def experiment_rabi(
     row starts with a fresh atom. The ensemble curve averages whatever rows
     reached each point, and is fitted with the damped-sinusoid model. Tables:
     the (atom, point) records of the measured cycles, the curve ``_curve`` and
-    ``_summary``, which carries the fit, or ``curve_fit_degenerate`` when
-    too few points were measured to fit (heavy loss).
+    ``_summary``, which carries the fit, only ``fit_converged: False`` when
+    the fit did not converge, or ``curve_fit_degenerate`` when too few points
+    were measured to fit (heavy loss).
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
     if len(rabi.pulse_lengths) < 2:
         raise ValueError("need at least 2 pulse lengths")
+    transfer = np.array([transfer_probability(t, rabi) for t in rabi.pulse_lengths])
     _, called, present = _map_rows(
-        n_atoms, workers, master_seed, (EXP_RABI,), cfg, F1, rabi.pulse_lengths, rabi
+        n_atoms, workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size, transfer
     )
     # a cycle whose presence check fails keeps no point
     times = np.asarray(rabi.pulse_lengths)
@@ -672,6 +667,8 @@ def experiment_rabi(
     summary: dict[str, object] = {"atoms": n_atoms, "points": times.size}
     if fit is None:
         summary["curve_fit_degenerate"] = True
+    elif not fit.converged:
+        summary["fit_converged"] = False   # its parameters are not a fit
     else:
         summary |= {
             "fit_frequency_hz": fit.parameters["frequency"],

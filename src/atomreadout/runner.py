@@ -64,7 +64,7 @@ from .physics import (
 )
 
 ARTIFACT_NAME = "atomreadout"
-ARTIFACT_VERSION = "0.6.0"
+ARTIFACT_VERSION = "0.7.0"
 
 WRITE_BYTES = 1 << 20   # bytes of padded rows formatted and written at a time
 

@@ -1,6 +1,5 @@
 import math
 import os
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +50,45 @@ REF_RABI = default_config().rabi_config()
 def rabi_scan(points, span):
     """The reference drive over a different pulse grid."""
     return replace(REF_RABI, pulse_lengths=uniform_pulse_grid(points, span))
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """The pool sizes and chunk sizes asked for, and the first two arguments of each call
+    mapped over the pool.
+
+    The stand-in pool runs each call here, so no process starts.
+    """
+    sizes, chunks, calls = [], [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
+            for args in zip(*iterables):
+                calls.append(args[:2])
+                yield fn(*args)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return sizes, chunks, calls
+
+
+def row_drivers(experiment, cycles):
+    """Survival or Rabi rows of ``cycles`` cycles: their substream key and state, the
+    kernel's ``(n_cycles, transfer)`` and the oracle's ``(pulse_lengths, rabi)``."""
+    if experiment == "rabi":
+        rabi = rabi_scan(cycles, 3.0e-3)
+        transfer = np.array([transfer_probability(t, rabi) for t in rabi.pulse_lengths])
+        return (experiments.EXP_RABI,), F1, (cycles, transfer), (rabi.pulse_lengths, rabi)
+    return (experiments.EXP_SURVIVAL,), F2, (cycles, None), ((0.0,) * cycles, None)
 
 
 def atoms_in(bright, energy=0.0, in_mf0=False, n=1):
@@ -403,13 +441,9 @@ class TestRowDriverAgainstPerCycleOracle:
         self, ref_cfg, block, n_rows, experiment, cycles, changes
     ):
         cfg = replace(ref_cfg, **changes)
-        if experiment == "rabi":
-            rabi = rabi_scan(cycles, 3.0e-3)
-            args = (21, (experiments.EXP_RABI,), cfg, F1, rabi.pulse_lengths, rabi)
-        else:
-            args = (21, (experiments.EXP_SURVIVAL,), cfg, F2, (0.0,) * cycles, None)
-        kernel = experiments._run_block(block, n_rows, *args)
-        oracle = per_cycle_block(block, n_rows, *args)
+        key, state, drive, oracle_drive = row_drivers(experiment, cycles)
+        kernel = experiments._run_block(block, n_rows, 21, key, cfg, state, *drive)
+        oracle = per_cycle_block(block, n_rows, 21, key, cfg, state, *oracle_drive)
         for a, b in zip(kernel, oracle):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         present = kernel[2]
@@ -424,15 +458,11 @@ class TestRowDriverAgainstPerCycleOracle:
     ):
         # the lost-cycle histogram of the rows, and the bright and dark calls at each
         # cycle; the cycles after a row's lost one read (0, False, False)
-        if experiment == "rabi":
-            rabi = rabi_scan(cycles, 3.0e-3)
-            args = ((experiments.EXP_RABI,), ref_cfg, F1, rabi.pulse_lengths, rabi)
-        else:
-            args = ((experiments.EXP_SURVIVAL,), ref_cfg, F2, (0.0,) * cycles, None)
+        key, state, drive, oracle_drive = row_drivers(experiment, cycles)
         assert experiments.BLOCK // n_rows > 1
         lengths, calls = [], []
-        for driver in (experiments._run_block, per_cycle_block):
-            sides = [driver(0, n_rows, seed, *args) for seed in seeds]
+        for driver, tail in ((experiments._run_block, drive), (per_cycle_block, oracle_drive)):
+            sides = [driver(0, n_rows, seed, key, ref_cfg, state, *tail) for seed in seeds]
             counts, called, present = (np.concatenate(parts) for parts in zip(*sides))
             done = np.count_nonzero(present, axis=1)
             unmeasured = np.arange(cycles) > done[:, None]
@@ -561,34 +591,28 @@ class TestSurvivalExperiment:
         parallel = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=2)
         assert same_result(serial, parallel)
 
-    def test_workers_capped_at_cpu_count(self, ref_cfg, monkeypatch):
-        # an inline pool records its size and runs each task here: no process starts
-        sizes, tasks = [], []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                tasks.append(args[:2])
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    def test_workers_capped_at_cpu_count(self, ref_cfg, inline_pool, monkeypatch):
+        sizes, _, calls = inline_pool
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(experiments, "BLOCK", 2)  # 12 blocks of rows
         capped = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=10**6)
         assert sizes == [3]
-        assert len(tasks) == 12  # 4 ranges of blocks per worker
+        assert len(calls) == 12  # one call per block
         serial = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=1)
         assert same_result(capped, serial)
+
+    def test_pool_maps_one_call_per_block(self, ref_cfg, inline_pool, monkeypatch):
+        # two workers on twelve blocks: each block is its own call, in block order, and
+        # each worker takes one contiguous run of six blocks
+        sizes, chunks, calls = inline_pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "BLOCK", 2)
+        pooled = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=2)
+        assert sizes == [2]
+        assert calls == [(block, 24) for block in range(12)]
+        assert chunks == [6]
+        serial = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=1)
+        assert same_result(pooled, serial)
 
     def test_cells_label_classification(self, ref_cfg):
         cfg = replace(ref_cfg, depump_hazard=0.0, background_mean=0.0, background_loss=0.0)

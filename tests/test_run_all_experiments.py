@@ -1,6 +1,7 @@
 """``scripts/run_all_experiments.py`` reads the summaries by key; a renamed key breaks it."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,27 @@ def test_bad_setting_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
     assert exit_info.value.code == 2
     assert "config error" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag, reason", [
+    pytest.param({"fit_converged": False}, "fit did not converge", id="unconverged"),
+    pytest.param({"lifetime_fit_degenerate": True, "curve_fit_degenerate": True},
+                 "too little to fit", id="degenerate"),
+])
+def test_prints_a_summary_without_a_fit(tmp_path, capsys, flag, reason):
+    # the survival and Rabi summaries as a run writes them when the fit did not converge,
+    # or had too little to fit: none of the fitted rows
+    script = load_script()
+    real_run = script.run
+    fitted = ("fit_", "lifetime_cycles", "lifetime_variance", "loss_per_cycle_fit")
+
+    def run_without_fits(config):
+        output = real_run(config)
+        if config["experiment"] in ("survival", "rabi"):
+            kept = {k: v for k, v in output.summary.items() if not k.startswith(fitted)}
+            output = replace(output, summary=kept | flag)
+        return output
+
+    script.run = run_without_fits
+    script.main(["--outdir", str(tmp_path)])
+    assert capsys.readouterr().out.count(reason) == 2
