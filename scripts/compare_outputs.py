@@ -7,7 +7,9 @@ Runs every invocation of the benchmark's workloads (``perfbench/workloads.py``)
 at seed 1, in CSV and in JSON, at one and at two workers, and each
 ``configs/*.cfg`` file through ``--config`` at seed 1, in CSV, at one worker,
 and each stochastic experiment at a small size in each of the probe kernel's
-corners (``CORNERS``) at seed 1, in CSV, at one worker. Each run is made once
+corners (``CORNERS``) at seed 1, in CSV, at one worker, and survival and Rabi
+runs of two blocks of rows (``POOL_RUNS``) at seed 1, in CSV, at one and at two
+workers, so that the row experiments' pool path is compared. Each run is made once
 with this checkout's ``src/`` and once with ``PARENT_SRC`` (the ``src/``
 directory of the tree to compare against). Every
 result table must match byte for byte; the manifests must match once
@@ -51,6 +53,14 @@ CORNER_SIZES = {
     "rabi": ["--trials", "300"],
 }
 
+# one block (experiments.BLOCK = 4,096 rows) and five rows of a few cycles (Rabi: 20 points,
+# which sample the default drive below its Nyquist limit): two blocks, so that two workers
+# start a pool and each pooled block is copied into its rows
+POOL_RUNS = {
+    "survival": ["--set", "survival.atoms=4101", "--set", "survival.cycles=5"],
+    "rabi": ["--set", "rabi.atoms=4101", "--set", "rabi.points=20"],
+}
+
 
 def _workloads():
     """perfbench's workloads module, imported without writing bytecode beside it."""
@@ -67,7 +77,7 @@ def _workloads():
 def _runs() -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of each run, writing the stem ``out`` in its working directory:
     each distinct workload invocation in both formats at one and two workers, each
-    config file, then each experiment in each kernel corner."""
+    config file, each experiment in each kernel corner, then the pooled row runs."""
     found = []
     for workload in _workloads().values():
         for inv in workload.invocations:
@@ -87,6 +97,11 @@ def _runs() -> list[tuple[str, list[str]]]:
                     "--workers", "1", "--out", "out"]
             argv += [arg for setting in settings for arg in ("--set", setting)]
             found.append((f"{experiment} {corner} csv workers=1", argv))
+    for experiment, sizes in POOL_RUNS.items():
+        for workers in (1, 2):
+            argv = ["--experiment", experiment, *sizes, "--seed", str(SEED), "--format", "csv",
+                    "--workers", str(workers), "--out", "out"]
+            found.append((f"{experiment} {' '.join(sizes[1::2])} csv workers={workers}", argv))
     return found
 
 

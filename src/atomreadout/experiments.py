@@ -38,12 +38,14 @@ chunk's first cycle. Each block is one call of the row driver, in this
 process or in a pool's worker, so any execution order gives identical
 results.
 
-Each experiment builds its result tables straight from the row driver's
-columns and returns ``(tables, summary)``: the tables keyed by file-name
-suffix (``""`` for the records), each a header and one column per name (a
-label column as ``Coded`` integer codes into its labels), and the summary
-dict, which is also the last table, ``_summary``. The runner writes them as
-they are.
+Each experiment allocates its row driver's output columns once, and the
+driver copies each block's arrays into their rows as the block arrives
+(``_map_rows``): no block parts are joined and no column is copied per state.
+The experiment builds its result tables from those columns and returns
+``(tables, summary)``: the tables keyed by file-name suffix (``""`` for the
+records), each a header and one column per name (a label column as ``Coded``
+integer codes into its labels), and the summary dict, which is also the last
+table, ``_summary``. The runner writes them as they are.
 """
 
 from __future__ import annotations
@@ -306,18 +308,19 @@ def _run_block(
     state: str,
     n_cycles: int | None,
     transfer: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Step the atoms of one block of rows through ``n_cycles`` cycles each.
 
     Each row is one atom that starts at the baseline energy. Before each
     cycle it is re-prepared in ``state`` and, when ``transfer`` is given,
     driven by a microwave pulse that excites it with that cycle's probability
     ``transfer[cycle]``. A row ends when its cycles run out or its atom is
-    lost. With ``n_cycles=None`` each row is a single-shot trial. ``key`` is
-    the experiment's prefix of the substream paths in the module docstring.
-    Returns (rows, cycles) arrays of the detected counts, the bright calls and
+    lost. ``key`` is the experiment's prefix of the substream paths in the
+    module docstring. With ``n_cycles=None`` each row is a single-shot trial,
+    and this returns each trial's detected counts, bright call and loss.
+    Otherwise it returns (rows, cycles) arrays of the bright calls and of
     whether the atom is present after the cycle; the cycles after an atom's
-    loss read (0, False, False).
+    loss read (False, False).
 
     With cooling reset every cycle starts at the baseline energy, so a row's
     cycles depend on each other only through presence. The cycles then run
@@ -326,38 +329,35 @@ def _run_block(
     masked after its first lost cycle. Without the reset a chunk is one cycle.
     """
     n = min(n_rows - block * BLOCK, BLOCK)
-    cycles = 1 if n_cycles is None else n_cycles
-    step = max(1, BLOCK // n) if cfg.cooling_reset else 1
-    counts = np.zeros((n, cycles), dtype=np.int64)
-    called = np.zeros((n, cycles), dtype=bool)
-    present = np.zeros((n, cycles), dtype=bool)
-    rows = np.arange(n)
     energy = np.full(n, cfg.baseline_energy)
-    for c0 in range(0, cycles, step):
-        k = min(step, cycles - c0)
-        path = (*key, block) if n_cycles is None else (*key, block, c0)
-        rng = derive_substream(master_seed, path)
+    if n_cycles is None:
+        rng = derive_substream(master_seed, (*key, block))
+        atoms = prepare_state(state, energy, rng)
+        outcome = _cycle(atoms, cfg, rng)
+        return outcome.detected_counts, outcome.called_bright, ~atoms.present
+    step = max(1, BLOCK // n) if cfg.cooling_reset else 1
+    called = np.zeros((n, n_cycles), dtype=bool)
+    present = np.zeros((n, n_cycles), dtype=bool)
+    rows = np.arange(n)
+    for c0 in range(0, n_cycles, step):
+        k = min(step, n_cycles - c0)
+        rng = derive_substream(master_seed, (*key, block, c0))
         atoms = prepare_state(state, np.repeat(energy, k) if k > 1 else energy, rng)
         if transfer is not None:
             microwave_pulse(atoms, np.tile(transfer[c0:c0 + k], rows.size), rng)
         outcome = _cycle(atoms, cfg, rng)
         alive = atoms.present.reshape(-1, k)
-        chunk_counts = outcome.detected_counts.reshape(-1, k)
         chunk_called = outcome.called_bright.reshape(-1, k)
         if k > 1:   # mask each row after its first lost cycle
             alive = np.logical_and.accumulate(alive, axis=1)
-            gone = ~alive[:, :-1]   # the atom was lost before the next cycle began
-            chunk_counts[:, 1:][gone] = 0
-            chunk_called[:, 1:][gone] = False
-        chunk = slice(c0, c0 + k)
-        counts[rows, chunk] = chunk_counts
-        called[rows, chunk] = chunk_called
-        present[rows, chunk] = alive
+            chunk_called[:, 1:] &= alive[:, :-1]   # the atom was present when the cycle began
+        called[rows, c0:c0 + k] = chunk_called
+        present[rows, c0:c0 + k] = alive
         kept = alive[:, -1]   # a lost atom ends its row
         rows, energy = rows[kept], atoms.energy[k - 1::k][kept]
         if not rows.size:
             break
-    return counts, called, present
+    return called, present
 
 
 def workers_used(requested: int, n_rows: int) -> int:
@@ -379,23 +379,35 @@ def __getattr__(name: str):
     return ProcessPoolExecutor
 
 
-def _map_rows(n_rows: int, workers: int, *args) -> tuple[np.ndarray, ...]:
-    """``_run_block`` over each block of rows ``0..n_rows-1``, their rows joined in block order.
+def _map_rows(out: tuple[np.ndarray, ...], workers: int, *args) -> None:
+    """Fill the columns ``out``, one per array ``_run_block`` returns, block by block.
 
     The blocks run in this process, or, when ``workers_used`` allows more than
     one worker, are mapped over a pool in one contiguous run of blocks per
-    worker; the rows do not depend on it.
+    worker; the rows do not depend on it. Each block's arrays are copied into
+    their rows as they arrive, and then dropped.
     """
+    n_rows = len(out[0])
     blocks = range(math.ceil(n_rows / BLOCK))
     workers = workers_used(workers, n_rows)
+    tasks = (blocks, *map(repeat, (n_rows, *args)))
     if workers == 1:
-        parts = [_run_block(block, n_rows, *args) for block in blocks]
-    else:
-        executor = sys.modules[__name__].ProcessPoolExecutor  # or a stand-in set on the module
-        with executor(max_workers=workers) as pool:  # one contiguous run of blocks per worker
-            parts = list(pool.map(_run_block, blocks, *map(repeat, (n_rows, *args)),
-                                  chunksize=math.ceil(len(blocks) / workers)))
-    return tuple(np.concatenate(columns) for columns in zip(*parts))
+        return _fill(out, map(_run_block, *tasks))
+    executor = sys.modules[__name__].ProcessPoolExecutor  # or a stand-in set on the module
+    with executor(max_workers=workers) as pool:  # one contiguous run of blocks per worker
+        _fill(out, pool.map(_run_block, *tasks, chunksize=math.ceil(len(blocks) / workers)))
+
+
+def _fill(out: tuple[np.ndarray, ...], parts) -> None:
+    """Copy each block's arrays from ``parts`` into its rows of ``out``."""
+    for start, part in zip(range(0, len(out[0]), BLOCK), parts):
+        for column, values in zip(out, part):
+            column[start:start + BLOCK] = values
+
+
+def _index_dtype(n_rows: int) -> type:
+    """int32 for a table's index columns if its ``n_rows`` fit, as it holds them to the write."""
+    return np.int32 if n_rows < 2**31 else np.int64
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +466,15 @@ def experiment_histogram(
     """
     if trials_f1 <= 0 or trials_f2 <= 0:
         raise ValueError("trial counts must be positive")
-    sides = []   # per state: detected counts, called bright, lost
+    n_rows = trials_f1 + trials_f2
+    # one set of record columns, F1 trials first, each state's rows filled in place
+    columns = tuple(np.empty(n_rows, dtype) for dtype in (np.int64, bool, bool))
     hist_rows = []
     summary: dict[str, object] = {}
-    for state, trials in ((F1, trials_f1), (F2, trials_f2)):
+    for state, trials, start in ((F1, trials_f1, 0), (F2, trials_f2, trials_f1)):
+        counts, called, lost = rows = tuple(column[start:start + trials] for column in columns)
         key = (EXP_HISTOGRAM, _STATE_CODE[state])
-        counts, called, present = _map_rows(
-            trials, workers, master_seed, key, cfg, state, None, None
-        )
-        counts, called, lost = counts[:, 0], called[:, 0], ~present[:, 0]
-        sides.append((counts, called, lost))
+        _map_rows(rows, workers, master_seed, key, cfg, state, None, None)
         hist_rows += [(state, n, freq) for n, freq in enumerate(build_histogram(counts).tolist())]
         errors = int(np.count_nonzero(called != (state == F2)))
         losses = int(np.count_nonzero(lost))
@@ -481,12 +492,13 @@ def experiment_histogram(
         }
     summary["analytic_f1_error"] = analytic_f1_error(cfg.n_d, cfg.background_mean)
     summary["analytic_f2_error"] = analytic_f2_error(cfg.net_efficiency, cfg.depump_hazard, cfg.n_d)
-    # each column is built once, from both states' columns joined
-    counts, called, lost = (np.concatenate(parts) for parts in zip(*sides))
+    counts, called, lost = columns
+    trial = np.arange(n_rows, dtype=_index_dtype(n_rows))
+    trial[trials_f1:] -= trials_f1   # each state counts its trials from 0
     records = (
         ("trial", "prepared_state", "counts", "classified", "lost"),
         (
-            np.concatenate([np.arange(trials_f1), np.arange(trials_f2)]),
+            trial,
             Coded(np.repeat(np.arange(2, dtype=np.int8), [trials_f1, trials_f2]), (F1, F2)),
             counts,
             Coded(called.view(np.int8), (F1, F2)),
@@ -520,11 +532,13 @@ def experiment_survival(
     """
     if n_atoms <= 0 or n_cycles <= 0:
         raise ValueError("n_atoms and n_cycles must be positive")
-    _, called, present = _map_rows(
-        n_atoms, workers, master_seed, (EXP_SURVIVAL,), cfg, F2, n_cycles, None
-    )
+    called, present = (np.empty((n_atoms, n_cycles), bool) for _ in range(2))
+    _map_rows((called, present), workers, master_seed, (EXP_SURVIVAL,), cfg, F2, n_cycles, None)
     lengths = np.count_nonzero(present, axis=1)  # completed cycles: loss is absorbing
-    cells = np.where(present, 1 + called.view(np.int8), 0)  # CELLS codes
+    called &= present
+    cells = called.view(np.int8)
+    cells += present   # CELLS codes, in place: 0 lost, 1 F1-detected, 2 F2-detected
+    del called, present   # so that only the cells are held beside their sorted copy
     cells = cells[np.argsort(-lengths, kind="stable")]
     # rows that completed at least k cycles, for k = 0..n_cycles
     alive = np.cumsum(np.bincount(lengths, minlength=n_cycles + 1)[::-1])[::-1]
@@ -536,11 +550,12 @@ def experiment_survival(
         fit = fit_exponential(ks[keep], ys[keep])
     except ValueError:
         fit = None
+    index = _index_dtype(n_atoms * n_cycles)
     records = (
         ("atom", "cycle", "cell"),
         (
-            np.repeat(np.arange(n_atoms), n_cycles),
-            np.tile(np.arange(n_cycles), n_atoms),
+            np.repeat(np.arange(n_atoms, dtype=index), n_cycles),
+            np.tile(np.arange(n_cycles, dtype=index), n_atoms),
             Coded(cells.ravel(), CELLS),
         ),
     )
@@ -549,7 +564,7 @@ def experiment_survival(
         "atoms": n_atoms,
         "cycles": n_cycles,
         "survivor_fraction_final": fraction[-1],
-        "full_length_rows": int(np.count_nonzero(present[:, -1])),
+        "full_length_rows": int(alive[-1]),
     }
     if fit is None:
         summary["lifetime_fit_degenerate"] = True
@@ -635,13 +650,13 @@ def experiment_rabi(
     if len(rabi.pulse_lengths) < 2:
         raise ValueError("need at least 2 pulse lengths")
     transfer = np.array([transfer_probability(t, rabi) for t in rabi.pulse_lengths])
-    _, called, present = _map_rows(
-        n_atoms, workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size, transfer
-    )
-    # a cycle whose presence check fails keeps no point
+    called, present = (np.empty((n_atoms, transfer.size), bool) for _ in range(2))
+    _map_rows((called, present), workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size,
+              transfer)
+    called &= present   # a cycle whose presence check fails keeps no point
     times = np.asarray(rabi.pulse_lengths)
     measured = np.count_nonzero(present, axis=0)
-    bright = np.count_nonzero(called & present, axis=0)
+    bright = np.count_nonzero(called, axis=0)
     mask = measured > 0
     fraction = np.divide(bright, measured, out=np.full(measured.size, np.nan), where=mask)
     try:
@@ -649,16 +664,17 @@ def experiment_rabi(
     except ValueError:
         fit = None
     lengths = tuple(times.tolist())  # Python floats, whatever the config held
-    # int32 halves the index columns, which the table holds through its write
-    atom, point = (index.astype(np.int32) for index in np.nonzero(present))
+    # the measured cycles' records, in the index dtype; the (rows, points) matrices go
+    # before the last column is built, so that they do not add to the records' peak
+    index = _index_dtype(present.size)
+    outcome = called[present].view(np.int8)
+    point = np.broadcast_to(np.arange(times.size, dtype=index), present.shape)[present]
+    per_atom = np.count_nonzero(present, axis=1)
+    del called, present
+    atom = np.repeat(np.arange(n_atoms, dtype=index), per_atom)
     records = (
         ("atom", "point", "pulse_length", "outcome"),
-        (
-            atom,
-            point,
-            Coded(point, lengths),
-            Coded(called[present].view(np.int8), (F1, F2)),
-        ),
+        (atom, point, Coded(point, lengths), Coded(outcome, (F1, F2))),
     )
     curve = (
         ("point", "pulse_length", "n_measured", "f2_fraction"),

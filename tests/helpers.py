@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -173,7 +174,8 @@ def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> Read
 
 
 def per_cycle_block(block, n_rows, master_seed, key, cfg, state, pulse_lengths, rabi):
-    """``experiments._run_block``'s (counts, called, present), one cycle at a time."""
+    """What ``experiments._run_block`` returns, one cycle at a time: each single-shot trial's
+    (counts, called, lost) when ``pulse_lengths`` is None, else the rows' (called, present)."""
     n = min(n_rows - block * experiments.BLOCK, experiments.BLOCK)
     lengths = (0.0,) if pulse_lengths is None else pulse_lengths
     counts = np.zeros((n, len(lengths)), dtype=np.int64)
@@ -195,7 +197,35 @@ def per_cycle_block(block, n_rows, master_seed, key, cfg, state, pulse_lengths, 
         rows, energy = rows[atoms.present], atoms.energy[atoms.present]
         if not rows.size:
             break
-    return counts, called, present
+    if pulse_lengths is None:
+        return counts[:, 0], called[:, 0], ~present[:, 0]
+    return called, present
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak memory traced while it ran.
+
+    numpy reports its array buffers to ``tracemalloc``, so the peak counts them.
+    """
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def table_bytes(tables) -> int:
+    """Bytes of the distinct numpy buffers that the columns of ``tables`` hold."""
+    buffers = {}
+    for _, columns in tables.values():
+        for column in columns:
+            array = column.codes if isinstance(column, Coded) else column
+            while isinstance(array, np.ndarray) and array.base is not None:
+                array = array.base   # a view holds its owner's buffer
+            if isinstance(array, np.ndarray):
+                buffers[id(array)] = array.nbytes
+    return sum(buffers.values())
 
 
 def binomial_3se(p: float, n: int) -> float:

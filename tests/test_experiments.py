@@ -38,7 +38,9 @@ from helpers import (
     per_cycle_block,
     same_result,
     survival_cells,
+    table_bytes,
     table_column,
+    traced_peak,
     two_sample_chisquare_pvalue,
 )
 
@@ -444,9 +446,10 @@ class TestRowDriverAgainstPerCycleOracle:
         key, state, drive, oracle_drive = row_drivers(experiment, cycles)
         kernel = experiments._run_block(block, n_rows, 21, key, cfg, state, *drive)
         oracle = per_cycle_block(block, n_rows, 21, key, cfg, state, *oracle_drive)
+        assert len(kernel) == len(oracle)
         for a, b in zip(kernel, oracle):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        present = kernel[2]
+        _, present = kernel
         assert not present[:, -1].all()   # rows were dropped partway
 
     @pytest.mark.parametrize("experiment,n_rows,cycles,seeds", [
@@ -457,16 +460,16 @@ class TestRowDriverAgainstPerCycleOracle:
         self, ref_cfg, experiment, n_rows, cycles, seeds
     ):
         # the lost-cycle histogram of the rows, and the bright and dark calls at each
-        # cycle; the cycles after a row's lost one read (0, False, False)
+        # cycle; the cycles after a row's lost one read (False, False)
         key, state, drive, oracle_drive = row_drivers(experiment, cycles)
         assert experiments.BLOCK // n_rows > 1
         lengths, calls = [], []
         for driver, tail in ((experiments._run_block, drive), (per_cycle_block, oracle_drive)):
             sides = [driver(0, n_rows, seed, key, ref_cfg, state, *tail) for seed in seeds]
-            counts, called, present = (np.concatenate(parts) for parts in zip(*sides))
+            called, present = (np.concatenate(parts) for parts in zip(*sides))
             done = np.count_nonzero(present, axis=1)
             unmeasured = np.arange(cycles) > done[:, None]
-            assert not counts[unmeasured].any() and not called[unmeasured].any()
+            assert not called[unmeasured].any()
             assert not present[unmeasured].any()
             lengths.append(done.tolist())
             calls.append(np.concatenate([
@@ -495,6 +498,39 @@ class TestRowDriverAgainstPerCycleOracle:
         experiment_rabi(312, REF_RABI, ref_cfg, master_seed=1)
         assert len(sizes) == 4   # chunks of 13 points, in place of 50 calls
         assert max(sizes) <= experiments.BLOCK
+
+
+class TestRowMemory:
+    """Each experiment fills its record columns in place, block by block, so besides the
+    tables it returns it holds about one block's kernel pass, whatever its row count.
+
+    The traced peak less the returned tables' bytes must stay under one bound at both
+    sizes. The bound follows from the kernel: a pass over a block keeps about sixteen
+    8-byte arrays of its atoms alive, and 192 B an atom of a block covers them, the
+    block's returned arrays and the 8-byte per-row counts that survival and Rabi keep.
+    Joining block parts, or the two histogram states, exceeds it by megabytes at the
+    large sizes.
+    """
+
+    BOUND = 192 * experiments.BLOCK
+
+    @pytest.mark.parametrize("experiment,run", [
+        pytest.param("histogram", lambda n, cfg: experiment_histogram(n, n, cfg, master_seed=3),
+                     id="histogram"),
+        pytest.param("survival", lambda n, cfg: experiment_survival(n, 10, cfg, master_seed=3),
+                     id="survival"),
+        pytest.param("rabi",
+                     lambda n, cfg: experiment_rabi(n, rabi_scan(10, 3.0e-3), cfg, master_seed=3),
+                     id="rabi"),
+    ])
+    def test_transient_memory_does_not_grow_with_the_rows(self, ref_cfg, experiment, run):
+        # histogram sizes are trials per state; survival and Rabi rows run 10 cycles each
+        sizes = (4, 16) if experiment == "histogram" else (2, 8)
+        rows = [blocks * experiments.BLOCK + 17 for blocks in sizes]
+        run(rows[0], ref_cfg)   # the first run allocates what stays cached
+        for n in rows:
+            (tables, _), peak = traced_peak(lambda: run(n, ref_cfg))
+            assert peak - table_bytes(tables) <= self.BOUND, n
 
 
 class TestHistogramExperiment:
