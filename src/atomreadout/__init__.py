@@ -9,6 +9,15 @@ the microwave pulse, the substream derivation) live in
 ``atomreadout.experiments`` with no compatibility promise.
 """
 
+import os
+
+# numpy's bundled OpenBLAS starts a worker thread per extra core as numpy loads,
+# which spins for about 0.1 s of CPU and then sleeps; this package never gives
+# it work, as its only BLAS calls are the fits' solves of 2-4 parameters.
+# Set before numpy's first import (the next line); a value the caller set wins,
+# and pool workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import (
     ConfigError,
     DEFAULT_DEPUMP_HAZARD,

@@ -467,8 +467,9 @@ def experiment_histogram(
     if trials_f1 <= 0 or trials_f2 <= 0:
         raise ValueError("trial counts must be positive")
     n_rows = trials_f1 + trials_f2
-    # one set of record columns, F1 trials first, each state's rows filled in place
-    columns = tuple(np.empty(n_rows, dtype) for dtype in (np.int64, bool, bool))
+    # one set of record columns, F1 trials first, each state's rows filled in place;
+    # a probe's count is small, so int32 holds it to the write (_fill casts each block)
+    columns = tuple(np.empty(n_rows, dtype) for dtype in (np.int32, bool, bool))
     hist_rows = []
     summary: dict[str, object] = {}
     for state, trials, start in ((F1, trials_f1, 0), (F2, trials_f2, trials_f1)):

@@ -1,8 +1,14 @@
-"""The package's public names and CLI options, and the README's library example run as written."""
+"""The package's public names, CLI options and one-BLAS-thread import default,
+and the README's library example run as written."""
 
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import atomreadout
 from atomreadout.cli import build_parser
@@ -46,3 +52,27 @@ def test_readme_library_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def _import_in_child(script: str, blas_threads: str | None = None) -> str:
+    """stdout of a fresh interpreter that imports atomreadout and runs ``script``.
+
+    The child's OPENBLAS_NUM_THREADS is ``blas_threads``, or unset: this
+    process's own import of the package may have set it here.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    result = subprocess.run([sys.executable, "-c", "import os, atomreadout\n" + script],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_threads():
+    assert _import_in_child("print(len(os.listdir('/proc/self/task')))") == "1"
+
+
+def test_import_keeps_the_callers_blas_threads():
+    assert _import_in_child("print(os.environ['OPENBLAS_NUM_THREADS'])", "2") == "2"
