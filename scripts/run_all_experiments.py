@@ -14,7 +14,7 @@ from atomreadout.runner import run
 
 
 def no_fit(summary: dict) -> str:
-    """Why a summary holds no fitted values."""
+    """Why a Rabi summary holds no fitted values."""
     if summary.get("fit_converged") is False:
         return "fit did not converge"
     return "too little to fit (degenerate)"
@@ -68,11 +68,13 @@ def main(argv: list[str] | None = None) -> None:
     print(f"  loss per cycle    : {hist['f1_loss_rate']:.2%} (dark) / {hist['f2_loss_rate']:.2%} (bright)")
     print("repeated measurements")
     if "lifetime_cycles" in surv:
-        print(f"  fitted lifetime   : {surv['lifetime_cycles']:.1f} cycles "
+        print(f"  fitted lifetime   : {surv['lifetime_cycles']:.1f} "
+              f"± {surv['lifetime_variance'] ** 0.5:.1f} cycles "
               f"({surv['loss_per_cycle_fit']:.2%} loss per cycle)")
     else:
-        print(f"  fitted lifetime   : {no_fit(surv)}")
+        print("  fitted lifetime   : too little to fit (degenerate)")
     print(f"  full-length runs  : {surv['full_length_rows']} of {surv['atoms']}")
+    print(f"  F2-detected cells : {surv['f2_detected_fraction']:.2%} of those not lost")
     print("microwave rabi ensemble")
     if "fit_frequency_hz" in rabi:
         print(f"  fitted frequency  : {rabi['fit_frequency_hz']:.1f} Hz")

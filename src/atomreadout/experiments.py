@@ -527,9 +527,11 @@ def experiment_survival(
     Tables: the (atom, cycle, cell) records of the cell matrix, its rows
     sorted longest-lived first and its cells labelled from ``CELLS``; the
     survival curve ``_curve`` (index k: the fraction that survived k full
-    cycles); and ``_summary``, which carries the fitted lifetime, only
-    ``fit_converged: False`` when the fit did not converge, or
-    ``lifetime_fit_degenerate`` when nothing decayed.
+    cycles); and ``_summary``. The summary carries the censored
+    maximum-likelihood lifetime (``fit_exponential``) of the atoms lost within
+    the run over their cycles at risk, or ``lifetime_fit_degenerate`` when
+    nothing decayed or every atom was lost in its first cycle, and the fraction
+    of the cells not lost that were called F2.
     """
     if n_atoms <= 0 or n_cycles <= 0:
         raise ValueError("n_atoms and n_cycles must be positive")
@@ -537,18 +539,18 @@ def experiment_survival(
     _map_rows((called, present), workers, master_seed, (EXP_SURVIVAL,), cfg, F2, n_cycles, None)
     lengths = np.count_nonzero(present, axis=1)  # completed cycles: loss is absorbing
     called &= present
+    f2_detected = int(np.count_nonzero(called))
     cells = called.view(np.int8)
     cells += present   # CELLS codes, in place: 0 lost, 1 F1-detected, 2 F2-detected
     del called, present   # so that only the cells are held beside their sorted copy
     cells = cells[np.argsort(-lengths, kind="stable")]
     # rows that completed at least k cycles, for k = 0..n_cycles
     alive = np.cumsum(np.bincount(lengths, minlength=n_cycles + 1)[::-1])[::-1]
-    ys = alive / n_atoms
-    fraction = ys.tolist()
-    ks = np.arange(n_cycles + 1, dtype=float)
-    keep = ys > 0.0
+    fraction = (alive / n_atoms).tolist()
+    completed = int(lengths.sum())
+    lost = n_atoms - int(alive[-1])
     try:
-        fit = fit_exponential(ks[keep], ys[keep])
+        fit = fit_exponential(lost, completed + lost)
     except ValueError:
         fit = None
     index = _index_dtype(n_atoms * n_cycles)
@@ -567,17 +569,15 @@ def experiment_survival(
         "survivor_fraction_final": fraction[-1],
         "full_length_rows": int(alive[-1]),
     }
+    if completed:   # no cell was measured when every atom was lost in its first cycle
+        summary["f2_detected_fraction"] = f2_detected / completed
     if fit is None:
         summary["lifetime_fit_degenerate"] = True
-    elif not fit.converged:
-        summary["fit_converged"] = False   # its parameters are not a fit
     else:
         summary |= {
             "lifetime_cycles": fit.parameters["lifetime"],
             "loss_per_cycle_fit": fit.parameters["loss_per_cycle"],
             "lifetime_variance": fit.covariance_diag["lifetime"],
-            "fit_converged": fit.converged,
-            "fit_residual_norm": fit.residual_norm,
         }
     return _with_summary({"": records, "_curve": curve}, summary)
 
@@ -650,12 +650,16 @@ def experiment_rabi(
         raise ValueError("n_atoms must be positive")
     if len(rabi.pulse_lengths) < 2:
         raise ValueError("need at least 2 pulse lengths")
+    times = np.asarray(rabi.pulse_lengths)
+    # the fit reads only an evenly spaced scan, to the tolerance it checks
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    if not dt > 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-6 * dt:
+        raise ValueError("pulse lengths must increase in even steps")
     transfer = np.array([transfer_probability(t, rabi) for t in rabi.pulse_lengths])
     called, present = (np.empty((n_atoms, transfer.size), bool) for _ in range(2))
     _map_rows((called, present), workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size,
               transfer)
     called &= present   # a cycle whose presence check fails keeps no point
-    times = np.asarray(rabi.pulse_lengths)
     measured = np.count_nonzero(present, axis=0)
     bright = np.count_nonzero(called, axis=0)
     mask = measured > 0

@@ -1,8 +1,9 @@
-"""Count histograms, Wilson intervals, and the two nonlinear least-squares fits.
+"""Count histograms, Wilson intervals, the survival lifetime and the Rabi fit.
 
-Both fitters use a damped normal-equations (Levenberg-Marquardt) refinement
-with analytic Jacobians; the damped-sinusoid fit takes its frequency seed from
-the peak of the data's spectrum, at or below the scan's Nyquist limit, so the
+The lifetime is a closed-form censored maximum-likelihood estimate. The
+damped-sinusoid fit is a damped normal-equations (Levenberg-Marquardt)
+refinement with analytic Jacobians; it takes its frequency seed from the peak
+of the data's spectrum, at or below the scan's Nyquist limit, so the
 refinement starts neither in the wrong fringe nor on an alias. Steps that would
 increase the residual are rejected, so the recorded residual history is
 non-increasing by construction.
@@ -11,7 +12,7 @@ non-increasing by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,10 @@ RELATIVE_PARAMETER_TOL = 1e-6
 
 def build_histogram(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     """Frequencies of the detected counts in unit bins from 0 to max(counts)."""
-    values = np.asarray(counts, dtype=np.int64)
+    values = np.asarray(counts)
+    if values.size and not np.issubdtype(values.dtype, np.integer):
+        raise ValueError("counts must be integers")
+    values = values.astype(np.int64, copy=False)   # an empty list arrives as float64
     if values.size and values.min() < 0:
         raise ValueError("counts must be nonnegative")
     return np.bincount(values)
@@ -135,48 +139,30 @@ def _levenberg_marquardt(
     )
 
 
-def fit_exponential(x: Sequence[float], y: Sequence[float]) -> FitResult:
-    """Fit y = exp(-x/L) and report the lifetime L.
+def fit_exponential(lost: float, at_risk: float) -> FitResult:
+    """Censored maximum-likelihood lifetime of a geometric per-cycle loss.
 
-    The derived per-step loss 1 - exp(-1/L) is included in the parameters,
-    with its variance propagated from the lifetime estimate.
+    ``lost`` atoms were lost within the run, over ``at_risk`` cycles at risk:
+    every completed cycle, plus each lost atom's cycle of loss. The loss per
+    cycle is p = lost / at_risk, with Fisher variance p(1 - p) / at_risk, and
+    the lifetime L = -1 / ln(1 - p) takes its variance by the delta method.
+    Nothing is iterated or fitted to residuals: ``iterations``, ``residual_norm``
+    and ``gradient_norm`` are 0 and ``residual_history`` is empty.
     """
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("x and y must be one-dimensional and equally long")
-    if xs.size < 3:
-        raise ValueError("need at least 3 points")
-    if np.any(ys <= 0.0) or np.any(ys > 1.0):
-        raise ValueError("y values must lie in (0, 1]")
-    if np.all(ys == ys[0]):
-        raise ValueError("degenerate data: all y values are equal")
-
-    logy = np.log(ys)
-    xc = xs - xs.mean()
-    denom = float(xc @ xc)
-    slope = float(xc @ (logy - logy.mean()) / denom) if denom > 0 else 0.0
-    span = float(xs.max() - xs.min())
-    lifetime0 = -1.0 / slope if slope < -1e-300 else 10.0 * max(span, 1.0)
-    p0 = np.array([lifetime0])
-
-    def residual(p: np.ndarray) -> np.ndarray:
-        return ys - np.exp(-xs / p[0])
-
-    def jacobian(p: np.ndarray) -> np.ndarray:
-        e = np.exp(-xs / p[0])
-        return np.column_stack((-e * xs / p[0] ** 2,))
-
-    def accept(p: np.ndarray) -> bool:
-        return p[0] > 0
-
-    fit = _levenberg_marquardt(("lifetime",), residual, jacobian, p0, accept)
-    lifetime, lifetime_var = fit.parameters["lifetime"], fit.covariance_diag["lifetime"]
-    dloss_dL = -math.exp(-1.0 / lifetime) / lifetime**2
-    return replace(
-        fit,
-        parameters={**fit.parameters, "loss_per_cycle": 1.0 - math.exp(-1.0 / lifetime)},
-        covariance_diag={**fit.covariance_diag, "loss_per_cycle": dloss_dL**2 * lifetime_var},
+    if not 0 < lost < at_risk:
+        raise ValueError("need 0 < lost < at_risk")
+    p = lost / at_risk
+    p_var = p * (1.0 - p) / at_risk
+    log_kept = math.log1p(-p)
+    dlifetime_dp = 1.0 / ((1.0 - p) * log_kept**2)
+    return FitResult(
+        parameters={"lifetime": -1.0 / log_kept, "loss_per_cycle": p},
+        residual_norm=0.0,
+        converged=True,
+        iterations=0,
+        covariance_diag={"lifetime": dlifetime_dp**2 * p_var, "loss_per_cycle": p_var},
+        residual_history=(),
+        gradient_norm=0.0,
     )
 
 

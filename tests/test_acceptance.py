@@ -163,8 +163,11 @@ def test_criterion_5_rabi(rabi_result):
 
 
 def test_criterion_6_fit_round_trips():
-    x = np.arange(0, 101, dtype=float)
-    exp_fit = fit_exponential(x, np.exp(-x / 86.0))
+    # the expected losses and cycles at risk of atoms with an 86-cycle lifetime over 100
+    # cycles, from which the censored maximum-likelihood lifetime is exactly 86
+    keep = math.exp(-1.0 / 86.0)
+    lost = 1000.0 * (1.0 - keep**100)
+    exp_fit = fit_exponential(lost, lost / (1.0 - keep))
     exp_ok = abs(exp_fit.parameters["lifetime"] - 86.0) / 86.0 <= 1e-4
     loss = exp_fit.parameters["loss_per_cycle"]
     loss_ok = loss == pytest.approx(1.0 - math.exp(-1.0 / 86.0), rel=1e-9)

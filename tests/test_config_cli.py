@@ -46,7 +46,7 @@ PINNED_TABLES = {
         {
             ".csv": "c8ebb182d0f353b91df01f2696e66b53e434488074236bc71876fb6da432252d",
             "_curve.csv": "b3f3963872775e618da27f297689d2fe236ac7a7e14ec5ba7abdea8fccc11ecb",
-            "_summary.csv": "7ee264798f5155340a1f14959cf774f4e214c0bd4a2eb767e331643634766449",
+            "_summary.csv": "fa8f1dcd296f9ed2a7675a01caf35f5ef2c955c19a931567751d0c2534ccbb59",
         },
     ),
     "survival-lossy": (
@@ -55,7 +55,7 @@ PINNED_TABLES = {
         {
             ".csv": "843dbb82d405406947236ed8054763bf8cbdf4c3a8cc16a9d22a7a0a382ab820",
             "_curve.csv": "7c9e5215b264b2fb78e53105dfcaa46e0205d545f0b3672ec39d770d3d7db3e8",
-            "_summary.csv": "ea50b93ebf1648952577828723e846b622a718c70f0087540124f1e1cfa867f1",
+            "_summary.csv": "a53bb109112f05852ce3134ff42e8491fc92c13bf585aab674e1ed35c04e04ca",
         },
     ),
     "rabi-lossy": (
@@ -77,14 +77,14 @@ PINNED_TABLES = {
         },
     ),
     # no cooling and no background loss: recoil heating ejects every atom
-    # (survivor fraction 0.0, fitted lifetime 52.2 cycles)
+    # (survivor fraction 0.0, estimated lifetime 29.1 cycles)
     "survival-heating": (
         {"experiment": "survival", "survival.atoms": 30, "survival.cycles": 60,
          "cooling.reset": False, "loss.background_per_cycle": 0.0},
         {
             ".csv": "0857cc212ab302e5ba465eb7a7f4de25b2b92ea913d3b2d584ff9c4df753f90c",
             "_curve.csv": "5a9f8182f46196032c203a5d2b5154e2cc920345789b9903987c29e12d6e5f9e",
-            "_summary.csv": "56001deefc5092dacfbca361513f687602407eaf8580bea8307370dd4f97f2e9",
+            "_summary.csv": "bd3279ebf9c3aefd6c9cc93f0202f0c4f3530eb8706a2fdb0d77e5ae1e0e1e88",
         },
     ),
     "budget": (

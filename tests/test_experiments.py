@@ -622,6 +622,19 @@ class TestSurvivalExperiment:
         expected = 0.988**100
         assert abs(summary["survivor_fraction_final"] - expected) < binomial_3se(expected, 102)
 
+    def test_lifetime_standard_error_is_calibrated(self, ref_cfg):
+        # no heating loss at the reference point: the loss per cycle is the background's
+        # 1.2%, and z of the estimated lifetime is near standard normal over seeds, whose
+        # mean over 50 seeds has sd 1/sqrt(50) and whose sd has sd about 0.10
+        truth = -1.0 / math.log1p(-ref_cfg.background_loss)
+        assert ref_cfg.background_loss == 0.012
+        z = []
+        for seed in range(1, 51):
+            _, summary = experiment_survival(1020, 100, ref_cfg, master_seed=seed)
+            z.append((summary["lifetime_cycles"] - truth) / math.sqrt(summary["lifetime_variance"]))
+        assert abs(np.mean(z)) <= 3.0 / math.sqrt(50)
+        assert 0.7 <= np.std(z, ddof=1) <= 1.3
+
     def test_parallel_equals_serial(self, ref_cfg):
         serial = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=1)
         parallel = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=2)
@@ -730,6 +743,16 @@ class TestRabiExperiment:
         assert summary["fit_converged"]
         sigma = math.sqrt(fit.covariance_diag["frequency"])
         assert abs(summary["fit_frequency_hz"] - REF_RABI.rabi_frequency) <= 3.0 * sigma
+
+    @pytest.mark.parametrize("lengths", [
+        pytest.param(REF_RABI.pulse_lengths + (1.5e-4,), id="extra-length"),
+        pytest.param(REF_RABI.pulse_lengths[::-1], id="reversed"),
+    ])
+    def test_scan_the_fit_cannot_read_is_rejected(self, ref_cfg, lengths):
+        # the fit reads only evenly increasing lengths; a scan it cannot read must fail
+        # before it runs, not report the heavy-loss degenerate flag
+        with pytest.raises(ValueError, match="even steps"):
+            experiment_rabi(312, replace(REF_RABI, pulse_lengths=lengths), ref_cfg, master_seed=1)
 
     def test_grid_helpers(self):
         grid = uniform_pulse_grid(5, 1e-3)
