@@ -77,8 +77,10 @@ def main(argv: list[str] | None = None) -> None:
     print(f"  F2-detected cells : {surv['f2_detected_fraction']:.2%} of those not lost")
     print("microwave rabi ensemble")
     if "fit_frequency_hz" in rabi:
-        print(f"  fitted frequency  : {rabi['fit_frequency_hz']:.1f} Hz")
-        print(f"  decoherence time  : {rabi['fit_decoherence_time_s'] * 1e3:.2f} ms")
+        print(f"  fitted frequency  : {rabi['fit_frequency_hz']:.1f} "
+              f"± {rabi['fit_frequency_variance'] ** 0.5:.1f} Hz")
+        print(f"  decoherence time  : {rabi['fit_decoherence_time_s'] * 1e3:.2f} "
+              f"± {rabi['fit_decoherence_time_variance'] ** 0.5 * 1e3:.2f} ms")
         print(f"  amplitude / offset: {rabi['fit_amplitude']:.3f} / {rabi['fit_offset']:.4f}")
     else:
         print(f"  fitted frequency  : {no_fit(rabi)}")

@@ -644,7 +644,10 @@ def experiment_rabi(
     the (atom, point) records of the measured cycles, the curve ``_curve`` and
     ``_summary``, which carries the fit, only ``fit_converged: False`` when
     the fit did not converge, or ``curve_fit_degenerate`` when too few points
-    were measured to fit (heavy loss).
+    were measured to fit (heavy loss). A converged fit also writes each
+    parameter's variance. Pulse lengths that do not increase in even steps, or
+    a drive at or above the scan's Nyquist limit 1/(2 dt), are rejected before
+    anything is simulated.
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
@@ -655,6 +658,10 @@ def experiment_rabi(
     dt = (times[-1] - times[0]) / (times.size - 1)
     if not dt > 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-6 * dt:
         raise ValueError("pulse lengths must increase in even steps")
+    nyquist = 1.0 / (2.0 * dt)
+    if rabi.rabi_frequency >= nyquist:   # the fit could not tell it from its alias
+        raise ValueError(f"rabi_frequency must be below the scan's Nyquist limit "
+                         f"1 / (2 dt) = {nyquist:g} Hz")
     transfer = np.array([transfer_probability(t, rabi) for t in rabi.pulse_lengths])
     called, present = (np.empty((n_atoms, transfer.size), bool) for _ in range(2))
     _map_rows((called, present), workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size,
@@ -699,6 +706,8 @@ def experiment_rabi(
             "fit_converged": fit.converged,
             "fit_residual_norm": fit.residual_norm,
         }
+        summary |= {f"fit_{name}_variance": fit.covariance_diag[name] for name in
+                    ("frequency", "decoherence_time", "amplitude", "offset")}
     summary |= {
         "zero_point_fraction": float(fraction[0]),
         "zero_point_n": int(measured[0]),

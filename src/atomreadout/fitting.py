@@ -1,24 +1,28 @@
 """Count histograms, Wilson intervals, the survival lifetime and the Rabi fit.
 
 The lifetime is a closed-form censored maximum-likelihood estimate. The
-damped-sinusoid fit is a damped normal-equations (Levenberg-Marquardt)
-refinement with analytic Jacobians; it takes its frequency seed from the peak
-of the data's spectrum, at or below the scan's Nyquist limit, so the
-refinement starts neither in the wrong fringe nor on an alias. Steps that would
-increase the residual are rejected, so the recorded residual history is
-non-increasing by construction.
+damped-sinusoid fit is a variable projection (Golub and Pereyra): the offset
+and amplitude enter the model linearly, so at each (f, tau) they are solved by
+linear least squares, and a Gauss-Newton search moves (f, tau) alone on
+Kaufman's reduced Jacobian, the f and tau columns projected off the two linear
+ones. The search starts at the peak of the data's spectrum, at or below the
+scan's Nyquist limit, so it starts neither in the wrong fringe nor on an alias.
+Each step is halved (up to ten times) until it lowers the cost, so the
+residual history decreases; the search stops when no halved step lowers it, or
+when the residual is at the data's rounding floor (1e-12 of the data's norm).
+``converged`` means that stop with a relative gradient of at most 1e-6 on the
+full four-column Jacobian, from which ``covariance_diag`` is also taken.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 MAX_ITERATIONS = 200
-RELATIVE_PARAMETER_TOL = 1e-6
 
 
 def build_histogram(counts: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -71,74 +75,6 @@ def _relative_gradient(jac: np.ndarray, r: np.ndarray) -> float:
     return float(np.max(grad / (safe * np.linalg.norm(r))))
 
 
-def _levenberg_marquardt(
-    names: tuple[str, ...],
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    p0: np.ndarray,
-    accept: Callable[[np.ndarray], bool],
-) -> FitResult:
-    """Refine ``p0``; ``accept`` rejects candidate steps outside the model's domain."""
-    p = np.asarray(p0, dtype=float)
-    r = residual(p)
-    cost = float(r @ r)
-    history = [math.sqrt(cost)]
-    lam = 1e-3
-    stationary = perfect = False
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = jacobian(p)
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        stepped = False
-        for _ in range(60):
-            damping = lam * np.diag(np.clip(np.diag(jtj), 1e-12, None))
-            try:
-                step = np.linalg.solve(jtj + damping, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = p + step
-            if not accept(cand):
-                lam *= 10.0
-                continue
-            r_new = residual(cand)
-            cost_new = float(r_new @ r_new)
-            if cost_new <= cost:
-                stepped = True
-                break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        if not stepped:
-            # no damped step improves the cost: a numerical stationary point
-            stationary = True
-            break
-        rel_step = float(np.max(np.abs(step) / np.maximum(np.abs(cand), 1e-30)))
-        improvement = cost - cost_new
-        p, r, cost = cand, r_new, cost_new
-        history.append(math.sqrt(cost))
-        lam = max(lam * 0.2, 1e-12)
-        # residuals at the rounding floor of the data: a perfect fit
-        perfect = math.sqrt(cost) <= 1e-12 * max(history[0], 1e-300)
-        if perfect or rel_step < RELATIVE_PARAMETER_TOL or improvement <= 1e-12 * max(cost, 1e-300):
-            stationary = True
-            break
-    jac = jacobian(p)
-    grad_measure = 0.0 if perfect else _relative_gradient(jac, r)
-    sigma2 = cost / (r.size - p.size)
-    cov = np.maximum(np.diag(np.linalg.pinv(jac.T @ jac)) * sigma2, 0.0)
-    return FitResult(
-        dict(zip(names, (float(v) for v in p))),
-        math.sqrt(cost),
-        stationary and grad_measure <= 1e-6,
-        iterations,
-        dict(zip(names, (float(v) for v in cov))),
-        tuple(history),
-        grad_measure,
-    )
-
-
 def fit_exponential(lost: float, at_risk: float) -> FitResult:
     """Censored maximum-likelihood lifetime of a geometric per-cycle loss.
 
@@ -166,11 +102,6 @@ def fit_exponential(lost: float, at_risk: float) -> FitResult:
     )
 
 
-def _sinusoid_model(p: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    c, a, f, tau = p
-    return c + 0.5 * a * (1.0 - np.cos(2.0 * math.pi * f * ts) * np.exp(-ts / tau))
-
-
 def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     """Fit p(t) = C + A/2 * (1 - cos(2 pi f t) exp(-t/tau)), phase fixed at zero.
 
@@ -179,8 +110,8 @@ def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     frequency is seeded from the largest nonzero-frequency bin of the data's
     spectrum, zero-padded 64-fold; every bin lies at or below the scan's
     Nyquist limit 1/(2 dt), above which a frequency is indistinguishable from
-    its alias. C and A are then the linear least-squares coefficients at that
-    frequency and tau = span, and a four-parameter refinement follows.
+    its alias. The search starts there with tau = span and moves (f, tau)
+    only: C and A are the linear least-squares coefficients at each (f, tau).
     """
     traw = np.asarray(t, dtype=float)
     ys = np.asarray(p, dtype=float)
@@ -199,26 +130,59 @@ def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     pad = 64 * ts.size
     spectrum = np.abs(np.fft.rfft(ys - ys.mean(), pad))
     f_seed = (1 + int(np.argmax(spectrum[1:]))) / (pad * dt)
-    fringe = -np.cos(2.0 * math.pi * f_seed * ts) * np.exp(-ts / span)
-    (b0, b1), *_ = np.linalg.lstsq(np.column_stack((np.ones_like(ts), fringe)), ys, rcond=None)
-    p0 = np.array([b0 - b1, 2.0 * b1, f_seed, span])
 
-    def residual(q: np.ndarray) -> np.ndarray:
-        return ys - _sinusoid_model(q, ts)
+    def project(f: float, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The basis [1, g] at (f, tau), its coefficients (C, A), the residual and its cost."""
+        g = 0.5 * (1.0 - np.cos(2.0 * math.pi * f * ts) * np.exp(-ts / tau))
+        basis = np.column_stack((np.ones_like(ts), g))
+        coef, *_ = np.linalg.lstsq(basis, ys, rcond=None)
+        r = ys - basis @ coef
+        return basis, coef, r, float(r @ r)
 
-    def jacobian(q: np.ndarray) -> np.ndarray:
-        _, a, f, tau = q
+    def jacobian(basis: np.ndarray, a: float, f: float, tau: float) -> np.ndarray:
+        """The model's derivatives in (C, A, f, tau): the basis, then the (f, tau) columns."""
         theta = 2.0 * math.pi * f * ts
         damp = np.exp(-ts / tau)
-        cos_t = np.cos(theta)
-        dm_dc = np.ones_like(ts)
-        dm_da = 0.5 * (1.0 - cos_t * damp)
-        dm_df = 0.5 * a * 2.0 * math.pi * ts * np.sin(theta) * damp
-        dm_dtau = -0.5 * a * cos_t * damp * ts / tau**2
-        return -np.column_stack((dm_dc, dm_da, dm_df, dm_dtau))
+        dm_df = a * math.pi * ts * np.sin(theta) * damp
+        dm_dtau = -0.5 * a * np.cos(theta) * damp * ts / tau**2
+        return np.column_stack((basis, dm_df, dm_dtau))
 
-    def accept(q: np.ndarray) -> bool:
-        return q[2] > 0 and q[3] > 0
-
+    nonlinear = np.array([f_seed, span])
+    basis, coef, r, cost = project(*nonlinear)
+    history = [math.sqrt(cost)]
+    floor = 1e-12 * float(np.linalg.norm(ys))   # the data's rounding floor
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        stopped = perfect = history[-1] <= floor
+        if perfect:
+            break
+        # Kaufman's reduced Jacobian: the (f, tau) columns projected off the basis
+        cols = jacobian(basis, coef[1], *nonlinear)[:, 2:]
+        reduced = cols - basis @ np.linalg.lstsq(basis, cols, rcond=None)[0]
+        step = np.linalg.lstsq(reduced, r, rcond=None)[0]
+        for _ in range(10):   # the Gauss-Newton step, halved up to ten times to lower the cost
+            cand = nonlinear + step
+            if np.all(cand > 0):
+                trial = project(*cand)
+                if trial[3] < cost:
+                    break
+            step = 0.5 * step
+        else:
+            stopped = True   # no damped step lowers the cost: a numerical stationary point
+            break
+        nonlinear = cand
+        basis, coef, r, cost = trial
+        history.append(math.sqrt(cost))
+    jac = jacobian(basis, coef[1], *nonlinear)
+    grad_measure = 0.0 if perfect else _relative_gradient(jac, r)
+    sigma2 = cost / (r.size - jac.shape[1])
+    cov = np.maximum(np.diag(np.linalg.pinv(jac.T @ jac)) * sigma2, 0.0)
     names = ("offset", "amplitude", "frequency", "decoherence_time")
-    return _levenberg_marquardt(names, residual, jacobian, p0, accept)
+    return FitResult(
+        dict(zip(names, (float(v) for v in (*coef, *nonlinear)))),
+        math.sqrt(cost),
+        stopped and grad_measure <= 1e-6,
+        iterations,
+        dict(zip(names, (float(v) for v in cov))),
+        tuple(history),
+        grad_measure,
+    )

@@ -520,7 +520,7 @@ class TestRowMemory:
         pytest.param("survival", lambda n, cfg: experiment_survival(n, 10, cfg, master_seed=3),
                      id="survival"),
         pytest.param("rabi",
-                     lambda n, cfg: experiment_rabi(n, rabi_scan(10, 3.0e-3), cfg, master_seed=3),
+                     lambda n, cfg: experiment_rabi(n, rabi_scan(10, 1.0e-3), cfg, master_seed=3),
                      id="rabi"),
     ])
     def test_transient_memory_does_not_grow_with_the_rows(self, ref_cfg, experiment, run):
@@ -753,6 +753,42 @@ class TestRabiExperiment:
         # before it runs, not report the heavy-loss degenerate flag
         with pytest.raises(ValueError, match="even steps"):
             experiment_rabi(312, replace(REF_RABI, pulse_lengths=lengths), ref_cfg, master_seed=1)
+
+    @pytest.mark.parametrize("rabi", [
+        # 50 points over 3 ms resolve up to 8,167 Hz; 9,000 Hz would be fitted as its alias
+        pytest.param(RabiConfig(9000.0, 2.2e-3, uniform_pulse_grid(50, 3e-3)), id="9000-hz"),
+        # 12 points over 3 ms resolve up to 1,833 Hz, below the reference drive
+        pytest.param(rabi_scan(12, 3e-3), id="twelve-points"),
+    ])
+    def test_drive_at_or_above_the_nyquist_limit_is_rejected(self, ref_cfg, rabi):
+        # the config rejects such a drive; the library call must too, before it simulates
+        with pytest.raises(ValueError, match="Nyquist"):
+            experiment_rabi(312, rabi, ref_cfg, master_seed=1)
+
+    def test_converged_fit_writes_its_variances(self, ref_cfg):
+        tables, summary = experiment_rabi(312, REF_RABI, ref_cfg, master_seed=1)
+        fit = fit_damped_sinusoid(table_column(tables, "_curve", "pulse_length"),
+                                  table_column(tables, "_curve", "f2_fraction"))
+        assert summary["fit_converged"]
+        for name, variance in fit.covariance_diag.items():
+            assert summary[f"fit_{name}_variance"] == variance > 0
+
+    def test_fit_standard_errors_are_calibrated(self, ref_cfg):
+        # z of the fitted frequency and decoherence time against the drive is near
+        # standard normal over seeds: its mean over 50 seeds has sd 1/sqrt(50), and its sd
+        # has sd about 0.10. The amplitude and offset are left out: their true values
+        # rest on the exact bright-state error, which the race formula only approximates.
+        truths = {"frequency": ("fit_frequency_hz", REF_RABI.rabi_frequency),
+                  "decoherence_time": ("fit_decoherence_time_s", REF_RABI.decoherence_time)}
+        z = {name: [] for name in truths}
+        for seed in range(1, 51):
+            _, summary = experiment_rabi(312, REF_RABI, ref_cfg, master_seed=seed)
+            assert summary["fit_converged"]
+            for name, (key, truth) in truths.items():
+                z[name].append((summary[key] - truth) / math.sqrt(summary[f"fit_{name}_variance"]))
+        for values in z.values():
+            assert abs(np.mean(values)) <= 3.0 / math.sqrt(50)
+            assert 0.7 <= np.std(values, ddof=1) <= 1.3
 
     def test_grid_helpers(self):
         grid = uniform_pulse_grid(5, 1e-3)

@@ -30,6 +30,8 @@ def test_prints_every_headline_section(tmp_path, capsys):
         assert f"\n{section}\n" in out
     assert "fitted lifetime" in out and "fitted frequency" in out
     assert re.search(r"fitted lifetime   : \d+\.\d ± \d+\.\d cycles", out)
+    assert re.search(r"fitted frequency  : \d+\.\d ± \d+\.\d Hz", out)
+    assert re.search(r"decoherence time  : \d+\.\d\d ± \d+\.\d\d ms", out)
     assert re.search(r"F2-detected cells : \d+\.\d\d% of those not lost", out)
     for experiment in ("budget", "histogram", "survival", "rabi"):
         assert (tmp_path / f"{experiment}_manifest.json").is_file()
