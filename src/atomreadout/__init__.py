@@ -34,7 +34,6 @@ from .experiments import (
     experiment_rabi,
     experiment_survival,
     transfer_probability,
-    uniform_pulse_grid,
 )
 from .fitting import (
     FitResult,

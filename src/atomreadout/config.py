@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .experiments import CycleConfig, RabiConfig, uniform_pulse_grid
+from .experiments import CycleConfig, RabiConfig
 from .physics import RB87_D2, SpeciesConstants, calibrate_depump
 
 DEFAULT_SEED = 1
@@ -173,27 +173,13 @@ def parse_value(key: str, text: str, line: int | None = None) -> object:
     return validate_value(key, typed, line)
 
 
-def _cross_validate(values: dict[str, object]) -> None:
-    if values["species.excited_splitting"] <= values["species.linewidth"]:
-        raise ConfigError("excited splitting must exceed the linewidth",
-                          key="species.excited_splitting")
-    if values["trap.baseline_energy"] >= values["trap.depth"]:
-        raise ConfigError("baseline energy must be below the trap depth",
-                          key="trap.baseline_energy")
-    # a uniform scan cannot tell a frequency at or above its Nyquist limit from an alias
-    nyquist = (values["rabi.points"] - 1) / (2.0 * values["rabi.span"])
-    if values["rabi.frequency"] >= nyquist:
-        raise ConfigError(f"rabi.frequency must be below the scan's Nyquist limit "
-                          f"(rabi.points - 1) / (2 rabi.span) = {nyquist:g} Hz",
-                          key="rabi.frequency")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A fully populated, validated set of configuration values.
 
-    Construction checks every value against ``SCHEMA``: an unknown or missing
-    key is a ``ConfigError`` naming it.
+    Construction checks every value against ``SCHEMA``, then builds the domain objects,
+    which hold the rules between keys: an unknown, missing or invalid key, or a broken
+    rule, is a ``ConfigError`` naming the key.
     """
 
     values: dict[str, object]
@@ -206,8 +192,17 @@ class RunConfig:
         if missing:
             raise ConfigError("missing key", key=missing[0])
         checked = {key: validate_value(key, self.values[key]) for key in SCHEMA}
-        _cross_validate(checked)
         object.__setattr__(self, "values", checked)
+        # SCHEMA holds each key's own range, so a build fails only on a rule between keys:
+        # the key the rule bounds, and the keys that bound it
+        for build, key, by in ((self.species, "species.excited_splitting", ("species.linewidth",)),
+                               (self.cycle_config, "trap.baseline_energy", ("trap.depth",)),
+                               (self.rabi_config, "rabi.frequency", ("rabi.points", "rabi.span"))):
+            try:
+                build()
+            except ValueError as exc:
+                given = ", ".join(f"{k} = {checked[k]!r}" for k in by)
+                raise ConfigError(f"{exc} (given {given})", key=key) from None
 
     def __getitem__(self, key: str) -> object:
         return self.values[key]
@@ -244,9 +239,8 @@ class RunConfig:
         return RabiConfig(
             rabi_frequency=self.values["rabi.frequency"],
             decoherence_time=self.values["rabi.decoherence_time"],
-            pulse_lengths=uniform_pulse_grid(
-                self.values["rabi.points"], self.values["rabi.span"]
-            ),
+            points=self.values["rabi.points"],
+            span=self.values["rabi.span"],
         )
 
 

@@ -342,15 +342,14 @@ def _run_block(
     for c0 in range(0, n_cycles, step):
         k = min(step, n_cycles - c0)
         rng = derive_substream(master_seed, (*key, block, c0))
-        atoms = prepare_state(state, np.repeat(energy, k) if k > 1 else energy, rng)
+        atoms = prepare_state(state, np.repeat(energy, k), rng)
         if transfer is not None:
             microwave_pulse(atoms, np.tile(transfer[c0:c0 + k], rows.size), rng)
         outcome = _cycle(atoms, cfg, rng)
-        alive = atoms.present.reshape(-1, k)
+        # mask each row after its first lost cycle
+        alive = np.logical_and.accumulate(atoms.present.reshape(-1, k), axis=1)
         chunk_called = outcome.called_bright.reshape(-1, k)
-        if k > 1:   # mask each row after its first lost cycle
-            alive = np.logical_and.accumulate(alive, axis=1)
-            chunk_called[:, 1:] &= alive[:, :-1]   # the atom was present when the cycle began
+        chunk_called[:, 1:] &= alive[:, :-1]   # the atom was present when the cycle began
         called[rows, c0:c0 + k] = chunk_called
         present[rows, c0:c0 + k] = alive
         kept = alive[:, -1]   # a lost atom ends its row
@@ -589,26 +588,32 @@ def experiment_survival(
 
 @dataclass(frozen=True)
 class RabiConfig:
-    """Microwave drive on the mF=0 -> mF=0 transition; other sublevels are inert."""
+    """Microwave drive on the mF=0 -> mF=0 transition (other sublevels are inert), scanned
+    over ``points`` pulse lengths evenly spaced from 0 to ``span``. The drive must stay
+    below the scan's Nyquist limit, at or above which the samples cannot tell it from its alias.
+    """
 
     rabi_frequency: float
     decoherence_time: float
-    pulse_lengths: tuple[float, ...]
+    points: int
+    span: float
 
     def __post_init__(self) -> None:
         if self.rabi_frequency <= 0:
             raise ValueError("rabi_frequency must be positive")
         if self.decoherence_time <= 0:
             raise ValueError("decoherence_time must be positive")
-        if any(t < 0 for t in self.pulse_lengths):
-            raise ValueError("pulse lengths must be nonnegative")
+        if self.points < 2 or self.span <= 0:
+            raise ValueError("need at least 2 points and a positive span")
+        nyquist = (self.points - 1) / (2.0 * self.span)
+        if self.rabi_frequency >= nyquist:
+            raise ValueError(f"rabi_frequency must be below the scan's Nyquist limit "
+                             f"(points - 1) / (2 span) = {nyquist:g} Hz")
 
-
-def uniform_pulse_grid(points: int, span: float) -> tuple[float, ...]:
-    """Evenly spaced pulse lengths from zero to ``span`` inclusive."""
-    if points < 2 or span <= 0:
-        raise ValueError("need at least 2 points and a positive span")
-    return tuple(float(t) for t in np.linspace(0.0, span, points))
+    @property
+    def pulse_lengths(self) -> tuple[float, ...]:
+        """The scan's pulse lengths, as Python floats."""
+        return tuple(np.linspace(0.0, self.span, self.points).tolist())
 
 
 def transfer_probability(duration: float, rabi: RabiConfig) -> float:
@@ -645,24 +650,12 @@ def experiment_rabi(
     ``_summary``, which carries the fit, only ``fit_converged: False`` when
     the fit did not converge, or ``curve_fit_degenerate`` when too few points
     were measured to fit (heavy loss). A converged fit also writes each
-    parameter's variance. Pulse lengths that do not increase in even steps, or
-    a drive at or above the scan's Nyquist limit 1/(2 dt), are rejected before
-    anything is simulated.
+    parameter's variance.
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
-    if len(rabi.pulse_lengths) < 2:
-        raise ValueError("need at least 2 pulse lengths")
-    times = np.asarray(rabi.pulse_lengths)
-    # the fit reads only an evenly spaced scan, to the tolerance it checks
-    dt = (times[-1] - times[0]) / (times.size - 1)
-    if not dt > 0 or np.max(np.abs(np.diff(times) - dt)) > 1e-6 * dt:
-        raise ValueError("pulse lengths must increase in even steps")
-    nyquist = 1.0 / (2.0 * dt)
-    if rabi.rabi_frequency >= nyquist:   # the fit could not tell it from its alias
-        raise ValueError(f"rabi_frequency must be below the scan's Nyquist limit "
-                         f"1 / (2 dt) = {nyquist:g} Hz")
-    transfer = np.array([transfer_probability(t, rabi) for t in rabi.pulse_lengths])
+    lengths = rabi.pulse_lengths
+    transfer = np.array([transfer_probability(t, rabi) for t in lengths])
     called, present = (np.empty((n_atoms, transfer.size), bool) for _ in range(2))
     _map_rows((called, present), workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size,
               transfer)
@@ -672,15 +665,14 @@ def experiment_rabi(
     mask = measured > 0
     fraction = np.divide(bright, measured, out=np.full(measured.size, np.nan), where=mask)
     try:
-        fit = fit_damped_sinusoid(times[mask], fraction[mask])
+        fit = fit_damped_sinusoid(np.asarray(lengths)[mask], fraction[mask])
     except ValueError:
         fit = None
-    lengths = tuple(times.tolist())  # Python floats, whatever the config held
     # the measured cycles' records, in the index dtype; the (rows, points) matrices go
     # before the last column is built, so that they do not add to the records' peak
     index = _index_dtype(present.size)
     outcome = called[present].view(np.int8)
-    point = np.broadcast_to(np.arange(times.size, dtype=index), present.shape)[present]
+    point = np.broadcast_to(np.arange(transfer.size, dtype=index), present.shape)[present]
     per_atom = np.count_nonzero(present, axis=1)
     del called, present
     atom = np.repeat(np.arange(n_atoms, dtype=index), per_atom)
@@ -690,9 +682,9 @@ def experiment_rabi(
     )
     curve = (
         ("point", "pulse_length", "n_measured", "f2_fraction"),
-        (list(range(times.size)), list(lengths), measured.tolist(), fraction.tolist()),
+        (list(range(transfer.size)), list(lengths), measured.tolist(), fraction.tolist()),
     )
-    summary: dict[str, object] = {"atoms": n_atoms, "points": times.size}
+    summary: dict[str, object] = {"atoms": n_atoms, "points": transfer.size}
     if fit is None:
         summary["curve_fit_degenerate"] = True
     elif not fit.converged:

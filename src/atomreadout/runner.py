@@ -66,7 +66,7 @@ from .physics import (
 )
 
 ARTIFACT_NAME = "atomreadout"
-ARTIFACT_VERSION = "0.9.0"
+ARTIFACT_VERSION = "0.10.0"
 
 # bytes of padded rows formatted at a time; a chunk's NUL mask and compacted copy double it.
 # On a 2-core Xeon (numpy 2.4.6), fresh CLI runs at 128 KiB faulted least and peaked within

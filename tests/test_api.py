@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     "fit_damped_sinusoid", "heating_for_scatters", "heating_per_scatter",
     "implied_effective_detuning", "misdetection_probability", "parse_config",
     "poisson_tail_at_least", "reference_cycle_config", "required_mean_photons", "run",
-    "scatters_for_detected", "transfer_probability", "uniform_pulse_grid",
+    "scatters_for_detected", "transfer_probability",
 }
 
 

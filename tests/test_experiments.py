@@ -28,7 +28,6 @@ from atomreadout.experiments import (
     reprepare,
     run_detection_cycle,
     transfer_probability,
-    uniform_pulse_grid,
 )
 from atomreadout.fitting import fit_damped_sinusoid
 from atomreadout.physics import F1, F2, analytic_f2_error, heating_per_scatter
@@ -51,7 +50,7 @@ REF_RABI = default_config().rabi_config()
 
 def rabi_scan(points, span):
     """The reference drive over a different pulse grid."""
-    return replace(REF_RABI, pulse_lengths=uniform_pulse_grid(points, span))
+    return replace(REF_RABI, points=points, span=span)
 
 
 @pytest.fixture
@@ -85,11 +84,13 @@ def inline_pool(monkeypatch):
 
 def row_drivers(experiment, cycles):
     """Survival or Rabi rows of ``cycles`` cycles: their substream key and state, the
-    kernel's ``(n_cycles, transfer)`` and the oracle's ``(pulse_lengths, rabi)``."""
+    kernel's ``(n_cycles, transfer)`` and the oracle's ``(pulse_lengths, rabi)``. Rabi rows
+    drive the reference frequency over ``cycles`` lengths evenly spaced to 3 ms: a short
+    row's Nyquist limit is below the drive, which ``RabiConfig`` rejects and the kernel runs."""
     if experiment == "rabi":
-        rabi = rabi_scan(cycles, 3.0e-3)
-        transfer = np.array([transfer_probability(t, rabi) for t in rabi.pulse_lengths])
-        return (experiments.EXP_RABI,), F1, (cycles, transfer), (rabi.pulse_lengths, rabi)
+        lengths = tuple(np.linspace(0.0, 3.0e-3, cycles).tolist())
+        transfer = np.array([transfer_probability(t, REF_RABI) for t in lengths])
+        return (experiments.EXP_RABI,), F1, (cycles, transfer), (lengths, REF_RABI)
     return (experiments.EXP_SURVIVAL,), F2, (cycles, None), ((0.0,) * cycles, None)
 
 
@@ -726,7 +727,7 @@ class TestRabiExperiment:
     def test_pulse_lengths_reach_the_tables_as_python_floats(self, ref_cfg):
         # numpy scalars would be written as "np.float64(...)"
         rabi = rabi_scan(8, 1e-3)
-        numpy_rabi = replace(rabi, pulse_lengths=tuple(np.asarray(rabi.pulse_lengths)))
+        numpy_rabi = rabi_scan(np.int64(8), np.float64(1e-3))
         a = experiment_rabi(5, rabi, ref_cfg, master_seed=18)
         b = experiment_rabi(5, numpy_rabi, ref_cfg, master_seed=18)
         assert same_result(a, b)
@@ -744,26 +745,22 @@ class TestRabiExperiment:
         sigma = math.sqrt(fit.covariance_diag["frequency"])
         assert abs(summary["fit_frequency_hz"] - REF_RABI.rabi_frequency) <= 3.0 * sigma
 
-    @pytest.mark.parametrize("lengths", [
-        pytest.param(REF_RABI.pulse_lengths + (1.5e-4,), id="extra-length"),
-        pytest.param(REF_RABI.pulse_lengths[::-1], id="reversed"),
-    ])
-    def test_scan_the_fit_cannot_read_is_rejected(self, ref_cfg, lengths):
-        # the fit reads only evenly increasing lengths; a scan it cannot read must fail
-        # before it runs, not report the heavy-loss degenerate flag
-        with pytest.raises(ValueError, match="even steps"):
-            experiment_rabi(312, replace(REF_RABI, pulse_lengths=lengths), ref_cfg, master_seed=1)
-
-    @pytest.mark.parametrize("rabi", [
+    @pytest.mark.parametrize("points, span, frequency", [
         # 50 points over 3 ms resolve up to 8,167 Hz; 9,000 Hz would be fitted as its alias
-        pytest.param(RabiConfig(9000.0, 2.2e-3, uniform_pulse_grid(50, 3e-3)), id="9000-hz"),
+        pytest.param(50, 3e-3, 9000.0, id="9000-hz"),
         # 12 points over 3 ms resolve up to 1,833 Hz, below the reference drive
-        pytest.param(rabi_scan(12, 3e-3), id="twelve-points"),
+        pytest.param(12, 3e-3, REF_RABI.rabi_frequency, id="twelve-points"),
     ])
-    def test_drive_at_or_above_the_nyquist_limit_is_rejected(self, ref_cfg, rabi):
-        # the config rejects such a drive; the library call must too, before it simulates
+    def test_drive_at_or_above_the_nyquist_limit_is_rejected(self, points, span, frequency):
+        # the scan the fit could not tell from its alias cannot be built, so no run simulates it
         with pytest.raises(ValueError, match="Nyquist"):
-            experiment_rabi(312, rabi, ref_cfg, master_seed=1)
+            RabiConfig(frequency, REF_RABI.decoherence_time, points, span)
+
+    def test_nyquist_limit_is_exclusive(self):
+        limit = 19 / (2 * 3e-3)   # 20 points over 3 ms
+        with pytest.raises(ValueError, match="Nyquist"):
+            RabiConfig(limit, REF_RABI.decoherence_time, 20, 3e-3)
+        RabiConfig(limit * (1 - 1e-12), REF_RABI.decoherence_time, 20, 3e-3)
 
     def test_converged_fit_writes_its_variances(self, ref_cfg):
         tables, summary = experiment_rabi(312, REF_RABI, ref_cfg, master_seed=1)
@@ -790,13 +787,13 @@ class TestRabiExperiment:
             assert abs(np.mean(values)) <= 3.0 / math.sqrt(50)
             assert 0.7 <= np.std(values, ddof=1) <= 1.3
 
-    def test_grid_helpers(self):
-        grid = uniform_pulse_grid(5, 1e-3)
-        assert grid[0] == 0.0 and grid[-1] == pytest.approx(1e-3)
-        with pytest.raises(ValueError):
-            uniform_pulse_grid(1, 1e-3)
-        with pytest.raises(ValueError):
-            RabiConfig(rabi_frequency=-1.0, decoherence_time=2.2e-3, pulse_lengths=())
+    def test_pulse_lengths_are_the_even_grid(self):
+        # Python floats whatever types the points and span came as
+        for points, span in ((8, 1e-3), (np.int64(50), np.float64(3e-3))):
+            lengths = rabi_scan(points, span).pulse_lengths
+            assert lengths == tuple(np.linspace(0.0, span, points).tolist())
+            assert all(type(t) is float for t in lengths)
+            assert lengths[0] == 0.0 and lengths[-1] == span
 
     def test_determinism_and_worker_independence(self, ref_cfg):
         rabi = rabi_scan(15, 1e-3)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import least_squares
 
 from atomreadout.config import DEFAULT_SEED, default_config
-from atomreadout.experiments import experiment_rabi, uniform_pulse_grid
+from atomreadout.experiments import experiment_rabi
 from atomreadout.fitting import (
     FitResult,
     binomial_interval,
@@ -342,8 +342,7 @@ def test_sinusoid_fit_agrees_with_an_independent_optimiser(case, ref_cfg):
     if case == "criterion-5":
         t, y = _simulated_curve(ref_cfg, 3120, rabi, DEFAULT_SEED)
     elif case == "twenty-points":   # the alias fixture of test_experiments, at seed 1
-        t, y = _simulated_curve(
-            ref_cfg, 3000, replace(rabi, pulse_lengths=uniform_pulse_grid(20, 3e-3)), 1)
+        t, y = _simulated_curve(ref_cfg, 3000, replace(rabi, points=20, span=3e-3), 1)
     else:
         _, t, y = _pinned_fit_inputs()[case]
     fit = fit_damped_sinusoid(t, y)
