@@ -1,4 +1,4 @@
-"""The Monte Carlo model: detection cycles and the four headline experiments.
+"""The Monte Carlo model, its detection cycles, and the four headline experiments.
 
 One cycle is prepare -> probe -> classify -> heat -> loss check -> cool, and
 it steps a whole block of atoms at once, held in arrays (``Atoms``). The probe
@@ -25,27 +25,29 @@ scatter. Loss is a hard threshold on the accumulated energy against the trap
 depth, plus an independent per-cycle background Bernoulli that stands in for
 collisions and every other non-thermal loss.
 
-Every experiment runs the same row driver. A row is one atom stepped through
-its cycles until they run out or the atom is lost, and a histogram trial is a
-row of one cycle. Rows run in fixed blocks of ``BLOCK`` atoms. A block of
-``n`` rows steps its cycles in chunks of ``max(1, BLOCK // n)`` cycles when
-cooling resets the energy, and of one cycle otherwise; a chunk runs its
-rows x cycles atoms through one pass of the kernel. Each chunk draws from its
-own substream of the master seed (``GENERATOR_NAME``): path
-``(experiment, state, block)`` for histogram trials and
-``(experiment, block, c0)`` for survival and Rabi rows, where ``c0`` is the
-chunk's first cycle. Each block is one call of the row driver, in this
-process or in a pool's worker, so any execution order gives identical
-results.
+Every Monte Carlo experiment runs the same row driver. A row is one atom
+stepped through its cycles until they run out or the atom is lost, and a
+histogram trial is a row of one cycle. Rows run in fixed blocks of ``BLOCK``
+atoms. A block of ``n`` rows steps its cycles in chunks of
+``max(1, BLOCK // n)`` cycles when cooling resets the energy, and of one cycle
+otherwise; a chunk runs its rows x cycles atoms through one pass of the
+kernel. Each chunk draws from its own substream of the master seed
+(``GENERATOR_NAME``): path ``(experiment, state, block)`` for histogram trials
+and ``(experiment, block, c0)`` for survival and Rabi rows, where ``c0`` is
+the chunk's first cycle. Each block is one call of the row driver, in this
+process or in a pool's worker, so any execution order gives identical results.
 
-Each experiment allocates its row driver's output columns once, and the
-driver copies each block's arrays into their rows as the block arrives
-(``_map_rows``): no block parts are joined and no column is copied per state.
-The experiment builds its result tables from those columns and returns
+Each Monte Carlo experiment allocates its row driver's output columns once,
+and the driver copies each block's arrays into their rows as the block
+arrives (``_map_rows``): no block parts are joined and no column is copied per
+state. The experiment builds its result tables from those columns and returns
 ``(tables, summary)``: the tables keyed by file-name suffix (``""`` for the
 records), each a header and one column per name (a label column as ``Coded``
 integer codes into its labels), and the summary dict, which is also the last
-table, ``_summary``. The runner writes them as they are.
+table, ``_summary``. The fourth experiment, the budget, is the closed-form one:
+it steps no atoms, and returns the closed forms of ``physics`` at the
+configured operating point as one table and its summary. The runner writes
+them as they are.
 """
 
 from __future__ import annotations
@@ -66,7 +68,14 @@ from .physics import (
     SpeciesConstants,
     analytic_f1_error,
     analytic_f2_error,
+    depump_hazard_per_scatter,
+    depump_suppression,
+    heating_for_scatters,
     heating_per_scatter,
+    implied_effective_detuning,
+    misdetection_probability,
+    required_mean_photons,
+    scatters_for_detected,
 )
 
 BLOCK = 4096   # atoms per substream; fixed, so that no result depends on the worker count
@@ -444,6 +453,70 @@ def _with_summary(tables: dict[str, Table], summary: dict) -> tuple[dict[str, Ta
     """``tables`` with the summary as its last table, ``_summary``, and the summary."""
     tables["_summary"] = _from_rows(("quantity", "value"), list(summary.items()))
     return tables, summary
+
+
+# ---------------------------------------------------------------------------
+# budget experiment: the closed forms at the configured operating point
+# ---------------------------------------------------------------------------
+
+
+def experiment_budget(cfg: CycleConfig, branching: float) -> tuple[dict[str, Table], dict]:
+    """The analytic error budget at ``cfg``, with ``branching`` the decay branching to F=1.
+
+    One table of (quantity, value, note) rows, with no seed and no summary
+    table: the summary is the rows' values by quantity. When no detuning
+    reproduces the configured hazard, one ``implied_detuning_degenerate`` row
+    stands for the two implied-detuning rows.
+    """
+    species = cfg.species
+    hazard = cfg.depump_hazard
+    gamma = species.linewidth_gamma
+    eta = cfg.net_efficiency
+
+    rows: list[tuple] = [
+        ("mean_detected_for_1pct_error", required_mean_photons(0.01),
+         "mean counts where the zero-count probability falls below 1e-2"),
+        ("mean_detected_for_0p1pct_error", required_mean_photons(0.001),
+         "mean counts where the zero-count probability falls below 1e-3"),
+        ("misdetection_at_mean_5", misdetection_probability(5.0), "P(0 counts | mean 5)"),
+        ("misdetection_at_mean_7", misdetection_probability(7.0), "P(0 counts | mean 7)"),
+        ("depump_suppression_on_resonance", depump_suppression(0.0, species),
+         "resonant vs off-resonant excitation ratio at zero detuning"),
+        ("depump_suppression_at_one_linewidth", depump_suppression(gamma, species),
+         "same ratio detuned by one linewidth"),
+        ("depump_suppression_at_two_linewidths", depump_suppression(2.0 * gamma, species),
+         "same ratio detuned by two linewidths"),
+        ("depump_hazard_on_resonance",
+         depump_hazard_per_scatter(depump_suppression(0.0, species), branching),
+         "per-scatter dark-state probability at zero detuning"),
+        ("configured_depump_hazard", hazard, "per-scatter dark-state probability in use"),
+        ("scatters_for_mean_5", scatters_for_detected(5.0, eta),
+         "scattering events behind 5 detected counts"),
+        ("heating_per_scatter_K", heating_per_scatter(species), "two recoil temperatures"),
+        ("heating_for_250_scatters_K", heating_for_scatters(250, species),
+         "readout heating budget for 250 scatters"),
+        ("scatters_to_fill_trap_depth",
+         math.ceil(cfg.depth / heating_per_scatter(species)),
+         "scatters that would heat a cold atom to the trap depth"),
+        ("analytic_f1_error", analytic_f1_error(cfg.n_d, cfg.background_mean),
+         "background tail at the stop threshold"),
+        ("analytic_f2_error", analytic_f2_error(eta, hazard, cfg.n_d),
+         "race-model bright-state error"),
+    ]
+    try:
+        detuning = implied_effective_detuning(hazard, branching, species)
+    except ValueError:  # no hazard, no branching, or a hazard below the resonant floor
+        rows.append(("implied_detuning_degenerate", True,
+                     "no detuning reproduces the configured hazard"))
+    else:
+        rows += [
+            ("implied_effective_detuning_Hz", detuning,
+             "detuning whose suppression reproduces the configured hazard"),
+            ("depump_suppression_at_implied_detuning", branching / hazard,
+             "suppression at that detuning: branching over hazard"),
+        ]
+    summary = {name: value for name, value, _ in rows}
+    return {"": _from_rows(("quantity", "value", "note"), rows)}, summary
 
 
 # ---------------------------------------------------------------------------

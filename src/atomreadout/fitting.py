@@ -117,6 +117,8 @@ def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     ys = np.asarray(p, dtype=float)
     if traw.shape != ys.shape or traw.ndim != 1:
         raise ValueError("t and p must be one-dimensional and equally long")
+    if not (np.isfinite(traw).all() and np.isfinite(ys).all()):
+        raise ValueError("t and p must be finite")
     if traw.size < 8:
         raise ValueError("need at least 8 points")
     ts = traw - traw[0]

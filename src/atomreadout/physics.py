@@ -109,12 +109,15 @@ def poisson_tail_at_least(k: int, mean: float) -> float:
 
     For k > mean the tail is summed upward from k (terms only decrease, no
     cancellation); otherwise the complement P(X < k) is small enough to
-    subtract safely. Accurate to ~1e-15 relative either way.
+    subtract safely, and is summed downward from its largest term, k - 1.
+    Each sum starts at a term taken in log space, so neither underflows at
+    large means where exp(-mean) does. Accurate to ~1e-15 relative at small
+    means, and to ~1e-12 at a mean of 1,000, as the log's rounding grows.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if mean < 0:
-        raise ValueError("mean must be nonnegative")
+    if not 0.0 <= mean < math.inf:
+        raise ValueError("mean must be finite and nonnegative")
     if k == 0:
         return 1.0
     if mean == 0.0:
@@ -129,10 +132,12 @@ def poisson_tail_at_least(k: int, mean: float) -> float:
             total += term
         return min(total, 1.0)
     # k <= mean: tail is order unity, 1 - CDF(k-1) loses nothing
-    term = math.exp(-mean)
+    i = k - 1
+    term = math.exp(i * math.log(mean) - mean - math.lgamma(k))
     below = term
-    for i in range(1, k):
-        term *= mean / i
+    while i > 0 and term > below * 1e-18:
+        term *= i / mean
+        i -= 1
         below += term
     return 1.0 - below
 

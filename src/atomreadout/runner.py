@@ -1,8 +1,7 @@
 """Experiment orchestration: run a config, write its result tables and a manifest.
 
-The histogram, survival and Rabi builders unpack the config into one
-experiment call, which returns the tables and summary to write; the budget
-builder computes its closed-form rows here.
+One dispatch unpacks the config into the configured experiment's call, which
+returns the tables and summary to write.
 
 Result and summary files are byte-identical for identical (config, seed),
 independent of worker count, for a fixed numpy version; the manifest
@@ -20,7 +19,7 @@ is its cells' UTF-8 text, each NUL-padded to its column's width, between
 constant separators (``,`` and ``\\n`` for CSV; the sorted
 ``{"key": `` pieces for JSON). Integers are written by digit arithmetic, in
 32 bits when they have at most 9 digits. Every other column is coded (a bool
-array as two codes, any other array by its distinct values, a list by row),
+array as two codes, a list by row; a float or text array must come ``Coded``),
 and its labels are formatted once per table and gathered by code. One
 boolean compaction drops the padding, so a cell's text may not itself
 contain NUL.
@@ -46,23 +45,11 @@ from .experiments import (
     Coded,
     Column,
     Table,
-    _from_rows,
+    experiment_budget,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
     workers_used,
-)
-from .physics import (
-    analytic_f1_error,
-    analytic_f2_error,
-    depump_hazard_per_scatter,
-    depump_suppression,
-    heating_for_scatters,
-    heating_per_scatter,
-    implied_effective_detuning,
-    misdetection_probability,
-    required_mean_photons,
-    scatters_for_detected,
 )
 
 ARTIFACT_NAME = "atomreadout"
@@ -138,7 +125,7 @@ def _fill_digits(out: np.ndarray, column: np.ndarray, places: int, signed: bool)
 
 
 def _coded(column: Column) -> np.ndarray | Coded:
-    """An integer array as it is, and any other column as codes into its distinct cells."""
+    """An integer array as it is, and a bool array or a list as codes into its labels."""
     if isinstance(column, Coded):
         return column
     if not isinstance(column, np.ndarray):  # a small table's list: a label per row
@@ -147,10 +134,7 @@ def _coded(column: Column) -> np.ndarray | Coded:
         return column
     if column.dtype == bool:
         return Coded(column.view(np.int8), (False, True))
-    # floats by their bits, so that -0.0 and 0.0 stay two values
-    key = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
-    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
-    return Coded(codes, tuple(column[first].tolist()))
+    raise TypeError(f"a float or text column must be Coded, not a {column.dtype} array")
 
 
 def _cells(column: Column, cell) -> tuple[int, Callable[[np.ndarray, slice], None]]:
@@ -234,104 +218,27 @@ def _write_rows(out: BinaryIO, table: Table, fmt: str) -> None:
     out.write(tail.encode())
 
 
-def _build_budget(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    cfg = config.cycle_config()
-    species = cfg.species
-    hazard = cfg.depump_hazard
-    branching = config["readout.branching_to_f1"]
-    gamma = species.linewidth_gamma
-    eta = cfg.net_efficiency
-
-    rows: list[tuple] = [
-        ("mean_detected_for_1pct_error", required_mean_photons(0.01),
-         "mean counts where the zero-count probability falls below 1e-2"),
-        ("mean_detected_for_0p1pct_error", required_mean_photons(0.001),
-         "mean counts where the zero-count probability falls below 1e-3"),
-        ("misdetection_at_mean_5", misdetection_probability(5.0), "P(0 counts | mean 5)"),
-        ("misdetection_at_mean_7", misdetection_probability(7.0), "P(0 counts | mean 7)"),
-        ("depump_suppression_on_resonance", depump_suppression(0.0, species),
-         "resonant vs off-resonant excitation ratio at zero detuning"),
-        ("depump_suppression_at_one_linewidth", depump_suppression(gamma, species),
-         "same ratio detuned by one linewidth"),
-        ("depump_suppression_at_two_linewidths", depump_suppression(2.0 * gamma, species),
-         "same ratio detuned by two linewidths"),
-        ("depump_hazard_on_resonance",
-         depump_hazard_per_scatter(depump_suppression(0.0, species), branching),
-         "per-scatter dark-state probability at zero detuning"),
-        ("configured_depump_hazard", hazard, "per-scatter dark-state probability in use"),
-        ("scatters_for_mean_5", scatters_for_detected(5.0, eta),
-         "scattering events behind 5 detected counts"),
-        ("heating_per_scatter_K", heating_per_scatter(species), "two recoil temperatures"),
-        ("heating_for_250_scatters_K", heating_for_scatters(250, species),
-         "readout heating budget for 250 scatters"),
-        ("scatters_to_fill_trap_depth",
-         math.ceil(cfg.depth / heating_per_scatter(species)),
-         "scatters that would heat a cold atom to the trap depth"),
-        ("analytic_f1_error", analytic_f1_error(cfg.n_d, cfg.background_mean),
-         "background tail at the stop threshold"),
-        ("analytic_f2_error", analytic_f2_error(eta, hazard, cfg.n_d),
-         "race-model bright-state error"),
-    ]
-    try:
-        detuning = implied_effective_detuning(hazard, branching, species)
-    except ValueError:  # no hazard, no branching, or a hazard below the resonant floor
-        rows.append(("implied_detuning_degenerate", True,
-                     "no detuning reproduces the configured hazard"))
-    else:
-        rows += [
-            ("implied_effective_detuning_Hz", detuning,
-             "detuning whose suppression reproduces the configured hazard"),
-            ("depump_suppression_at_implied_detuning", branching / hazard,
-             "suppression at that detuning: branching over hazard"),
-        ]
-    header = ("quantity", "value", "note")
-    summary = {name: value for name, value, _ in rows}
-    return {"": _from_rows(header, rows)}, summary
-
-
-def _build_histogram(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    return experiment_histogram(
-        config["histogram.trials_f1"],
-        config["histogram.trials_f2"],
-        config.cycle_config(),
-        config["seed"],
-        workers=config["workers"],
-    )
-
-
-def _build_survival(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    return experiment_survival(
-        config["survival.atoms"],
-        config["survival.cycles"],
-        config.cycle_config(),
-        config["seed"],
-        workers=config["workers"],
-    )
-
-
-def _build_rabi(config: RunConfig) -> tuple[dict[str, Table], dict]:
-    return experiment_rabi(
-        config["rabi.atoms"],
-        config.rabi_config(),
-        config.cycle_config(),
-        config["seed"],
-        workers=config["workers"],
-    )
-
-
-_BUILDERS = {
-    "budget": _build_budget,
-    "histogram": _build_histogram,
-    "survival": _build_survival,
-    "rabi": _build_rabi,
-}
+def _experiment(config: RunConfig) -> tuple[dict[str, Table], dict]:
+    """The configured experiment's tables and summary."""
+    experiment, cfg = config["experiment"], config.cycle_config()
+    if experiment == "budget":
+        return experiment_budget(cfg, config["readout.branching_to_f1"])
+    seed, workers = config["seed"], config["workers"]
+    if experiment == "histogram":
+        return experiment_histogram(config["histogram.trials_f1"], config["histogram.trials_f2"],
+                                    cfg, seed, workers=workers)
+    if experiment == "survival":
+        return experiment_survival(config["survival.atoms"], config["survival.cycles"], cfg,
+                                   seed, workers=workers)
+    return experiment_rabi(config["rabi.atoms"], config.rabi_config(), cfg, seed,
+                           workers=workers)
 
 
 def run(config: RunConfig) -> RunOutput:
     """Execute the configured experiment and write its result files."""
     start = time.perf_counter()
     experiment, fmt = config["experiment"], config["output.format"]
-    tables, summary = _BUILDERS[experiment](config)
+    tables, summary = _experiment(config)
 
     stem = Path(config["output.path"] or f"results/{experiment}")
     stem.parent.mkdir(parents=True, exist_ok=True)

@@ -423,17 +423,14 @@ def writer_columns(n_rows):
         np.array([999_999_999, -999_999_999, 0, 7], dtype=np.int32),
         np.array([-128, 127, 0, 2, -1], dtype=np.int8),
         np.array([True, False, False, True, False]),
-        np.array(["F1", "", "\u00b5s", 'say "hi"', "lost", "\u65e5\u672c", "F2"]),
-        np.array([1e-05, 0.1, math.nan, 0.1, math.inf, 0.0, -0.0, 3.0e-3, -math.inf, 1e-05]),
-        np.array([0.5, 0.25], dtype=np.float32),
         [1, 0.1, True, "x", math.inf, -0.0, math.nan],
         ['say "hi"', "\u00b5s", "", "a b", "F1-detected"],
         Coded(np.array([2, 0, 1, 3, 0, 2], dtype=np.int8),
               ("", "\u00b5s\u65e5", 'say "hi"', "F2-detected")),
         Coded(np.array([0, 4, 1, 2, 3, 1, 5]), (math.nan, -0.0, 0.0, math.inf, -math.inf, 1e-05)),
     )
-    header = ("trial", "u64", "wide", "narrow", "code", "lost", "label", "pulse", "f32",
-              "value", "note", "cell", "length")
+    header = ("trial", "u64", "wide", "narrow", "code", "lost", "value", "note", "cell",
+              "length")
     columns = tuple(
         np.resize(p, n_rows) if isinstance(p, np.ndarray)
         else Coded(np.resize(p.codes, n_rows), p.labels) if isinstance(p, Coded)
@@ -575,8 +572,7 @@ class TestRunnerOutput:
             Coded(np.array(codes), ("a", "b"))
 
     @pytest.mark.parametrize(
-        "column",
-        [np.array(["a", "b\0c"]), ["a", "b\0c"], Coded(np.array([0, 1], np.int8), ("a", "b\0c"))],
+        "column", [["a", "b\0c"], Coded(np.array([0, 1], np.int8), ("a", "b\0c"))]
     )
     def test_writer_refuses_a_nul_it_would_drop(self, column, tmp_path):
         # the writer drops NUL padding, so a CSV cell holding NUL would be cut short
@@ -587,6 +583,12 @@ class TestRunnerOutput:
         _write_table(tmp_path / "t.json", table, "json")
         row_writer(tmp_path / "rows.json", ("label",), [("a",), ("b\0c",)], "json")
         assert (tmp_path / "t.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
+
+    @pytest.mark.parametrize("column", [np.array([0.5, -0.0]), np.array(["F1", "F2"])])
+    def test_writer_takes_float_and_text_columns_only_coded(self, column, tmp_path):
+        with pytest.raises(TypeError, match="must be Coded"):
+            _write_table(tmp_path / "t.csv", (("x",), (column,)), "csv")
+        assert not list(tmp_path.iterdir())
 
     def test_multi_block_tables_do_not_depend_on_workers(self, tmp_path, monkeypatch):
         # several blocks of rows per run, so that an error in splitting them

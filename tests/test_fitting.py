@@ -212,6 +212,15 @@ class TestFitDampedSinusoid:
         with pytest.raises(ValueError, match="evenly spaced"):
             fit_damped_sinusoid(t, sinusoid(t, 0.0, 1.0 / 3.0, 2950.0, 2.2e-3))
 
+    @pytest.mark.parametrize("where, value", [("p", math.nan), ("t", math.inf)])
+    def test_non_finite_input_rejected(self, where, value):
+        # not left to LAPACK, which would print to stderr and fail to converge
+        t = np.linspace(0.0, 3e-3, 50)
+        data = {"t": t, "p": sinusoid(t, 0.0, 1.0 / 3.0, 2950.0, 2.2e-3)}
+        data[where][20] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_damped_sinusoid(data["t"], data["p"])
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=20.0, max_value=500.0))

@@ -3,15 +3,18 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
 from atomreadout.physics import (
     RB87_D2,
     SpeciesConstants,
+    analytic_f1_error,
     depump_hazard_per_scatter,
     depump_suppression,
     heating_for_scatters,
     heating_per_scatter,
     misdetection_probability,
+    poisson_tail_at_least,
     required_mean_photons,
     scatters_for_detected,
 )
@@ -34,6 +37,23 @@ class TestMisdetection:
     def test_negative_mean_rejected(self):
         with pytest.raises(ValueError):
             misdetection_probability(-0.1)
+
+
+class TestPoissonTailAtLargeMeans:
+    """Past a mean of about 745, exp(-mean) underflows to 0; the tail must not follow it."""
+
+    @pytest.mark.parametrize("mean", [700.0, 740.0, 800.0, 1000.0])
+    def test_against_scipy_survival(self, mean):
+        for k in range(1, int(1.2 * mean) + 1):
+            reference = float(stats.poisson.sf(k - 1, mean))
+            assert poisson_tail_at_least(k, mean) == pytest.approx(reference, rel=1e-10), k
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_tail_at_least(2, mean)
+        with pytest.raises(ValueError, match="finite"):
+            analytic_f1_error(2, mean)
 
 
 class TestRequiredMeanPhotons:
