@@ -37,17 +37,20 @@ and ``(experiment, block, c0)`` for survival and Rabi rows, where ``c0`` is
 the chunk's first cycle. Each block is one call of the row driver, in this
 process or in a pool's worker, so any execution order gives identical results.
 
-Each Monte Carlo experiment allocates its row driver's output columns once,
-and the driver copies each block's arrays into their rows as the block
-arrives (``_map_rows``): no block parts are joined and no column is copied per
-state. The experiment builds its result tables from those columns and returns
-``(tables, summary)``: the tables keyed by file-name suffix (``""`` for the
-records), each a header and one column per name (a label column as ``Coded``
-integer codes into its labels), and the summary dict, which is also the last
-table, ``_summary``. The fourth experiment, the budget, is the closed-form one:
-it steps no atoms, and returns the closed forms of ``physics`` at the
-configured operating point as one table and its summary. The runner writes
-them as they are.
+The driver returns a histogram trial's counts, call and loss, and a survival
+or Rabi row's cells: one int8 code from ``CELLS`` per cycle, 2 or 1 for an F2
+or F1 call while the atom is present after the cycle, and 0 (lost), with no
+call, from the cycle that lost it on. Each Monte Carlo experiment allocates
+these output columns once, and the driver copies each block's arrays into
+their rows as the block arrives (``_map_rows``): no block parts are joined and
+no column is copied per state. The experiment builds its result tables from
+those columns and returns ``(tables, summary)``: the tables keyed by file-name
+suffix (``""`` for the records), each a header and one column per name (a
+label column as ``Coded`` integer codes into its labels), and the summary
+dict, which is also the last table, ``_summary``. The fourth experiment, the
+budget, is the closed-form one: it steps no atoms, and returns the closed
+forms of ``physics`` at the configured operating point as one table and its
+summary. The runner writes them as they are.
 """
 
 from __future__ import annotations
@@ -122,9 +125,6 @@ class Atoms:
     in_mf0: np.ndarray
     energy: np.ndarray
     present: np.ndarray
-
-    def __len__(self) -> int:
-        return self.energy.size
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def check_loss(
     """Mark atoms absent whose energy reaches ``depth``, or on a background-loss draw."""
     lost = atoms.energy >= depth
     if background_loss > 0.0:
-        lost |= rng.random(len(atoms)) < background_loss
+        lost |= rng.random(atoms.energy.size) < background_loss
     atoms.present &= ~lost
 
 
@@ -327,15 +327,15 @@ def _run_block(
     lost. ``key`` is the experiment's prefix of the substream paths in the
     module docstring. With ``n_cycles=None`` each row is a single-shot trial,
     and this returns each trial's detected counts, bright call and loss.
-    Otherwise it returns (rows, cycles) arrays of the bright calls and of
-    whether the atom is present after the cycle; the cycles after an atom's
-    loss read (False, False).
+    Otherwise it returns the one-tuple of the (rows, cycles) int8 matrix of
+    each cycle's ``CELLS`` code: its call (1 F1, 2 F2) while the atom stays
+    present, and 0 (lost), with no call, from the cycle that lost it on.
 
     With cooling reset every cycle starts at the baseline energy, so a row's
     cycles depend on each other only through presence. The cycles then run
     in chunks of ``BLOCK // n`` for ``n`` rows: one pass of the kernel steps
-    the chunk's rows x cycles atoms, flattened row by row, and each row is
-    masked after its first lost cycle. Without the reset a chunk is one cycle.
+    the chunk's rows x cycles atoms, flattened row by row, and each row reads
+    lost from its first lost cycle on. Without the reset a chunk is one cycle.
     """
     n = min(n_rows - block * BLOCK, BLOCK)
     energy = np.full(n, cfg.baseline_energy)
@@ -345,8 +345,7 @@ def _run_block(
         outcome = _cycle(atoms, cfg, rng)
         return outcome.detected_counts, outcome.called_bright, ~atoms.present
     step = max(1, BLOCK // n) if cfg.cooling_reset else 1
-    called = np.zeros((n, n_cycles), dtype=bool)
-    present = np.zeros((n, n_cycles), dtype=bool)
+    cells = np.zeros((n, n_cycles), dtype=np.int8)
     rows = np.arange(n)
     for c0 in range(0, n_cycles, step):
         k = min(step, n_cycles - c0)
@@ -355,17 +354,14 @@ def _run_block(
         if transfer is not None:
             microwave_pulse(atoms, np.tile(transfer[c0:c0 + k], rows.size), rng)
         outcome = _cycle(atoms, cfg, rng)
-        # mask each row after its first lost cycle
+        # each row's presence after each cycle: the cycles from its first lost one read lost
         alive = np.logical_and.accumulate(atoms.present.reshape(-1, k), axis=1)
-        chunk_called = outcome.called_bright.reshape(-1, k)
-        chunk_called[:, 1:] &= alive[:, :-1]   # the atom was present when the cycle began
-        called[rows, c0:c0 + k] = chunk_called
-        present[rows, c0:c0 + k] = alive
+        cells[rows, c0:c0 + k] = alive * (1 + outcome.called_bright.reshape(-1, k))
         kept = alive[:, -1]   # a lost atom ends its row
         rows, energy = rows[kept], atoms.energy[k - 1::k][kept]
         if not rows.size:
             break
-    return called, present
+    return (cells,)
 
 
 def workers_used(requested: int, n_rows: int) -> int:
@@ -607,19 +603,15 @@ def experiment_survival(
     """
     if n_atoms <= 0 or n_cycles <= 0:
         raise ValueError("n_atoms and n_cycles must be positive")
-    called, present = (np.empty((n_atoms, n_cycles), bool) for _ in range(2))
-    _map_rows((called, present), workers, master_seed, (EXP_SURVIVAL,), cfg, F2, n_cycles, None)
-    lengths = np.count_nonzero(present, axis=1)  # completed cycles: loss is absorbing
-    called &= present
-    f2_detected = int(np.count_nonzero(called))
-    cells = called.view(np.int8)
-    cells += present   # CELLS codes, in place: 0 lost, 1 F1-detected, 2 F2-detected
-    del called, present   # so that only the cells are held beside their sorted copy
+    cells = np.empty((n_atoms, n_cycles), np.int8)
+    _map_rows((cells,), workers, master_seed, (EXP_SURVIVAL,), cfg, F2, n_cycles, None)
+    lengths = np.count_nonzero(cells, axis=1)  # completed cycles: loss is absorbing
+    completed = int(lengths.sum())
+    f2_detected = int(cells.sum()) - completed   # codes sum to the cells measured plus F2 calls
     cells = cells[np.argsort(-lengths, kind="stable")]
     # rows that completed at least k cycles, for k = 0..n_cycles
     alive = np.cumsum(np.bincount(lengths, minlength=n_cycles + 1)[::-1])[::-1]
     fraction = (alive / n_atoms).tolist()
-    completed = int(lengths.sum())
     lost = n_atoms - int(alive[-1])
     try:
         fit = fit_exponential(lost, completed + lost)
@@ -722,19 +714,18 @@ def experiment_rabi(
     the (atom, point) records of the measured cycles, the curve ``_curve`` and
     ``_summary``, which carries the fit, only ``fit_converged: False`` when
     the fit did not converge, or ``curve_fit_degenerate`` when too few points
-    were measured to fit (heavy loss). A converged fit also writes each
-    parameter's variance.
+    were measured to fit (heavy loss) or the scan is beyond the fit's float64
+    scale. A converged fit also writes each parameter's variance.
     """
     if n_atoms <= 0:
         raise ValueError("n_atoms must be positive")
     lengths = rabi.pulse_lengths
     transfer = np.array([transfer_probability(t, rabi) for t in lengths])
-    called, present = (np.empty((n_atoms, transfer.size), bool) for _ in range(2))
-    _map_rows((called, present), workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size,
-              transfer)
-    called &= present   # a cycle whose presence check fails keeps no point
+    cells = np.empty((n_atoms, transfer.size), np.int8)
+    _map_rows((cells,), workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size, transfer)
+    present = cells.astype(bool)   # the measured cycles: a lost cycle keeps no point
     measured = np.count_nonzero(present, axis=0)
-    bright = np.count_nonzero(called, axis=0)
+    bright = cells.sum(axis=0) - measured   # codes sum to the cells measured plus F2 calls
     mask = measured > 0
     fraction = np.divide(bright, measured, out=np.full(measured.size, np.nan), where=mask)
     try:
@@ -744,10 +735,10 @@ def experiment_rabi(
     # the measured cycles' records, in the index dtype; the (rows, points) matrices go
     # before the last column is built, so that they do not add to the records' peak
     index = _index_dtype(present.size)
-    outcome = called[present].view(np.int8)
+    outcome = cells[present] - 1   # codes 1 and 2 to 0 (F1) and 1 (F2)
     point = np.broadcast_to(np.arange(transfer.size, dtype=index), present.shape)[present]
     per_atom = np.count_nonzero(present, axis=1)
-    del called, present
+    del cells, present
     atom = np.repeat(np.arange(n_atoms, dtype=index), per_atom)
     records = (
         ("atom", "point", "pulse_length", "outcome"),
@@ -773,9 +764,8 @@ def experiment_rabi(
         }
         summary |= {f"fit_{name}_variance": fit.covariance_diag[name] for name in
                     ("frequency", "decoherence_time", "amplitude", "offset")}
-    summary |= {
-        "zero_point_fraction": float(fraction[0]),
-        "zero_point_n": int(measured[0]),
-        "analytic_f1_floor": analytic_f1_error(cfg.n_d, cfg.background_mean),
-    }
+    if measured[0]:   # none is measured when every atom was lost in its first cycle
+        summary["zero_point_fraction"] = float(fraction[0])
+    summary["zero_point_n"] = int(measured[0])
+    summary["analytic_f1_floor"] = analytic_f1_error(cfg.n_d, cfg.background_mean)
     return _with_summary({"": records, "_curve": curve}, summary)

@@ -129,6 +129,15 @@ def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
     if np.max(np.abs(np.diff(ts) - dt)) > 1e-6 * dt:
         raise ValueError("times must be evenly spaced")
 
+    try:   # t or p beyond float64's scale make the fit divide by zero or overflow
+        return _fit_projected(ts, ys, dt)
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        raise ValueError("t and p are scaled beyond what the fit can represent") from err
+
+
+@np.errstate(divide="raise", over="raise", invalid="raise", under="ignore")
+def _fit_projected(ts: np.ndarray, ys: np.ndarray, dt: float) -> FitResult:
+    """The search of ``fit_damped_sinusoid`` on its checked times ``ts``, anchored at 0."""
     pad = 64 * ts.size
     spectrum = np.abs(np.fft.rfft(ys - ys.mean(), pad))
     f_seed = (1 + int(np.argmax(spectrum[1:]))) / (pad * dt)
@@ -149,7 +158,7 @@ def fit_damped_sinusoid(t: Sequence[float], p: Sequence[float]) -> FitResult:
         dm_dtau = -0.5 * a * np.cos(theta) * damp * ts / tau**2
         return np.column_stack((basis, dm_df, dm_dtau))
 
-    nonlinear = np.array([f_seed, span])
+    nonlinear = np.array([f_seed, ts[-1]])
     basis, coef, r, cost = project(*nonlinear)
     history = [math.sqrt(cost)]
     floor = 1e-12 * float(np.linalg.norm(ys))   # the data's rounding floor

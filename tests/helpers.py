@@ -175,7 +175,8 @@ def event_probe(in_f2: bool, cfg: CycleConfig, rng: np.random.Generator) -> Read
 
 def per_cycle_block(block, n_rows, master_seed, key, cfg, state, pulse_lengths, rabi):
     """What ``experiments._run_block`` returns, one cycle at a time: each single-shot trial's
-    (counts, called, lost) when ``pulse_lengths`` is None, else the rows' (called, present)."""
+    (counts, called, lost) when ``pulse_lengths`` is None, else the rows' cell matrix in
+    ``CELLS`` codes, as a one-tuple."""
     n = min(n_rows - block * experiments.BLOCK, experiments.BLOCK)
     lengths = (0.0,) if pulse_lengths is None else pulse_lengths
     counts = np.zeros((n, len(lengths)), dtype=np.int64)
@@ -199,7 +200,7 @@ def per_cycle_block(block, n_rows, master_seed, key, cfg, state, pulse_lengths, 
             break
     if pulse_lengths is None:
         return counts[:, 0], called[:, 0], ~present[:, 0]
-    return called, present
+    return ((1 + called) * present).astype(np.int8),
 
 
 def traced_peak(run):

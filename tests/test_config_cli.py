@@ -982,6 +982,19 @@ class TestCliProcess:
         assert result.returncode == 0
         assert (tmp_path / "b.csv").exists()
 
+    def test_rabi_scan_beyond_the_fit_scale_runs_quietly(self, tmp_path):
+        # at span 1e-200 the fit's tau**2 underflows: the summary says the curve could not
+        # be fitted, with no floating-point warning or LAPACK line on stderr
+        result = subprocess.run(
+            [sys.executable, "-m", "atomreadout", "--experiment", "rabi", "--set",
+             "rabi.span=1e-200", "--trials", "20", "--out", str(tmp_path / "r")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "curve_fit_degenerate,true\n" in (tmp_path / "r_summary.csv").read_text()
+
     def test_runs_without_scipy(self, tmp_path):
         script = (
             "import sys\n"

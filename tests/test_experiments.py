@@ -450,8 +450,8 @@ class TestRowDriverAgainstPerCycleOracle:
         assert len(kernel) == len(oracle)
         for a, b in zip(kernel, oracle):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        _, present = kernel
-        assert not present[:, -1].all()   # rows were dropped partway
+        (cells,) = kernel
+        assert not cells[:, -1].all()   # rows were dropped partway
 
     @pytest.mark.parametrize("experiment,n_rows,cycles,seeds", [
         pytest.param("survival", 100, 100, range(1, 41), id="survival-100x100"),
@@ -460,23 +460,19 @@ class TestRowDriverAgainstPerCycleOracle:
     def test_chunked_blocks_agree_with_the_oracle_in_law(
         self, ref_cfg, experiment, n_rows, cycles, seeds
     ):
-        # the lost-cycle histogram of the rows, and the bright and dark calls at each
-        # cycle; the cycles after a row's lost one read (False, False)
+        # the lost-cycle histogram of the rows, and the F2 and F1 cells at each cycle;
+        # a row's cells read lost from its lost cycle on
         key, state, drive, oracle_drive = row_drivers(experiment, cycles)
         assert experiments.BLOCK // n_rows > 1
         lengths, calls = [], []
         for driver, tail in ((experiments._run_block, drive), (per_cycle_block, oracle_drive)):
-            sides = [driver(0, n_rows, seed, key, ref_cfg, state, *tail) for seed in seeds]
-            called, present = (np.concatenate(parts) for parts in zip(*sides))
-            done = np.count_nonzero(present, axis=1)
-            unmeasured = np.arange(cycles) > done[:, None]
-            assert not called[unmeasured].any()
-            assert not present[unmeasured].any()
+            cells = np.concatenate([driver(0, n_rows, seed, key, ref_cfg, state, *tail)[0]
+                                    for seed in seeds])
+            done = np.count_nonzero(cells, axis=1)
+            assert not cells[np.arange(cycles) >= done[:, None]].any()
             lengths.append(done.tolist())
-            calls.append(np.concatenate([
-                np.count_nonzero(called & present, axis=0),
-                np.count_nonzero(~called & present, axis=0),
-            ]))
+            calls.append(np.concatenate([np.count_nonzero(cells == code, axis=0)
+                                         for code in (2, 1)]))
         assert two_sample_chisquare_pvalue(*lengths) > 0.001
         _, pvalue, _, _ = stats.chi2_contingency(np.asarray(calls), correction=False)
         assert pvalue > 0.001
@@ -800,3 +796,33 @@ class TestRabiExperiment:
         a = experiment_rabi(30, rabi, ref_cfg, master_seed=17, workers=1)
         b = experiment_rabi(30, rabi, ref_cfg, master_seed=17, workers=2)
         assert same_result(a, b)
+
+
+# every atom is lost in its first cycle (background loss must stay below 1)
+ALL_LOST = {"background_loss": 1.0 - 1e-12}
+
+
+class TestDegenerateSummaries:
+    """At degenerate inputs every summary value is a bool, an int or a finite float: a
+    quantity with no value is absent, never nan, which strict JSON cannot hold."""
+
+    @pytest.mark.parametrize("run, expected, absent", [
+        pytest.param(lambda cfg: experiment_rabi(20, REF_RABI, replace(cfg, **ALL_LOST), 1),
+                     {"zero_point_n": 0, "curve_fit_degenerate": True}, ("zero_point_fraction",),
+                     id="rabi-all-lost"),
+        pytest.param(lambda cfg: experiment_rabi(20, rabi_scan(50, 1e-200), cfg, 1),
+                     {"zero_point_n": 20, "curve_fit_degenerate": True}, ("fit_converged",),
+                     id="rabi-span-1e-200"),
+        pytest.param(lambda cfg: experiment_survival(20, 10, replace(cfg, **ALL_LOST), 1),
+                     {"full_length_rows": 0, "lifetime_fit_degenerate": True},
+                     ("f2_detected_fraction",), id="survival-all-lost"),
+        pytest.param(lambda cfg: experiment_histogram(1, 1, cfg, 1),
+                     {"f1_trials": 1, "f2_trials": 1}, (), id="histogram-1-trial"),
+    ])
+    def test_every_summary_value_is_finite_or_absent(self, ref_cfg, run, expected, absent):
+        _, summary = run(ref_cfg)
+        assert summary.items() >= expected.items()
+        assert not summary.keys() & set(absent)
+        for name, value in summary.items():
+            assert type(value) in (bool, int) or (
+                type(value) is float and math.isfinite(value)), (name, value)

@@ -221,6 +221,19 @@ class TestFitDampedSinusoid:
         with pytest.raises(ValueError, match="must be finite"):
             fit_damped_sinusoid(data["t"], data["p"])
 
+    @pytest.mark.parametrize("t, p", [
+        pytest.param(np.linspace(0.0, 1e-200, 50), np.sin(np.arange(50.0)), id="span-1e-200"),
+        pytest.param(np.arange(50.0), 1e307 * np.sin(np.arange(50.0)), id="data-1e307"),
+    ])
+    def test_input_beyond_float64_scale_rejected(self, t, p, capfd):
+        # tau**2 underflows to 0 in the tau column, and the spectrum overflows: a clear
+        # error in place of floating-point warnings and LAPACK lines on stderr
+        before = np.geterr()
+        with pytest.raises(ValueError, match="scaled beyond what the fit can represent"):
+            fit_damped_sinusoid(t, p)
+        assert np.geterr() == before
+        assert capfd.readouterr().err == ""
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=20.0, max_value=500.0))
