@@ -15,10 +15,8 @@ arrival; the fixed window adds the Poisson count of the rest of the window,
 so both policies share the first n_d arrivals and call an atom the same way
 from the same draws. Event times are continuous and no detector dead time is
 modelled. Silent scatters are Poisson over the bright time the probe saw, and
-a depump is one more scatter. A Poisson draw with mean zero or a binomial
-draw with count zero takes nothing from the stream, so the probe draws only
-the nonzero entries. The tests check this law against an event-by-event
-oracle.
+a depump is one more scatter. The tests check this law against an
+event-by-event oracle.
 
 Heating is deterministic mean-energy accounting, two recoil temperatures per
 scatter. Loss is a hard threshold on the accumulated energy against the trap
@@ -188,20 +186,6 @@ def reprepare(atoms: Atoms, target: str, rng: np.random.Generator) -> Atoms:
     return prepare_state(target, atoms.energy, rng)
 
 
-def _nonzero_draws(draw, param: np.ndarray, *args) -> np.ndarray:
-    """``draw(param, *args)`` for the entries with ``param > 0``, and 0 for the rest.
-
-    ``draw`` is a Generator's ``poisson`` (param: the means) or ``binomial``
-    (param: the counts). Neither draws from the stream for a zero mean or
-    count, so this realises the same samples, and leaves the stream in the
-    same state, as drawing every entry.
-    """
-    out = np.zeros(param.shape, dtype=np.int64)
-    drawn = param > 0
-    out[drawn] = draw(param[drawn], *args)
-    return out
-
-
 def _simulate_probe(
     bright: np.ndarray, cfg: CycleConfig, rng: np.random.Generator
 ) -> ReadoutOutcome:
@@ -217,7 +201,7 @@ def _simulate_probe(
     tau = np.zeros(n)  # depumping time; a dark atom is dark from the start
     depump_rate = rate * (1.0 - eta) * hazard
     if depump_rate > 0.0:
-        tau[bright] = rng.exponential(1.0 / depump_rate, np.count_nonzero(bright))
+        tau[bright] = rng.standard_exponential(np.count_nonzero(bright)) * (1.0 / depump_rate)
     else:
         tau[bright] = np.inf
     span = np.minimum(tau, window)
@@ -229,21 +213,19 @@ def _simulate_probe(
     last = np.zeros(n)
     counts = np.zeros(n, dtype=np.int64)
     before_tau = np.zeros(n, dtype=np.int64)
-    for gap in rng.exponential(size=(n, cfg.n_d)).T:
+    for gap in rng.standard_exponential((n, cfg.n_d)).T:
         last += gap
-        counts += last <= at_end
+        called = last <= at_end
+        counts += called
         before_tau += last < at_tau
-    called = last <= at_end
     if cfg.adaptive:
         after_tau = span + (last - at_tau) / lam_b if lam_b > 0.0 else span
         stop = np.where(last < at_tau, last / (lam_s + lam_b), after_tau)
         elapsed = np.where(called, stop, window)
     else:
         # the arrivals after the n_d-th, split at tau
-        extra_bright = _nonzero_draws(
-            rng.poisson, np.where(called, np.maximum(at_tau - last, 0.0), 0.0))
-        extra_dark = _nonzero_draws(
-            rng.poisson, np.where(called, at_end - np.maximum(at_tau, last), 0.0))
+        extra_bright = rng.poisson(np.where(called, np.maximum(at_tau - last, 0.0), 0.0))
+        extra_dark = rng.poisson(np.where(called, at_end - np.maximum(at_tau, last), 0.0))
         counts += extra_bright + extra_dark
         before_tau += extra_bright
         elapsed = np.full(n, window)
@@ -251,8 +233,8 @@ def _simulate_probe(
     depumped = bright & (tau <= elapsed)
     silent_rate = rate * (1.0 - eta) * (1.0 - hazard)
     scatters = (
-        _nonzero_draws(rng.binomial, before_tau, lam_s / (lam_s + lam_b))
-        + _nonzero_draws(rng.poisson, silent_rate * np.minimum(elapsed, tau))
+        rng.binomial(before_tau, lam_s / (lam_s + lam_b))
+        + rng.poisson(silent_rate * np.minimum(elapsed, tau))
         + depumped
     )
     return ReadoutOutcome(called, counts, elapsed, scatters, depumped)
@@ -462,12 +444,14 @@ def experiment_budget(cfg: CycleConfig, branching: float) -> tuple[dict[str, Tab
     One table of (quantity, value, note) rows, with no seed and no summary
     table: the summary is the rows' values by quantity. When no detuning
     reproduces the configured hazard, one ``implied_detuning_degenerate`` row
-    stands for the two implied-detuning rows.
+    stands for the two implied-detuning rows; a row whose value overflows
+    float64 is left out, and one ``nonfinite_rows_omitted`` row names them.
     """
     species = cfg.species
     hazard = cfg.depump_hazard
     gamma = species.linewidth_gamma
     eta = cfg.net_efficiency
+    fill = cfg.depth / heating_per_scatter(species)
 
     rows: list[tuple] = [
         ("mean_detected_for_1pct_error", required_mean_photons(0.01),
@@ -491,8 +475,7 @@ def experiment_budget(cfg: CycleConfig, branching: float) -> tuple[dict[str, Tab
         ("heating_per_scatter_K", heating_per_scatter(species), "two recoil temperatures"),
         ("heating_for_250_scatters_K", heating_for_scatters(250, species),
          "readout heating budget for 250 scatters"),
-        ("scatters_to_fill_trap_depth",
-         math.ceil(cfg.depth / heating_per_scatter(species)),
+        ("scatters_to_fill_trap_depth", math.ceil(fill) if math.isfinite(fill) else fill,
          "scatters that would heat a cold atom to the trap depth"),
         ("analytic_f1_error", analytic_f1_error(cfg.n_d, cfg.background_mean),
          "background tail at the stop threshold"),
@@ -511,6 +494,12 @@ def experiment_budget(cfg: CycleConfig, branching: float) -> tuple[dict[str, Tab
             ("depump_suppression_at_implied_detuning", branching / hazard,
              "suppression at that detuning: branching over hazard"),
         ]
+    omitted = [name for name, value, _ in rows if isinstance(value, float)
+               and not math.isfinite(value)]
+    if omitted:
+        rows = [row for row in rows if row[0] not in omitted]
+        rows.append(("nonfinite_rows_omitted", True,
+                     "rows left out as not finite in float64: " + " ".join(omitted)))
     summary = {name: value for name, value, _ in rows}
     return {"": _from_rows(("quantity", "value", "note"), rows)}, summary
 

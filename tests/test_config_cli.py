@@ -102,9 +102,8 @@ PINNED_TABLES = {
         },
     ),
     # the kernel's corners: one count calls bright, n_d = 4 in the fixed window, no
-    # background (the adaptive stop then ends at the window) and no depumping (tau = inf);
-    # digests taken before the probe kernel drew only its nonzero Poisson means and
-    # binomial counts and cumulated its arrivals column by column
+    # background (the adaptive stop then ends at the window) and no depumping (tau = inf),
+    # in either stop rule
     "histogram-nd1": (
         {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
          "readout.nd": 1},
@@ -148,6 +147,16 @@ PINNED_TABLES = {
             ".csv": "72771eecc5878a7b78e80147f0e685ebfeb62c5e64a2c589b2672ec0cc07c291",
             "_histogram.csv": "ee71b6cb480ca9aa1a0f0800b12eeffd1e2741cb366cfad8d6a5feec784dacfa",
             "_summary.csv": "507f52536f7b332320221b3e675570a7621147c78b2984d84311c607e88f125b",
+        },
+    ),
+    # tau = inf with the fixed window's two extra Poisson counts after the n_d-th arrival
+    "histogram-fixed-no-depump": (
+        {"experiment": "histogram", "histogram.trials_f1": 1000, "histogram.trials_f2": 1000,
+         "readout.mode": "fixed", "readout.depump_hazard": 0.0},
+        {
+            ".csv": "6e051cf181aef6d66ef2f065f40f7596d628a6e2efb708dc0f20d5788a765931",
+            "_histogram.csv": "55f2c35f5aab73368c0a147c52706bf3a52425460a1abbd6a192e82b6f5fac70",
+            "_summary.csv": "29e8f844f95b5467c4acd59cc1f1985b2fba30d59f6cc79715354d7d5dd3b3a6",
         },
     ),
     # 80,000 record rows: more than one write chunk of the CSV
@@ -994,6 +1003,33 @@ class TestCliProcess:
         assert result.returncode == 0
         assert result.stderr == ""
         assert "curve_fit_degenerate,true\n" in (tmp_path / "r_summary.csv").read_text()
+
+    @pytest.mark.parametrize("settings", [
+        [],
+        ["species.linewidth=1e-300", "species.excited_splitting=1e300"],
+        ["species.recoil_temperature=1e-320"],
+    ], ids=["default", "suppression-overflows", "fill-overflows"])
+    def test_budget_table_is_its_manifest_summary(self, settings, tmp_path):
+        # a value that overflows float64 is left out of both, where the manifest would
+        # have written null and the table inf
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        result = subprocess.run(
+            [sys.executable, "-m", "atomreadout", "--experiment", "budget", *args,
+             "--out", str(tmp_path / "b")],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = (tmp_path / "b.csv").read_text().splitlines()
+        table = {}
+        for line in lines[1:]:
+            quantity, value, _ = line.split(",", 2)
+            table[quantity] = json.loads(value)
+        manifest = json.loads((tmp_path / "b_manifest.json").read_text())
+        assert table == manifest["summary"]
+        assert ("nonfinite_rows_omitted" in table) == bool(settings)
+        for value in table.values():
+            assert type(value) in (bool, int) or math.isfinite(value)
 
     def test_runs_without_scipy(self, tmp_path):
         script = (

@@ -14,12 +14,12 @@ from atomreadout.experiments import (
     Atoms,
     RabiConfig,
     _cycle,
-    _nonzero_draws,
     _simulate_probe,
     apply_heating,
     check_loss,
     cool,
     derive_substream,
+    experiment_budget,
     experiment_histogram,
     experiment_rabi,
     experiment_survival,
@@ -338,13 +338,13 @@ class TestDetectionCycle:
         # with no background the count rate falls to zero at tau, so an n_d-th
         # arrival exactly at Lambda(tau) stops the probe at tau, not at the window's end
         class FixedStream:
-            """Depump time ``tau``, arrival gaps ``gap`` and no extra counts."""
+            """Unit-rate depump time ``e``, arrival gaps ``gap`` and no extra counts."""
 
-            def __init__(self, tau, gap):
-                self.tau, self.gap = tau, gap
+            def __init__(self, e, gap):
+                self.e, self.gap = e, gap
 
-            def exponential(self, scale=1.0, size=None):
-                return np.full(size, self.gap if isinstance(size, tuple) else self.tau)
+            def standard_exponential(self, size):
+                return np.full(size, self.gap if isinstance(size, tuple) else self.e)
 
             def poisson(self, lam):
                 return np.zeros(np.shape(lam), dtype=np.int64)
@@ -353,34 +353,14 @@ class TestDetectionCycle:
                 return np.zeros(np.shape(n), dtype=np.int64)
 
         cfg = replace(ref_cfg, background_mean=0.0, n_d=1, window=300e-6, adaptive=True)
-        tau = 75e-6
+        depump_rate = cfg.scatter_rate * (1.0 - cfg.net_efficiency) * cfg.depump_hazard
+        e = 75e-6 * depump_rate
+        tau = e * (1.0 / depump_rate)   # as the kernel scales it
         gap = cfg.scatter_rate * cfg.net_efficiency * tau
-        outcome = _simulate_probe(np.ones(1, dtype=bool), cfg, FixedStream(tau, gap))
+        outcome = _simulate_probe(np.ones(1, dtype=bool), cfg, FixedStream(e, gap))
         assert outcome.called_bright[0]
         assert outcome.depumped[0]
         assert outcome.elapsed[0] == tau
-
-class TestNonzeroDraws:
-    """numpy's Generator draws nothing from the stream for a zero Poisson mean or binomial
-    count; the probe relies on it to draw only the nonzero entries."""
-
-    # zeros between means below 10 (the multiplication sampler) and of 10 or more (PTRS),
-    # and between counts on the inversion (n p <= 30) and BTPE (n p > 30) samplers
-    @pytest.mark.parametrize(
-        "draw, param, args",
-        [
-            ("poisson", [0.0, 3.2, 0.0, 0.0, 25.0, 9.99, 0.0, 10.0, 0.5, 140.0], ()),
-            ("binomial", [0, 2, 0, 5, 0, 0, 200, 1, 0, 3], (0.3,)),
-            ("binomial", [0, 2, 0, 5, 0, 0, 200, 1, 0, 3], (0.98,)),
-        ],
-        ids=["poisson", "binomial-low-p", "binomial-high-p"],
-    )
-    def test_same_samples_and_stream_state(self, draw, param, args):
-        param = np.tile(np.asarray(param), 50)
-        masked, plain = derive_substream(1, (0,)), derive_substream(1, (0,))
-        got = _nonzero_draws(getattr(masked, draw), param, *args)
-        np.testing.assert_array_equal(got, getattr(plain, draw)(param, *args))
-        assert masked.bit_generator.state == plain.bit_generator.state
 
 
 class TestKernelAgainstEventOracle:
@@ -802,6 +782,12 @@ class TestRabiExperiment:
 ALL_LOST = {"background_loss": 1.0 - 1e-12}
 
 
+def budget_at(updates):
+    """The budget experiment at the default config with ``updates``."""
+    config = default_config().with_updates(updates)
+    return experiment_budget(config.cycle_config(), config["readout.branching_to_f1"])
+
+
 class TestDegenerateSummaries:
     """At degenerate inputs every summary value is a bool, an int or a finite float: a
     quantity with no value is absent, never nan, which strict JSON cannot hold."""
@@ -818,6 +804,17 @@ class TestDegenerateSummaries:
                      ("f2_detected_fraction",), id="survival-all-lost"),
         pytest.param(lambda cfg: experiment_histogram(1, 1, cfg, 1),
                      {"f1_trials": 1, "f2_trials": 1}, (), id="histogram-1-trial"),
+        # the on-resonance suppression (2 splitting / linewidth)**2 overflows to inf
+        pytest.param(lambda cfg: budget_at({"species.linewidth": 1e-300,
+                                            "species.excited_splitting": 1e300}),
+                     {"nonfinite_rows_omitted": True, "depump_hazard_on_resonance": 0.0},
+                     ("depump_suppression_on_resonance", "depump_suppression_at_one_linewidth",
+                      "depump_suppression_at_two_linewidths", "implied_effective_detuning_Hz"),
+                     id="budget-suppression-overflows"),
+        # trap depth over a subnormal heating per scatter overflows to inf
+        pytest.param(lambda cfg: budget_at({"species.recoil_temperature": 1e-320}),
+                     {"nonfinite_rows_omitted": True, "heating_per_scatter_K": 2e-320},
+                     ("scatters_to_fill_trap_depth",), id="budget-fill-overflows"),
     ])
     def test_every_summary_value_is_finite_or_absent(self, ref_cfg, run, expected, absent):
         _, summary = run(ref_cfg)
