@@ -4,12 +4,13 @@
 Usage: python3 scripts/compare_outputs.py PARENT_SRC
 
 Runs every invocation of the benchmark's workloads (``perfbench/workloads.py``)
-at seed 1, in CSV and in JSON, at one and at two workers, and each
-``configs/*.cfg`` file through ``--config`` at seed 1, in CSV, at one worker,
-and each stochastic experiment at a small size in each of the probe kernel's
-corners (``CORNERS``) at seed 1, in CSV, at one worker, and survival and Rabi
-runs of two blocks of rows (``POOL_RUNS``) at seed 1, in CSV, at one and at two
-workers, so that the row experiments' pool path is compared. Each run is made once
+at seed 1, in CSV and in JSON, as the benchmark passes it, and each
+``configs/*.cfg`` file through ``--config`` at seed 1, in CSV, and each
+stochastic experiment at a small size in each of the probe kernel's corners
+(``CORNERS``) at seed 1, in CSV, and histogram, survival and Rabi runs of
+several blocks of rows (``POOL_RUNS``) at seed 1, in CSV, at one and at two
+workers, so that the row experiments' pool path is compared. These pooled runs
+are the only ones that pass a worker count. Each run is made once
 with this checkout's ``src/`` and once with ``PARENT_SRC`` (the ``src/``
 directory of the tree to compare against). Every
 result table must match byte for byte; the manifests must match once
@@ -53,10 +54,13 @@ CORNER_SIZES = {
     "rabi": ["--trials", "300"],
 }
 
-# one block (experiments.BLOCK = 4,096 rows) and five rows of a few cycles (Rabi: 20 points,
-# which sample the default drive below its Nyquist limit): two blocks, so that two workers
-# start a pool and each pooled block is copied into its rows
+# rows of more than one block (experiments.BLOCK = 4,096), so that a pool of two starts and
+# each pooled block is copied into its rows: survival and Rabi take one block and five rows
+# of a few cycles (Rabi: 20 points, which sample the default drive below its Nyquist limit),
+# and each histogram state three blocks (2 x 4,096 + 17 trials), so that one worker's
+# contiguous run holds two of them
 POOL_RUNS = {
+    "histogram": ["--set", "histogram.trials_f1=8209", "--set", "histogram.trials_f2=8209"],
     "survival": ["--set", "survival.atoms=4101", "--set", "survival.cycles=5"],
     "rabi": ["--set", "rabi.atoms=4101", "--set", "rabi.points=20"],
 }
@@ -76,31 +80,27 @@ def _workloads():
 
 def _runs() -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of each run, writing the stem ``out`` in its working directory:
-    each distinct workload invocation in both formats at one and two workers, each
-    config file, each experiment in each kernel corner, then the pooled row runs."""
+    each distinct workload invocation in both formats, each config file, each experiment in
+    each kernel corner, then the pooled row runs, serial and in a pool of two."""
     found = []
     for workload in _workloads().values():
         for inv in workload.invocations:
             for fmt in ("csv", "json"):
-                for workers in (1, 2):
-                    label = f"{inv.experiment} {dict(inv.sizes)} {fmt} workers={workers}"
-                    run = (label, replace(inv, fmt=fmt, workers=workers).argv(SEED, Path("out")))
-                    if run not in found:
-                        found.append(run)
+                run = (f"{inv.experiment} {dict(inv.sizes)} {fmt}",
+                       replace(inv, fmt=fmt).argv(SEED, Path("out")))
+                if run not in found:
+                    found.append(run)
+    common = ["--seed", str(SEED), "--format", "csv", "--out", "out"]
     for config in sorted((ROOT / "configs").glob("*.cfg")):
-        argv = ["--config", str(config), "--seed", str(SEED), "--format", "csv",
-                "--workers", "1", "--out", "out"]
-        found.append((f"{config.name} csv workers=1", argv))
+        found.append((f"{config.name} csv", ["--config", str(config), *common]))
     for experiment, sizes in CORNER_SIZES.items():
         for corner, settings in CORNERS.items():
-            argv = ["--experiment", experiment, *sizes, "--seed", str(SEED), "--format", "csv",
-                    "--workers", "1", "--out", "out"]
+            argv = ["--experiment", experiment, *sizes, *common]
             argv += [arg for setting in settings for arg in ("--set", setting)]
-            found.append((f"{experiment} {corner} csv workers=1", argv))
+            found.append((f"{experiment} {corner} csv", argv))
     for experiment, sizes in POOL_RUNS.items():
         for workers in (1, 2):
-            argv = ["--experiment", experiment, *sizes, "--seed", str(SEED), "--format", "csv",
-                    "--workers", str(workers), "--out", "out"]
+            argv = ["--experiment", experiment, *sizes, *common, "--workers", str(workers)]
             found.append((f"{experiment} {' '.join(sizes[1::2])} csv workers={workers}", argv))
     return found
 

@@ -24,13 +24,10 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--workers", type=int, default=1, help="process-pool workers")
     args = parser.parse_args(argv)
 
     outdir = Path(args.outdir)
-    overrides = {"workers": args.workers}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
     try:
         # every setting is checked before the first run writes anything
         configs = [

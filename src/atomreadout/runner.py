@@ -22,7 +22,8 @@ constant separators (``,`` and ``\\n`` for CSV; the sorted
 array as two codes, a list by row; a float or text array must come ``Coded``),
 and its labels are formatted once per table and gathered by code. One
 boolean compaction drops the padding, so a cell's text may not itself
-contain NUL.
+contain NUL, and CSV cells are not quoted, so theirs may not contain ``,``,
+``\\r`` or ``\\n``.
 """
 
 from __future__ import annotations
@@ -70,22 +71,14 @@ class RunOutput:
 
 
 def _format_cell(value: object) -> str:
+    """A CSV cell's text."""
     if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _json_safe(value: object) -> object:
-    """Replace non-finite floats with None, so the output is strict JSON."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+        text = "true" if value else "false"
+    else:
+        text = repr(value) if isinstance(value, float) else str(value)
+    if any(sep in text for sep in ",\r\n"):
+        raise ValueError(f"the CSV cell {text!r} holds a separator the table writer cannot quote")
+    return text
 
 
 def _json_cell(value: object) -> str:
@@ -272,6 +265,6 @@ def run(config: RunConfig) -> RunOutput:
         "wall_time_s": time.perf_counter() - start,
     }
     manifest_path = stem.with_name(stem.name + "_manifest.json")
-    text = json.dumps(_json_safe(manifest), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _write_whole(manifest_path, lambda out: out.write(text.encode()))
     return RunOutput(tuple(written), str(manifest_path), summary)

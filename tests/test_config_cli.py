@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -593,6 +594,21 @@ class TestRunnerOutput:
         row_writer(tmp_path / "rows.json", ("label",), [("a",), ("b\0c",)], "json")
         assert (tmp_path / "t.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
 
+    @pytest.mark.parametrize("separator", [",", "\r", "\n"])
+    @pytest.mark.parametrize("coded", [False, True], ids=["list", "coded"])
+    def test_writer_refuses_a_csv_separator_it_would_not_quote(self, separator, coded, tmp_path):
+        # an unquoted separator inside a CSV cell would split its row or its field
+        labels = ("a", f"b{separator}c")
+        column = Coded(np.array([0, 1], np.int8), labels) if coded else list(labels)
+        table = (("label",), (column,))
+        with pytest.raises(ValueError, match=re.escape(repr(labels[1]))):
+            _write_table(tmp_path / "t.csv", table, "csv")
+        assert not list(tmp_path.iterdir())
+        # JSON escapes it
+        _write_table(tmp_path / "t.json", table, "json")
+        row_writer(tmp_path / "rows.json", ("label",), [(label,) for label in labels], "json")
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "rows.json").read_bytes()
+
     @pytest.mark.parametrize("column", [np.array([0.5, -0.0]), np.array(["F1", "F2"])])
     def test_writer_takes_float_and_text_columns_only_coded(self, column, tmp_path):
         with pytest.raises(TypeError, match="must be Coded"):
@@ -689,8 +705,9 @@ class TestRunnerOutput:
         assert "\nimplied_detuning_degenerate,true," in (tmp_path / "b.csv").read_text()
 
     def test_manifest_records_workers_used(self, tmp_path, monkeypatch):
-        # one CPU caps the 64 requested workers at one, so no pool starts
+        # one CPU caps the 64 requested workers at one, so the two blocks start no pool
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(experiments, "BLOCK", 2)
         config = default_config().with_updates(
             {"experiment": "survival", "survival.atoms": 3, "workers": 64,
              "output.path": str(tmp_path / "s")}
@@ -698,6 +715,22 @@ class TestRunnerOutput:
         manifest = json.loads(Path(run(config).manifest_file).read_text())
         assert manifest["workers_used"] == 1
         assert manifest["config"]["workers"] == 64
+
+    def test_non_finite_summary_value_writes_no_manifest(self, tmp_path, monkeypatch):
+        # the manifest is strict JSON, so a nan summary value fails the run, not the parse
+        real = runner.experiment_histogram
+
+        def with_nan(*args, **kwargs):
+            tables, summary = real(*args, **kwargs)
+            return tables, {**summary, "f1_error_rate": math.nan}
+
+        monkeypatch.setattr(runner, "experiment_histogram", with_nan)
+        config = default_config().with_updates(
+            {"experiment": "histogram", "histogram.trials_f1": 20, "histogram.trials_f2": 20,
+             "output.path": str(tmp_path / "h")})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            run(config)
+        assert not (tmp_path / "h_manifest.json").exists()
 
     def test_manifest_records_the_environment(self, tmp_path):
         # the tables are byte-identical per (config, seed) only for a fixed numpy version

@@ -569,11 +569,6 @@ class TestHistogramExperiment:
         b = experiment_histogram(300, 300, ref_cfg, master_seed=9)
         assert same_result(a, b)
 
-    def test_worker_count_does_not_change_results(self, ref_cfg):
-        serial = experiment_histogram(400, 400, ref_cfg, master_seed=10, workers=1)
-        parallel = experiment_histogram(400, 400, ref_cfg, master_seed=10, workers=2)
-        assert same_result(serial, parallel)
-
 
 class TestSurvivalExperiment:
     def test_zero_loss_keeps_every_atom(self, ref_cfg):
@@ -612,10 +607,10 @@ class TestSurvivalExperiment:
         assert abs(np.mean(z)) <= 3.0 / math.sqrt(50)
         assert 0.7 <= np.std(z, ddof=1) <= 1.3
 
-    def test_parallel_equals_serial(self, ref_cfg):
-        serial = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=1)
-        parallel = experiment_survival(24, 40, ref_cfg, master_seed=13, workers=2)
-        assert same_result(serial, parallel)
+    def test_determinism(self, ref_cfg):
+        a = experiment_survival(24, 40, ref_cfg, master_seed=13)
+        b = experiment_survival(24, 40, ref_cfg, master_seed=13)
+        assert same_result(a, b)
 
     def test_workers_capped_at_cpu_count(self, ref_cfg, inline_pool, monkeypatch):
         sizes, _, calls = inline_pool
@@ -771,10 +766,10 @@ class TestRabiExperiment:
             assert all(type(t) is float for t in lengths)
             assert lengths[0] == 0.0 and lengths[-1] == span
 
-    def test_determinism_and_worker_independence(self, ref_cfg):
+    def test_determinism(self, ref_cfg):
         rabi = rabi_scan(15, 1e-3)
-        a = experiment_rabi(30, rabi, ref_cfg, master_seed=17, workers=1)
-        b = experiment_rabi(30, rabi, ref_cfg, master_seed=17, workers=2)
+        a = experiment_rabi(30, rabi, ref_cfg, master_seed=17)
+        b = experiment_rabi(30, rabi, ref_cfg, master_seed=17)
         assert same_result(a, b)
 
 

@@ -37,7 +37,7 @@ def test_prints_every_headline_section(tmp_path, capsys):
         assert (tmp_path / f"{experiment}_manifest.json").is_file()
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "0")])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1")])
 def test_bad_setting_exits_2_and_writes_nothing(tmp_path, capsys, flag, value):
     outdir = tmp_path / "results"
     with pytest.raises(SystemExit) as exit_info:
