@@ -44,7 +44,8 @@ their rows as the block arrives (``_map_rows``): no block parts are joined and
 no column is copied per state. The experiment builds its result tables from
 those columns and returns ``(tables, summary)``: the tables keyed by file-name
 suffix (``""`` for the records), each a header and one column per name (a
-label column as ``Coded`` integer codes into its labels), and the summary
+label column as ``Coded`` integer codes into its labels, and an index column,
+which follows from the row order, as ``Runs`` of its rows), and the summary
 dict, which is also the last table, ``_summary``. The fourth experiment, the
 budget, is the closed-form one: it steps no atoms, and returns the closed
 forms of ``physics`` at the configured operating point as one table and its
@@ -391,11 +392,6 @@ def _fill(out: tuple[np.ndarray, ...], parts) -> None:
             column[start:start + BLOCK] = values
 
 
-def _index_dtype(n_rows: int) -> type:
-    """int32 for a table's index columns if its ``n_rows`` fit, as it holds them to the write."""
-    return np.int32 if n_rows < 2**31 else np.int64
-
-
 # ---------------------------------------------------------------------------
 # result tables: every experiment returns (tables, summary) as they are written
 # ---------------------------------------------------------------------------
@@ -409,7 +405,7 @@ class Coded:
 
     def __post_init__(self) -> None:
         # a bool array would index as a mask, not gather
-        if not isinstance(self.codes, np.ndarray) or self.codes.dtype.kind not in "iu":
+        if not isinstance(self.codes, (np.ndarray, Runs)) or self.codes.dtype.kind not in "iu":
             raise TypeError("codes must be an integer array")
         if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() < len(self.labels):
             raise ValueError("codes must index the labels")
@@ -418,7 +414,69 @@ class Coded:
         return len(self.codes)
 
 
-Column = np.ndarray | list | Coded
+@dataclass(frozen=True)
+class Runs:
+    """An index column held as runs of consecutive rows: ``edges[i]`` is run i's first row,
+    and the last edge the row count.
+
+    A row of run i reads i or, ``within`` its run, its place in the run from 0.
+    It stands in for an integer array where a table takes one (as ``Coded``
+    codes too): ``runs[lo:hi]`` derives a chunk's values from the runs it
+    overlaps, and ``np.asarray(runs)`` all of them.
+    """
+
+    edges: np.ndarray
+    within: bool = False
+    dtype = np.dtype(np.intp)
+
+    def __len__(self) -> int:
+        return int(self.edges[-1])
+
+    @property
+    def size(self) -> int:
+        return len(self)
+
+    def min(self) -> int:
+        """The first row's value: 0, or the first run that holds a row."""
+        return 0 if self.within else int(np.searchsorted(self.edges, 0, side="right")) - 1
+
+    def max(self) -> int:
+        """The longest run's last place, or the last run that holds a row."""
+        if self.within:
+            return int(np.diff(self.edges).max()) - 1
+        return int(np.searchsorted(self.edges, self.edges[-1])) - 1
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        lo, hi, step = rows.indices(len(self))
+        if step != 1:
+            raise IndexError("a run column is read by chunks of consecutive rows")
+        if lo >= hi:
+            return np.empty(0, self.dtype)
+        # the runs of the chunk's first and last rows, once a chunk: no search per row
+        first = int(self.edges.searchsorted(lo, "right")) - 1
+        last = int(self.edges.searchsorted(hi - 1, "right")) - 1
+        if first == last:   # one run, as most chunks of a long run are
+            start = int(self.edges[first])
+            return np.arange(lo - start, hi - start) if self.within else np.full(hi - lo, first)
+        edges = self.edges[first:last + 2]
+        counts = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
+        if self.within:
+            return np.arange(lo, hi) - np.repeat(edges[:-1], counts)
+        return np.repeat(np.arange(first, last + 1), counts)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        values = self[:]
+        return values if dtype is None else values.astype(dtype)
+
+
+def _runs(lengths: np.ndarray) -> tuple[Runs, Runs]:
+    """The run and the place within it of each row, for runs of ``lengths`` rows in order."""
+    edges = np.zeros(len(lengths) + 1, np.int64)
+    np.cumsum(lengths, out=edges[1:])
+    return Runs(edges), Runs(edges, within=True)
+
+
+Column = np.ndarray | list | Coded | Runs
 Table = tuple[tuple[str, ...], tuple[Column, ...]]   # header, one column per name
 
 
@@ -524,9 +582,11 @@ def experiment_histogram(
     if trials_f1 <= 0 or trials_f2 <= 0:
         raise ValueError("trial counts must be positive")
     n_rows = trials_f1 + trials_f2
-    # one set of record columns, F1 trials first, each state's rows filled in place;
-    # a probe's count is small, so int32 holds it to the write (_fill casts each block)
-    columns = tuple(np.empty(n_rows, dtype) for dtype in (np.int32, bool, bool))
+    # one set of record columns, F1 trials first, each state's rows filled in place (_fill
+    # casts each block); the adaptive stop caps a count at n_d, and a whole window's count
+    # is small, so int32 holds it
+    count = np.min_scalar_type(cfg.n_d) if cfg.adaptive else np.int32
+    columns = tuple(np.empty(n_rows, dtype) for dtype in (count, bool, bool))
     hist_rows = []
     summary: dict[str, object] = {}
     for state, trials, start in ((F1, trials_f1, 0), (F2, trials_f2, trials_f1)):
@@ -551,13 +611,12 @@ def experiment_histogram(
     summary["analytic_f1_error"] = analytic_f1_error(cfg.n_d, cfg.background_mean)
     summary["analytic_f2_error"] = analytic_f2_error(cfg.net_efficiency, cfg.depump_hazard, cfg.n_d)
     counts, called, lost = columns
-    trial = np.arange(n_rows, dtype=_index_dtype(n_rows))
-    trial[trials_f1:] -= trials_f1   # each state counts its trials from 0
+    state, trial = _runs(np.array([trials_f1, trials_f2]))   # each state counts its trials from 0
     records = (
         ("trial", "prepared_state", "counts", "classified", "lost"),
         (
             trial,
-            Coded(np.repeat(np.arange(2, dtype=np.int8), [trials_f1, trials_f2]), (F1, F2)),
+            Coded(state, (F1, F2)),
             counts,
             Coded(called.view(np.int8), (F1, F2)),
             lost,
@@ -606,15 +665,8 @@ def experiment_survival(
         fit = fit_exponential(lost, completed + lost)
     except ValueError:
         fit = None
-    index = _index_dtype(n_atoms * n_cycles)
-    records = (
-        ("atom", "cycle", "cell"),
-        (
-            np.repeat(np.arange(n_atoms, dtype=index), n_cycles),
-            np.tile(np.arange(n_cycles, dtype=index), n_atoms),
-            Coded(cells.ravel(), CELLS),
-        ),
-    )
+    records = (("atom", "cycle", "cell"),
+               (*_runs(np.full(n_atoms, n_cycles)), Coded(cells.ravel(), CELLS)))
     curve = (("cycle", "fraction_alive"), (list(range(n_cycles + 1)), fraction))
     summary: dict[str, object] = {
         "atoms": n_atoms,
@@ -721,14 +773,13 @@ def experiment_rabi(
         fit = fit_damped_sinusoid(np.asarray(lengths)[mask], fraction[mask])
     except ValueError:
         fit = None
-    # the measured cycles' records, in the index dtype; the (rows, points) matrices go
-    # before the last column is built, so that they do not add to the records' peak
-    index = _index_dtype(present.size)
-    outcome = cells[present] - 1   # codes 1 and 2 to 0 (F1) and 1 (F2)
-    point = np.broadcast_to(np.arange(transfer.size, dtype=index), present.shape)[present]
+    # the measured cycles' records: an atom's measured points are the first of its row,
+    # since loss is absorbing, so they are runs of its measured count
     per_atom = np.count_nonzero(present, axis=1)
-    del cells, present
-    atom = np.repeat(np.arange(n_atoms, dtype=index), per_atom)
+    outcome = cells[present]
+    outcome -= 1   # codes 1 and 2 to 0 (F1) and 1 (F2)
+    del cells, present   # the (rows, points) matrices go before the run columns check their codes
+    atom, point = _runs(per_atom)
     records = (
         ("atom", "point", "pulse_length", "outcome"),
         (atom, point, Coded(point, lengths), Coded(outcome, (F1, F2))),

@@ -23,17 +23,23 @@ from typing import Sequence
 import numpy as np
 
 MAX_ITERATIONS = 200
+BIN_SLICE = 1 << 14   # counts binned at a time, so a narrow input is never copied whole to intp
 
 
 def build_histogram(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     """Frequencies of the detected counts in unit bins from 0 to max(counts)."""
     values = np.asarray(counts)
-    if values.size and not np.issubdtype(values.dtype, np.integer):
+    if not values.size:   # an empty list arrives as float64
+        return np.zeros(0, np.intp)
+    if not np.issubdtype(values.dtype, np.integer):
         raise ValueError("counts must be integers")
-    values = values.astype(np.int64, copy=False)   # an empty list arrives as float64
-    if values.size and values.min() < 0:
+    if values.min() < 0:
         raise ValueError("counts must be nonnegative")
-    return np.bincount(values)
+    frequencies = np.zeros(int(values.max()) + 1, np.intp)
+    for lo in range(0, values.size, BIN_SLICE):   # bincount takes intp: one slice's copy at a time
+        part = values[lo:lo + BIN_SLICE]
+        frequencies += np.bincount(part.astype(np.intp, copy=False), minlength=frequencies.size)
+    return frequencies
 
 
 def binomial_interval(successes: int, trials: int) -> tuple[float, float]:

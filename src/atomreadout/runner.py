@@ -10,20 +10,21 @@ environment (Python and numpy versions, CPU count), and is therefore the one
 output not covered by the byte-identity contract.
 
 Tables are held as columns up to the write, a label column as ``Coded``
-integer codes into its few labels; the experiments fill them in place. The
-writer sends the rows through one byte matrix of at most ``WRITE_BYTES``
-(sized by measurement, see the constant), so each chunk of rows is one
-``write`` with no Python call per row, and a write holds a few chunks, not a
-copy of the table; a table's rows per chunk follow from its row width. A row
-is its cells' UTF-8 text, each NUL-padded to its column's width, between
-constant separators (``,`` and ``\\n`` for CSV; the sorted
-``{"key": `` pieces for JSON). Integers are written by digit arithmetic, in
-32 bits when they have at most 9 digits. Every other column is coded (a bool
-array as two codes, a list by row; a float or text array must come ``Coded``),
-and its labels are formatted once per table and gathered by code. One
-boolean compaction drops the padding, so a cell's text may not itself
-contain NUL, and CSV cells are not quoted, so theirs may not contain ``,``,
-``\\r`` or ``\\n``.
+integer codes into its few labels and an index column as ``Runs``, the run
+lengths it follows from; the experiments fill them in place. The writer sends
+the rows through one byte matrix of at most ``WRITE_BYTES`` (sized by
+measurement, see the constant), so each chunk of rows is one ``write`` with no
+Python call per row, and a write holds a few chunks, not a copy of the table;
+a table's rows per chunk follow from its row width, and a ``Runs`` column
+derives a chunk's values from the runs the chunk overlaps. A row is its
+cells' UTF-8 text, each NUL-padded to its column's width, between constant
+separators (``,`` and ``\\n`` for CSV; the sorted ``{"key": `` pieces for
+JSON). Integers are written by digit arithmetic, in 32 bits when they have at
+most 9 digits. Every other column is coded (a bool array as two codes, a list
+by row; a float or text array must come ``Coded``), and its labels are
+formatted once per table and gathered by code. One boolean compaction drops
+the padding, so a cell's text may not itself contain NUL, and CSV cells are
+not quoted, so theirs may not contain ``,``, ``\\r`` or ``\\n``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .experiments import (
     GENERATOR_NAME,
     Coded,
     Column,
+    Runs,
     Table,
     experiment_budget,
     experiment_histogram,
@@ -117,9 +119,9 @@ def _fill_digits(out: np.ndarray, column: np.ndarray, places: int, signed: bool)
         magnitude = quotient
 
 
-def _coded(column: Column) -> np.ndarray | Coded:
-    """An integer array as it is, and a bool array or a list as codes into its labels."""
-    if isinstance(column, Coded):
+def _coded(column: Column) -> np.ndarray | Runs | Coded:
+    """An integer column as it is, and a bool array or a list as codes into its labels."""
+    if isinstance(column, (Coded, Runs)):
         return column
     if not isinstance(column, np.ndarray):  # a small table's list: a label per row
         return Coded(np.arange(len(column)), tuple(column))

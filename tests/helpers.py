@@ -10,7 +10,7 @@ import numpy as np
 from scipy import stats
 
 from atomreadout import experiments
-from atomreadout.experiments import Coded, CycleConfig, ReadoutOutcome
+from atomreadout.experiments import Coded, CycleConfig, ReadoutOutcome, Runs
 
 
 def poisson_chisquare_pvalue(counts, mean: float, min_expected: float = 5.0) -> float:
@@ -217,11 +217,16 @@ def traced_peak(run):
 
 
 def table_bytes(tables) -> int:
-    """Bytes of the distinct numpy buffers that the columns of ``tables`` hold."""
+    """Bytes of the distinct numpy buffers that the columns of ``tables`` hold.
+
+    A ``Runs`` column holds its run edges.
+    """
     buffers = {}
     for _, columns in tables.values():
         for column in columns:
             array = column.codes if isinstance(column, Coded) else column
+            if isinstance(array, Runs):
+                array = array.edges
             while isinstance(array, np.ndarray) and array.base is not None:
                 array = array.base   # a view holds its owner's buffer
             if isinstance(array, np.ndarray):
@@ -236,6 +241,8 @@ def binomial_3se(p: float, n: int) -> float:
 
 def _same_cells(a, b) -> bool:
     """Equal table columns or summary values: same types, and a nan equals a nan."""
+    if isinstance(a, Runs):
+        return isinstance(b, Runs) and a.within == b.within and _same_cells(a.edges, b.edges)
     if isinstance(a, Coded):
         return (
             isinstance(b, Coded)
@@ -272,11 +279,14 @@ def same_result(a, b) -> bool:
 
 
 def table_column(tables, suffix: str, name: str) -> np.ndarray:
-    """One named column of an experiment's table, as an array; a coded column as its labels."""
+    """One named column of an experiment's table, as an array; a coded column as its labels.
+
+    A ``Runs`` column, codes too, reads as the array of its values.
+    """
     header, columns = tables[suffix]
     column = columns[header.index(name)]
     if isinstance(column, Coded):
-        return np.asarray(column.labels)[column.codes]
+        return np.asarray(column.labels)[np.asarray(column.codes)]
     return np.asarray(column)
 
 
@@ -284,7 +294,7 @@ def survival_cells(tables) -> np.ndarray:
     """The survival records table as its (atoms, cycles) matrix of cell labels."""
     atoms = table_column(tables, "", "atom")
     cycles = table_column(tables, "", "cycle")
-    shape = (atoms.max() + 1, cycles.max() + 1)
+    shape = (int(atoms.max()) + 1, int(cycles.max()) + 1)   # Python ints: no narrow overflow
     assert np.array_equal(atoms, np.repeat(np.arange(shape[0]), shape[1]))
     assert np.array_equal(cycles, np.tile(np.arange(shape[1]), shape[0]))
     return table_column(tables, "", "cell").reshape(shape)

@@ -26,7 +26,7 @@ from atomreadout.config import (
     reference_cycle_config,
     validate_value,
 )
-from atomreadout.experiments import Coded
+from atomreadout.experiments import Coded, Runs, _runs
 from atomreadout.physics import depump_suppression, heating_per_scatter
 from atomreadout.runner import _write_rows, _write_table, run
 from helpers import traced_peak
@@ -514,6 +514,43 @@ class TestRunnerOutput:
         _, peak = traced_peak(lambda: _write_rows(Sink(), table, fmt))
         assert sum(written) > 16 * runner.WRITE_BYTES   # many chunks
         assert peak <= 4 * runner.WRITE_BYTES
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_run_columns_write_as_their_arrays(self, fmt, monkeypatch):
+        # chunks of 2 to 5 rows: boundaries fall inside runs, between them and at empty ones
+        lengths = np.array([0, 5, 1, 0, 0, 12, 3, 0, 9, 0])
+        atom, point = _runs(lengths)
+        labels = tuple(0.5 * k for k in range(12))
+        header = ("atom", "point", "pulse_length")
+
+        def written(columns):
+            out = RecordedFile()
+            _write_rows(out, (header, columns), fmt)
+            return [bytes(chunk) for chunk in out.writes]
+
+        def materialised(column):
+            if isinstance(column, Coded):
+                return Coded(np.asarray(column.codes), column.labels)
+            return np.asarray(column) if isinstance(column, Runs) else column
+
+        for budget in (40, 64, 100):
+            monkeypatch.setattr(runner, "WRITE_BYTES", budget)
+            runs = (atom, point, Coded(point, labels))
+            writes = written(runs)
+            assert len(writes) > 4   # the head, three chunks or more and the tail
+            assert writes == written(tuple(map(materialised, runs)))
+        # the records of every experiment, over several chunks
+        monkeypatch.setattr(runner, "WRITE_BYTES", 1024)
+        cfg = default_config()
+        for tables, _ in (
+            experiments.experiment_histogram(300, 400, cfg.cycle_config(), 1),
+            experiments.experiment_survival(30, 40, cfg.cycle_config(), 1),
+            experiments.experiment_rabi(60, cfg.rabi_config(), cfg.cycle_config(), 1),
+        ):
+            header, columns = tables[""]
+            writes = written(columns)
+            assert len(writes) > 4
+            assert writes == written(tuple(map(materialised, columns)))
 
     def test_a_row_wider_than_the_budget_is_written_alone(self, monkeypatch):
         monkeypatch.setattr(runner, "WRITE_BYTES", 4)

@@ -1,3 +1,4 @@
+import io
 import math
 import os
 from dataclasses import replace
@@ -13,7 +14,9 @@ from atomreadout.experiments import (
     CELL_LOST,
     Atoms,
     RabiConfig,
+    Runs,
     _cycle,
+    _runs,
     _simulate_probe,
     apply_heating,
     check_loss,
@@ -31,6 +34,7 @@ from atomreadout.experiments import (
 )
 from atomreadout.fitting import fit_damped_sinusoid
 from atomreadout.physics import F1, F2, analytic_f2_error, heating_per_scatter
+from atomreadout.runner import _write_rows
 from helpers import (
     binomial_3se,
     event_probe,
@@ -508,6 +512,100 @@ class TestRowMemory:
         for n in rows:
             (tables, _), peak = traced_peak(lambda: run(n, ref_cfg))
             assert peak - table_bytes(tables) <= self.BOUND, n
+
+
+def record_column(tables, name):
+    """The records table's column ``name`` as the experiment holds it."""
+    header, columns = tables[""]
+    return columns[header.index(name)]
+
+
+class TestRunColumns:
+    """Index columns held as run lengths read as the arrays they stand for."""
+
+    @pytest.mark.parametrize("lengths", [
+        pytest.param([30, 40], id="histogram-states"),
+        pytest.param([7] * 5, id="survival-uniform"),
+        pytest.param([0, 3, 0, 0, 2, 5, 0, 1, 0], id="rabi-zero-length-rows"),
+        pytest.param([0, 0, 0], id="rabi-all-lost"),
+    ])
+    def test_every_chunk_reads_as_the_array(self, lengths):
+        index, within = _runs(np.array(lengths))
+        wanted = {
+            False: np.repeat(np.arange(len(lengths)), lengths),
+            True: np.concatenate([np.arange(n) for n in lengths]),
+        }
+        for runs in (index, within):
+            want = wanted[runs.within]
+            assert len(runs) == runs.size == want.size
+            assert np.asarray(runs).tolist() == want.tolist()
+            if want.size:
+                assert (runs.min(), runs.max()) == (want.min(), want.max())
+            for lo in range(want.size + 1):
+                for hi in range(lo, want.size + 1):
+                    assert runs[lo:hi].tolist() == want[lo:hi].tolist(), (lo, hi)
+
+    def test_rows_are_read_in_consecutive_chunks_only(self):
+        index, _ = _runs(np.array([3, 4]))
+        with pytest.raises(IndexError, match="consecutive"):
+            index[::2]
+
+    def test_records_hold_only_what_the_kernel_drew(self, ref_cfg):
+        # no index array is built: the records are the drawn columns and 8 B per run edge
+        tables, _ = experiment_histogram(300, 400, ref_cfg, master_seed=1)
+        assert isinstance(record_column(tables, "trial"), Runs)
+        assert isinstance(record_column(tables, "prepared_state").codes, Runs)
+        assert table_bytes({"": tables[""]}) == 3 * 700 + 8 * 3   # counts, call, loss
+        tables, _ = experiment_survival(20, 30, ref_cfg, master_seed=1)
+        assert all(isinstance(record_column(tables, name), Runs) for name in ("atom", "cycle"))
+        assert table_bytes({"": tables[""]}) == 20 * 30 + 8 * 21   # the cells
+        tables, _ = experiment_rabi(40, rabi_scan(20, 3e-3), ref_cfg, master_seed=1)
+        point = record_column(tables, "point")
+        assert isinstance(record_column(tables, "atom"), Runs) and isinstance(point, Runs)
+        assert record_column(tables, "pulse_length").codes is point
+        assert table_bytes({"": tables[""]}) == len(point) + 8 * 41   # the calls
+
+    def test_rabi_points_are_each_atoms_measured_prefix(self, ref_cfg):
+        cfg = replace(ref_cfg, background_loss=0.2)
+        tables, _ = experiment_rabi(40, rabi_scan(20, 3.0e-3), cfg, master_seed=16)
+        atom = table_column(tables, "", "atom")
+        point = table_column(tables, "", "point")
+        per_atom = np.bincount(atom, minlength=40)
+        assert (per_atom == 0).any()   # atoms lost in their first cycle hold no row
+        assert point.tolist() == [k for n in per_atom.tolist() for k in range(n)]
+        lengths = np.asarray(rabi_scan(20, 3.0e-3).pulse_lengths)
+        assert table_column(tables, "", "pulse_length").tolist() == lengths[point].tolist()
+
+    def test_all_lost_rabi_has_empty_run_columns(self, ref_cfg):
+        tables, _ = experiment_rabi(20, REF_RABI, replace(ref_cfg, **ALL_LOST), master_seed=1)
+        assert all(len(record_column(tables, name)) == 0 for name in ("atom", "point"))
+        assert table_column(tables, "", "point").tolist() == []
+
+
+class TestCountWidth:
+    """The histogram's counts column is as wide as the largest count the stop rule allows."""
+
+    def test_reference_counts_take_one_byte(self, ref_cfg):
+        assert ref_cfg.adaptive and ref_cfg.n_d == 2
+        tables, _ = experiment_histogram(50, 50, ref_cfg, master_seed=1)
+        assert record_column(tables, "counts").dtype == np.uint8
+
+    def test_a_wide_threshold_writes_its_counts_intact(self, ref_cfg):
+        # about 2,100 expected counts a window with no depumping, so bright trials reach 300
+        cfg = replace(ref_cfg, n_d=300, scatter_rate=100 * ref_cfg.scatter_rate,
+                      depump_hazard=0.0)
+        tables, _ = experiment_histogram(20, 30, cfg, master_seed=1)
+        counts = record_column(tables, "counts")
+        assert counts.dtype == np.uint16
+        assert counts[20:].tolist() == [300] * 30
+        out = io.BytesIO()
+        _write_rows(out, tables[""], "csv")
+        rows = [line.split(",") for line in out.getvalue().decode().splitlines()[1:]]
+        assert [int(row[2]) for row in rows] == counts.tolist()
+
+    def test_fixed_window_counts_stay_int32(self, ref_cfg):
+        tables, _ = experiment_histogram(50, 50, replace(ref_cfg, adaptive=False), master_seed=1)
+        assert record_column(tables, "counts").dtype == np.int32
 
 
 class TestHistogramExperiment:

@@ -9,13 +9,14 @@ from scipy.optimize import least_squares
 from atomreadout.config import DEFAULT_SEED, default_config
 from atomreadout.experiments import experiment_rabi
 from atomreadout.fitting import (
+    BIN_SLICE,
     FitResult,
     binomial_interval,
     build_histogram,
     fit_damped_sinusoid,
     fit_exponential,
 )
-from helpers import poisson_chisquare_pvalue, table_column
+from helpers import poisson_chisquare_pvalue, table_column, traced_peak
 
 
 def sinusoid(t, offset, amplitude, frequency, tau):
@@ -43,6 +44,30 @@ class TestBuildHistogram:
         # a cast would bin 1.7 as 1
         with pytest.raises(ValueError, match="integers"):
             build_histogram(np.array([1.7]))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+    def test_slices_bin_as_one_bincount(self, dtype):
+        # longer than two slices, with the largest count only in the last one
+        rng = np.random.default_rng(2)
+        counts = rng.integers(0, 50, 2 * BIN_SLICE + 7).astype(dtype)
+        counts[-1] = 120
+        frequencies = build_histogram(counts)
+        assert frequencies.dtype == np.intp
+        assert frequencies.tolist() == np.bincount(counts.astype(np.int64)).tolist()
+
+    def test_a_negative_count_past_the_first_slice_is_rejected(self):
+        counts = np.zeros(BIN_SLICE + 3, np.int8)
+        counts[-1] = -1
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_histogram(counts)
+
+    def test_binning_holds_no_wide_copy_of_its_input(self):
+        # one int64 copy of a million counts would take 8 MB
+        counts = np.random.default_rng(4).integers(0, 3, 1_000_000).astype(np.uint8)
+        frequencies, peak = traced_peak(lambda: build_histogram(counts))
+        assert frequencies.sum() == counts.size
+        assert peak <= 16 * BIN_SLICE   # two slices' intp copies
+        assert peak < 8_000_000 // 20
 
     def test_poisson_samples_match_pmf(self):
         rng = np.random.default_rng(3)
