@@ -407,7 +407,7 @@ class Coded:
         # a bool array would index as a mask, not gather
         if not isinstance(self.codes, (np.ndarray, Runs)) or self.codes.dtype.kind not in "iu":
             raise TypeError("codes must be an integer array")
-        if self.codes.size and not 0 <= self.codes.min() <= self.codes.max() < len(self.labels):
+        if len(self.codes) and not 0 <= self.codes.min() <= self.codes.max() < len(self.labels):
             raise ValueError("codes must index the labels")
 
     def __len__(self) -> int:
@@ -432,10 +432,6 @@ class Runs:
     def __len__(self) -> int:
         return int(self.edges[-1])
 
-    @property
-    def size(self) -> int:
-        return len(self)
-
     def min(self) -> int:
         """The first row's value: 0, or the first run that holds a row."""
         return 0 if self.within else int(np.searchsorted(self.edges, 0, side="right")) - 1
@@ -455,9 +451,6 @@ class Runs:
         # the runs of the chunk's first and last rows, once a chunk: no search per row
         first = int(self.edges.searchsorted(lo, "right")) - 1
         last = int(self.edges.searchsorted(hi - 1, "right")) - 1
-        if first == last:   # one run, as most chunks of a long run are
-            start = int(self.edges[first])
-            return np.arange(lo - start, hi - start) if self.within else np.full(hi - lo, first)
         edges = self.edges[first:last + 2]
         counts = np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo)
         if self.within:
@@ -478,6 +471,11 @@ def _runs(lengths: np.ndarray) -> tuple[Runs, Runs]:
 
 Column = np.ndarray | list | Coded | Runs
 Table = tuple[tuple[str, ...], tuple[Column, ...]]   # header, one column per name
+
+
+def _survivors(lengths: np.ndarray, n: int) -> np.ndarray:
+    """How many of ``lengths``, each at most ``n``, are at least k, for k = 0..n."""
+    return np.cumsum(np.bincount(lengths, minlength=n + 1)[::-1])[::-1]
 
 
 def _from_rows(header: tuple[str, ...], rows: list[tuple]) -> Table:
@@ -583,9 +581,9 @@ def experiment_histogram(
         raise ValueError("trial counts must be positive")
     n_rows = trials_f1 + trials_f2
     # one set of record columns, F1 trials first, each state's rows filled in place (_fill
-    # casts each block); the adaptive stop caps a count at n_d, and a whole window's count
-    # is small, so int32 holds it
-    count = np.min_scalar_type(cfg.n_d) if cfg.adaptive else np.int32
+    # casts each block); the adaptive stop caps a count at n_d, but a whole window's count
+    # has no bound, so it stays int64 as the kernel draws it
+    count = np.min_scalar_type(cfg.n_d) if cfg.adaptive else np.int64
     columns = tuple(np.empty(n_rows, dtype) for dtype in (count, bool, bool))
     hist_rows = []
     summary: dict[str, object] = {}
@@ -657,8 +655,7 @@ def experiment_survival(
     completed = int(lengths.sum())
     f2_detected = int(cells.sum()) - completed   # codes sum to the cells measured plus F2 calls
     cells = cells[np.argsort(-lengths, kind="stable")]
-    # rows that completed at least k cycles, for k = 0..n_cycles
-    alive = np.cumsum(np.bincount(lengths, minlength=n_cycles + 1)[::-1])[::-1]
+    alive = _survivors(lengths, n_cycles)
     fraction = (alive / n_atoms).tolist()
     lost = n_atoms - int(alive[-1])
     try:
@@ -764,8 +761,10 @@ def experiment_rabi(
     transfer = np.array([transfer_probability(t, rabi) for t in lengths])
     cells = np.empty((n_atoms, transfer.size), np.int8)
     _map_rows((cells,), workers, master_seed, (EXP_RABI,), cfg, F1, transfer.size, transfer)
-    present = cells.astype(bool)   # the measured cycles: a lost cycle keeps no point
-    measured = np.count_nonzero(present, axis=0)
+    # each atom's measured points, the first of its row since loss is absorbing: a lost
+    # cycle keeps no point, so point k was measured by the atoms that measured more than k
+    per_atom = np.count_nonzero(cells, axis=1)
+    measured = _survivors(per_atom, transfer.size)[1:]
     bright = cells.sum(axis=0) - measured   # codes sum to the cells measured plus F2 calls
     mask = measured > 0
     fraction = np.divide(bright, measured, out=np.full(measured.size, np.nan), where=mask)
@@ -773,12 +772,10 @@ def experiment_rabi(
         fit = fit_damped_sinusoid(np.asarray(lengths)[mask], fraction[mask])
     except ValueError:
         fit = None
-    # the measured cycles' records: an atom's measured points are the first of its row,
-    # since loss is absorbing, so they are runs of its measured count
-    per_atom = np.count_nonzero(present, axis=1)
-    outcome = cells[present]
+    # the measured cycles' records, runs of each atom's measured count
+    outcome = cells[cells != 0]
     outcome -= 1   # codes 1 and 2 to 0 (F1) and 1 (F2)
-    del cells, present   # the (rows, points) matrices go before the run columns check their codes
+    del cells   # the (rows, points) matrix goes before the run columns check their codes
     atom, point = _runs(per_atom)
     records = (
         ("atom", "point", "pulse_length", "outcome"),

@@ -16,15 +16,16 @@ the rows through one byte matrix of at most ``WRITE_BYTES`` (sized by
 measurement, see the constant), so each chunk of rows is one ``write`` with no
 Python call per row, and a write holds a few chunks, not a copy of the table;
 a table's rows per chunk follow from its row width, and a ``Runs`` column
-derives a chunk's values from the runs the chunk overlaps. A row is its
-cells' UTF-8 text, each NUL-padded to its column's width, between constant
-separators (``,`` and ``\\n`` for CSV; the sorted ``{"key": `` pieces for
-JSON). Integers are written by digit arithmetic, in 32 bits when they have at
-most 9 digits. Every other column is coded (a bool array as two codes, a list
-by row; a float or text array must come ``Coded``), and its labels are
-formatted once per table and gathered by code. One boolean compaction drops
-the padding, so a cell's text may not itself contain NUL, and CSV cells are
-not quoted, so theirs may not contain ``,``, ``\\r`` or ``\\n``.
+derives a chunk's values from the runs the chunk overlaps. A row is its cells'
+UTF-8 text, each NUL-padded to its column's width, between constant separators
+(``,`` and ``\\n`` for CSV; the sorted ``{"key": `` pieces for JSON). Every
+integer column is a count or a run index, so nonnegative: it is written
+unsigned by digit arithmetic, in 32 bits when its values have at most 9
+digits, and a negative value is refused. Every other column is coded (a bool
+array as two codes, a list by row; a float or text array must come ``Coded``),
+and its labels are formatted once per table and gathered by code. One boolean
+compaction drops the padding, so a cell's text may not itself contain NUL, and
+CSV cells are not quoted, so theirs may not contain ``,``, ``\\r`` or ``\\n``.
 """
 
 from __future__ import annotations
@@ -97,26 +98,21 @@ def _text(cells: list[str]) -> np.ndarray:
     return np.array(encoded, dtype=bytes)
 
 
-def _fill_digits(out: np.ndarray, column: np.ndarray, places: int, signed: bool) -> None:
-    """Write an integer column's decimal text into ``out``, a (rows, signed + places) byte matrix.
+def _fill_digits(out: np.ndarray, column: np.ndarray, places: int) -> None:
+    """Write nonnegative integers as decimal text into ``out``, a (rows, places) byte matrix.
 
-    The digits are right-aligned behind the sign byte, and leading zeros are NUL.
+    The digits are right-aligned, and leading zeros are NUL.
     """
     unsigned = np.uint32 if places <= 9 else np.uint64  # 9 digits always fit in 32 bits
-    magnitude = column.astype(unsigned)
-    if signed:
-        negative = column < 0
-        magnitude = np.where(negative, ~magnitude + unsigned(1), magnitude)  # |x|, int64 min too
-        out[:, 0] = np.where(negative, ord("-"), 0)
+    value = column.astype(unsigned)
     ten = unsigned(10)
-    units = signed + places - 1
-    for place in range(units, signed - 1, -1):
-        quotient = magnitude // ten
-        digit = (magnitude - quotient * ten).astype(np.uint8) + np.uint8(ord("0"))
-        if place < units:  # a leading zero is padding; the units digit always shows
-            digit *= magnitude > 0
+    for place in range(places - 1, -1, -1):
+        quotient = value // ten
+        digit = (value - quotient * ten).astype(np.uint8) + np.uint8(ord("0"))
+        if place < places - 1:  # a leading zero is padding; the units digit always shows
+            digit *= value > 0
         out[:, place] = digit
-        magnitude = quotient
+        value = quotient
 
 
 def _coded(column: Column) -> np.ndarray | Runs | Coded:
@@ -148,9 +144,12 @@ def _cells(column: Column, cell) -> tuple[int, Callable[[np.ndarray, slice], Non
             out.view(labels.dtype)[:, 0] = np.take(labels, column.codes[rows])
 
         return text.itemsize, fill
-    low, high = (int(column.min()), int(column.max())) if column.size else (0, 0)
-    places, signed = len(str(max(high, -low))), low < 0  # of the largest magnitude
-    return signed + places, lambda out, rows: _fill_digits(out, column[rows], places, signed)
+    low, high = (int(column.min()), int(column.max())) if len(column) else (0, 0)
+    if low < 0:
+        raise ValueError(f"an integer column holds {low}; its cells are counts and run "
+                         "indices, which the table writer writes unsigned")
+    places = len(str(high))
+    return places, lambda out, rows: _fill_digits(out, column[rows], places)
 
 
 def _write_whole(path: Path, write: Callable[[BinaryIO], object]) -> None:

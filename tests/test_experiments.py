@@ -537,7 +537,7 @@ class TestRunColumns:
         }
         for runs in (index, within):
             want = wanted[runs.within]
-            assert len(runs) == runs.size == want.size
+            assert len(runs) == want.size
             assert np.asarray(runs).tolist() == want.tolist()
             if want.size:
                 assert (runs.min(), runs.max()) == (want.min(), want.max())
@@ -603,9 +603,25 @@ class TestCountWidth:
         rows = [line.split(",") for line in out.getvalue().decode().splitlines()[1:]]
         assert [int(row[2]) for row in rows] == counts.tolist()
 
-    def test_fixed_window_counts_stay_int32(self, ref_cfg):
+    def test_fixed_window_counts_stay_as_drawn(self, ref_cfg):
         tables, _ = experiment_histogram(50, 50, replace(ref_cfg, adaptive=False), master_seed=1)
-        assert record_column(tables, "counts").dtype == np.int32
+        assert record_column(tables, "counts").dtype == np.int64
+
+    def test_a_fixed_window_count_past_int32_is_written_intact(self, ref_cfg, monkeypatch):
+        # a whole window's count has no bound; the stand-in histogram allocates no dense bins
+        count = 2**31 + 5
+
+        def run_block(block, n_rows, *args):
+            n = min(n_rows - block * experiments.BLOCK, experiments.BLOCK)
+            return np.full(n, count), np.ones(n, bool), np.zeros(n, bool)
+
+        monkeypatch.setattr(experiments, "_run_block", run_block)
+        monkeypatch.setattr(experiments, "build_histogram", lambda counts: np.zeros(0, np.intp))
+        tables, _ = experiment_histogram(3, 3, replace(ref_cfg, adaptive=False), master_seed=1)
+        out = io.BytesIO()
+        _write_rows(out, tables[""], "csv")
+        rows = [line.split(",") for line in out.getvalue().decode().splitlines()[1:]]
+        assert [int(row[2]) for row in rows] == [count] * 6
 
 
 class TestHistogramExperiment:
